@@ -2,19 +2,67 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sps
 
 from smwsim import (
+    FluidPolicy,
     PriorityPolicy,
     SmwPolicy,
     build_chain,
     build_network,
     exact_exponent_curve,
+    gamma,
+    optimal_alpha,
     run_jump_chain,
     stationary_drop_probability,
     vanilla_policy,
 )
 from smwsim.chain import StateCapError, StateSpace
 from smwsim.instances import example1, example1_crp_violated, random_crp
+from smwsim.lp import solve_transportation
+from smwsim.policies import DROP
+
+
+def fluid_policy(net):
+    """Fluid policy built the way the CLI builds it (zero pickup cost)."""
+    flow = solve_transportation(net.col_rates(), net.row_rates(),
+                                np.zeros((net.n_supply, net.n_demand)),
+                                support=list(net.edges))
+    return FluidPolicy(net, flow)
+
+
+def reference_chain(net, policy, K):
+    """One policy call per (state, origin, destination), dict-indexed."""
+    states = StateSpace.enumerate(net.n_supply, K).states
+    index = {tuple(s): r for r, s in enumerate(states.tolist())}
+    rows, cols, vals = [], [], []
+    drop_mass = np.zeros(len(states))
+    for r, q in enumerate(states):
+        for j in range(net.n_demand):
+            for k in range(net.n_supply):
+                p = net.phi[j, k]
+                if p == 0.0:
+                    continue
+                for dec, w in policy.dispatch_distribution(q, j):
+                    pw = p * w
+                    if pw == 0.0:
+                        continue
+                    if dec.source == DROP:
+                        drop_mass[r] += pw
+                        tgt = r
+                    elif dec.source == k:
+                        tgt = r
+                    else:
+                        nxt = q.copy()
+                        nxt[dec.source] -= 1
+                        nxt[k] += 1
+                        tgt = index[tuple(nxt)]
+                    rows.append(r)
+                    cols.append(tgt)
+                    vals.append(pw)
+    P = sps.csr_matrix((vals, (rows, cols)), shape=(len(states),) * 2)
+    P.sum_duplicates()
+    return P, drop_mass
 
 
 def test_state_space_counts():
@@ -118,3 +166,62 @@ def test_crp_violating_floor():
     for K in (1, 5, 10, 20):
         sol = stationary_drop_probability(net, vanilla_policy(net), K)
         assert sol.drop_probability >= 1 / 8 - 1e-12
+
+
+@pytest.mark.parametrize("n, K", [(2, 300), (4, 40), (40, 2)])
+def test_rank_inverts_enumeration(n, K):
+    space = StateSpace.enumerate(n, K)
+    count = math.comb(K + n - 1, n - 1)
+    assert np.array_equal(space.rank(space.states), np.arange(count))
+
+
+def _equivalence_cases():
+    for seed in range(3):
+        net = random_crp(3, seed=seed)
+        yield net, SmwPolicy(net, [0.5, 0.3, 0.2])
+        yield net, PriorityPolicy(
+            net, [net.supply_neighbors(j)[::-1] for j in range(3)])
+        yield net, fluid_policy(net)
+    net = example1_crp_violated()
+    yield net, vanilla_policy(net)
+
+
+def test_build_chain_matches_reference_loop():
+    most_atoms = 0
+    for net, pol in _equivalence_cases():
+        K = 5
+        P_ref, drop_ref = reference_chain(net, pol, K)
+        atoms, dist = [], pol.dispatch_distribution
+
+        def counted(q, j, dist=dist, atoms=atoms):
+            out = dist(q, j)
+            atoms.append(len(out))
+            return out
+
+        pol.dispatch_distribution = counted
+        P, drop, space = build_chain(net, pol, K)
+        assert len(atoms) == len(space.states) * net.n_demand
+        assert np.abs(P.toarray() - P_ref.toarray()).max() <= 1e-15
+        assert np.abs(drop - drop_ref).max() <= 1e-15
+        most_atoms = max(most_atoms, max(atoms))
+    assert most_atoms > 1       # a randomized policy was expanded
+
+
+def test_stationary_entrywise_positive():
+    net = random_crp(4, seed=1)
+    alpha, _ = optimal_alpha(net)
+    for pol in (vanilla_policy(net), SmwPolicy(net, alpha), fluid_policy(net)):
+        sol = stationary_drop_probability(net, pol, 30)
+        assert np.all(sol.stationary > 0)
+        assert sol.residual <= 1e-12
+
+
+@pytest.mark.parametrize("alpha", [(0.5, 0.5), (0.9, 0.1)])
+def test_tail_slope_matches_gamma(alpha):
+    net = example1()
+    curve = exact_exponent_curve(net, SmwPolicy(net, alpha), [100, 200, 300])
+    assert all(p > 0 for _, p in curve)
+    g = gamma(net, alpha).gamma
+    for (k0, p0), (k1, p1) in zip(curve, curve[1:]):
+        slope = -(math.log(p1) - math.log(p0)) / (k1 - k0)
+        assert slope == pytest.approx(g, abs=1e-3)
