@@ -17,8 +17,9 @@ from .lp import LinearProgram, solve_lp
 from .network import (
     DEFAULT_SUBSET_CAP,
     Network,
-    iter_demand_subsets,
-    neighborhood,
+    mask_indices,
+    masked_sum,
+    subset_table,
     validate_network,
 )
 
@@ -110,20 +111,16 @@ def drainable_subsets(net: Network, cap: int = DEFAULT_SUBSET_CAP):
     A subset is drainable when some of its demand carries supply to a
     destination outside its neighborhood (mu_rate > 0).
     """
-    out = []
-    for J in iter_demand_subsets(net, cap):
-        boundary = sorted(neighborhood(net, J))
-        bset = set(boundary)
-        jset = set(J)
-        mu = sum(net.phi[j, k]
-                 for j in J for k in range(net.n_supply) if k not in bset)
-        if mu <= 0.0:
-            continue
-        lam = sum(net.phi[j, k]
-                  for j in range(net.n_demand) if j not in jset
-                  for k in boundary)
-        out.append(SubsetStats(tuple(J), tuple(boundary), float(lam), float(mu)))
-    return out
+    members, nbrs = subset_table(net, cap)
+    others, outside, size = ~members, ~nbrs, members.shape[1]
+    pairs = [(j, k) for j in range(net.n_demand) for k in range(net.n_supply)]
+    mu = masked_sum(((members[j] & outside[k], net.phi[j, k])
+                     for j, k in pairs), size)
+    lam = masked_sum(((others[j] & nbrs[k], net.phi[j, k])
+                      for j, k in pairs), size)
+    return [SubsetStats(mask_indices(members[:, s]), mask_indices(nbrs[:, s]),
+                        float(lam[s]), float(mu[s]))
+            for s in np.flatnonzero(mu > 0.0)]
 
 
 def _require_pooling(net: Network):

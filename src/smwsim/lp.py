@@ -8,7 +8,7 @@ A_eq x = b_eq, and per-variable bounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,13 +58,12 @@ def _check_finite(*arrays):
             raise ValueError("LP data contains NaN or Inf")
 
 
-def solve_lp(lp: LinearProgram, debug_dump=None) -> LpSolution:
+def solve_lp(lp: LinearProgram) -> LpSolution:
     """Solve the LP by two-phase dense simplex.
 
     Variables are rewritten to nonnegative standard form: finite lower
     bounds are shifted out, free variables are split, finite upper bounds
-    become extra inequality rows.  ``debug_dump``, if given, is called
-    with each tableau (regression triage aid).
+    become extra inequality rows.
     """
     _check_finite(lp.c, lp.a_ub, lp.b_ub, lp.a_eq, lp.b_eq)
     nvar = lp.c.size
@@ -126,39 +125,26 @@ def solve_lp(lp: LinearProgram, debug_dump=None) -> LpSolution:
     A = np.array(A_rows) if A_rows else np.zeros((0, nstd))
     b = np.array(b_rows)
     nrow = A.shape[0]
+    slack_rows = np.flatnonzero(~np.array(eq_flags, dtype=bool))
+    ncol = nstd + slack_rows.size
 
-    # slacks for inequalities
-    nslack = sum(1 for f in eq_flags if not f)
-    T = np.zeros((nrow, nstd + nslack))
-    T[:, :nstd] = A
-    s = 0
-    for r in range(nrow):
-        if not eq_flags[r]:
-            T[r, nstd + s] = 1.0
-            s += 1
-    ncol = nstd + nslack
-
-    # make rhs nonnegative
-    for r in range(nrow):
-        if b[r] < 0:
-            T[r] *= -1.0
-            b[r] *= -1.0
-
-    # phase 1: artificial variable per row, minimize their sum
+    # phase 1: artificial variable per row, minimize their sum; the
+    # tableau is [A | slacks | artificials | rhs] with rhs made nonnegative
     tab = np.zeros((nrow + 1, ncol + nrow + 1))
-    tab[:nrow, :ncol] = T
-    tab[:nrow, ncol:ncol + nrow] = np.eye(nrow)
+    tab[:nrow, :nstd] = A
+    tab[slack_rows, nstd + np.arange(slack_rows.size)] = 1.0
+    flip = np.flatnonzero(b < 0)
+    tab[flip, :ncol] *= -1.0
+    b[flip] *= -1.0
+    np.fill_diagonal(tab[:nrow, ncol:ncol + nrow], 1.0)
     tab[:nrow, -1] = b
     basis = list(range(ncol, ncol + nrow))
     obj = tab[nrow]
-    obj[:] = 0.0
     for r in range(nrow):   # reduced costs of min sum(artificials)
         obj[:] -= tab[r]
     obj[ncol:ncol + nrow] = 0.0
 
-    iters = _simplex_iterate(tab, basis, ncol + nrow, debug_dump)
-    if iters < 0:
-        raise RuntimeError("simplex iteration cap exceeded in phase 1")
+    iters, _ = _simplex_iterate(tab, basis, ncol + nrow, "phase 1")
     if tab[nrow, -1] < -FEAS_TOL:
         return LpSolution("infeasible", None, None, iters)
 
@@ -166,19 +152,15 @@ def solve_lp(lp: LinearProgram, debug_dump=None) -> LpSolution:
     drop_rows = []
     for r in range(nrow):
         if basis[r] >= ncol:
-            piv = None
-            for j in range(ncol):
-                if abs(tab[r, j]) > PIVOT_TOL:
-                    piv = j
-                    break
-            if piv is None:
+            piv = np.flatnonzero(np.abs(tab[r, :ncol]) > PIVOT_TOL)
+            if piv.size == 0:
                 drop_rows.append(r)
             else:
-                _pivot(tab, r, piv)
-                basis[r] = piv
+                _pivot(tab, r, piv[0])
+                basis[r] = int(piv[0])
     keep = [r for r in range(nrow) if r not in drop_rows]
-    tab = np.vstack([tab[keep][:, list(range(ncol)) + [-1]],
-                     np.zeros(ncol + 1)])
+    tab = tab[np.ix_(keep + [nrow], list(range(ncol)) + [-1])]
+    tab[-1] = 0.0
     basis = [basis[r] for r in keep]
     nrow2 = len(keep)
 
@@ -196,10 +178,8 @@ def solve_lp(lp: LinearProgram, debug_dump=None) -> LpSolution:
         if c_std[basis[r]] != 0.0:
             tab[nrow2] += c_std[basis[r]] * tab[r]
 
-    iters2 = _simplex_iterate(tab, basis, ncol, debug_dump)
-    if iters2 < 0:
-        raise RuntimeError("simplex iteration cap exceeded in phase 2")
-    if _unbounded_flag[0]:
+    iters2, unbounded = _simplex_iterate(tab, basis, ncol, "phase 2")
+    if unbounded:
         return LpSolution("unbounded", None, None, iters + iters2)
 
     y = np.zeros(ncol)
@@ -215,53 +195,48 @@ def solve_lp(lp: LinearProgram, debug_dump=None) -> LpSolution:
     return LpSolution("optimal", x, float(lp.c @ x), iters + iters2)
 
 
-_unbounded_flag = [False]
-
-
 def _pivot(tab, row, col):
+    """Gauss-Jordan pivot on (row, col).
+
+    Only rows with a nonzero in the pivot column and columns with a
+    nonzero in the pivot row change; every other product is an exact
+    zero, so skipping it leaves those entries as they are.
+    """
     tab[row] /= tab[row, col]
-    for r in range(tab.shape[0]):
-        if r != row and tab[r, col] != 0.0:
-            tab[r] -= tab[r, col] * tab[row]
+    rows = tab[:, col].nonzero()[0]
+    rows = rows[rows != row]
+    cols = tab[row].nonzero()[0]
+    tab[rows[:, None], cols] -= np.outer(tab[rows, col], tab[row, cols])
 
 
-def _simplex_iterate(tab, basis, ncols_usable, debug_dump=None) -> int:
-    """Run simplex pivots with Bland's rule; returns iteration count.
+def _simplex_iterate(tab, basis, ncols_usable, phase):
+    """Run simplex pivots with Bland's rule; returns (iterations, unbounded).
 
     The objective row is the last row (minimization of its negated value,
-    i.e. we pivot while some reduced cost is negative).  Sets the module
-    unbounded flag when a column has no positive entry.
+    i.e. we pivot while some reduced cost is negative).  The LP is
+    unbounded when the entering column has no positive entry.
     """
-    _unbounded_flag[0] = False
     nrow = tab.shape[0] - 1
-    it = 0
-    while it < MAX_ITER:
-        if debug_dump is not None:
-            debug_dump(tab)
+    for it in range(MAX_ITER):
         # Bland: entering = lowest-index column with negative reduced cost
-        enter = -1
-        for j in range(ncols_usable):
-            if tab[nrow, j] < -FEAS_TOL:
-                enter = j
-                break
-        if enter < 0:
-            return it
+        enter = (tab[nrow, :ncols_usable] < -FEAS_TOL).nonzero()[0]
+        if enter.size == 0:
+            return it, False
+        enter = int(enter[0])
         # leaving: min ratio, ties by lowest basis index (Bland)
-        best, leave = None, -1
-        for r in range(nrow):
-            a = tab[r, enter]
-            if a > PIVOT_TOL:
-                ratio = tab[r, -1] / a
-                if best is None or ratio < best - PIVOT_TOL or (
-                        abs(ratio - best) <= PIVOT_TOL and basis[r] < basis[leave]):
-                    best, leave = ratio, r
-        if leave < 0:
-            _unbounded_flag[0] = True
-            return it
+        cand = (tab[:nrow, enter] > PIVOT_TOL).nonzero()[0]
+        if cand.size == 0:
+            return it, True
+        ratios = (tab[cand, -1] / tab[cand, enter]).tolist()
+        cand = cand.tolist()
+        best, leave = ratios[0], cand[0]
+        for r, ratio in zip(cand[1:], ratios[1:]):
+            if ratio < best - PIVOT_TOL or (
+                    abs(ratio - best) <= PIVOT_TOL and basis[r] < basis[leave]):
+                best, leave = ratio, r
         _pivot(tab, leave, enter)
         basis[leave] = enter
-        it += 1
-    return -1
+    raise RuntimeError(f"simplex iteration cap exceeded in {phase}")
 
 
 def solve_transportation(supply, demand, cost, support=None):

@@ -8,7 +8,6 @@ and pickup time matrices (minutes) enable the timed simulator.
 
 from __future__ import annotations
 
-import itertools
 import json
 import warnings
 from dataclasses import dataclass, field, asdict
@@ -179,23 +178,55 @@ def neighborhood(net: Network, demand_subset) -> frozenset:
     return frozenset(i for (i, j) in net.edges if j in sub)
 
 
-def demand_neighborhood(net: Network, supply_subset) -> frozenset:
-    """Symmetric variant: compatible demand nodes of a set of supply nodes."""
-    sub = set(supply_subset)
-    return frozenset(j for (i, j) in net.edges if i in sub)
+def adjacency(net: Network) -> np.ndarray:
+    """m x n boolean mask: entry (j, i) is set when supply i serves demand j."""
+    adj = np.zeros((net.n_demand, net.n_supply), dtype=bool)
+    for (i, j) in net.edges:
+        adj[j, i] = True
+    return adj
 
 
-def iter_demand_subsets(net: Network, cap: int = DEFAULT_SUBSET_CAP):
-    """Yield every nonempty strict subset of demand nodes as a sorted tuple.
+def subset_table(net: Network, cap: int = DEFAULT_SUBSET_CAP):
+    """Every nonempty strict demand subset as one column of two boolean masks.
 
-    Exhaustive (2^m - 2 subsets); guarded by a hard cap on m.
+    Columns follow ``itertools.combinations`` order (size, then
+    lexicographic); this is the alpha LP's row order.  Returns the
+    m x (2^m - 2) member mask and the n x (2^m - 2) neighborhood mask,
+    the OR of the members' adjacency masks.  Guarded by a hard cap on m.
     """
     m = net.n_demand
     if m > cap:
         raise SubsetCapError(
             f"{m} demand nodes exceed the subset enumeration cap ({cap})")
-    for size in range(1, m):
-        yield from itertools.combinations(range(m), size)
+    # bit m-1-j of a code marks demand node j, so within one size the
+    # lexicographic order of member tuples is descending code order
+    codes = np.arange(1, (1 << m) - 1)
+    members = np.stack([((codes >> (m - 1 - j)) & 1).astype(bool)
+                        for j in range(m)])
+    members = members[:, np.lexsort((-codes, members.sum(axis=0)))]
+    adj = adjacency(net)
+    nbrs = np.zeros((net.n_supply, codes.size), dtype=bool)
+    for j in range(m):
+        nbrs[adj[j]] |= members[j]
+    return members, nbrs
+
+
+def mask_indices(mask) -> tuple:
+    """Set positions of one boolean mask, ascending, as Python ints."""
+    return tuple(np.flatnonzero(mask).tolist())
+
+
+def masked_sum(terms, size: int) -> np.ndarray:
+    """Sum of ``mask * value`` over (mask, value) terms, added in order.
+
+    Values are finite and nonnegative, so an unset entry adds an exact
+    0.0 and each entry equals the sequential Python sum over its set
+    terms bit for bit.
+    """
+    out = np.zeros(size)
+    for mask, value in terms:
+        out += mask * value
+    return out
 
 
 def validate_network(net: Network, cap: int = DEFAULT_SUBSET_CAP,
@@ -210,33 +241,16 @@ def validate_network(net: Network, cap: int = DEFAULT_SUBSET_CAP,
     """
     row = net.row_rates()
     col = net.col_rates()
+    nontrivial = bool(np.any((net.phi > 0) & ~adjacency(net)))
 
-    nontrivial = False
-    for j in range(net.n_demand):
-        nbrs = set(net.supply_neighbors(j))
-        for k in range(net.n_supply):
-            if k not in nbrs and net.phi[j, k] > 0:
-                nontrivial = True
-                break
-        if nontrivial:
-            break
-
-    hall_gap = np.inf
-    violating = []
-    eps_floor = 0.0
-    if net.n_demand == 1:
-        hall_gap = np.inf  # no strict subsets exist; vacuously pooled
-    for J in iter_demand_subsets(net, cap):
-        boundary = neighborhood(net, J)
-        slack = sum(col[i] for i in boundary) - sum(row[j] for j in J)
-        if slack < hall_gap:
-            hall_gap = slack
-        if slack <= 0:
-            violating.append((J, float(slack)))
-        if -slack > eps_floor:
-            eps_floor = float(-slack)
-
-    hall_gap = float(hall_gap) if np.isfinite(hall_gap) else float("inf")
+    members, nbrs = subset_table(net, cap)
+    size = members.shape[1]
+    slack = (masked_sum(zip(nbrs, col), size)
+             - masked_sum(zip(members, row), size))
+    # with one demand node no strict subset exists: vacuously pooled
+    hall_gap = float(slack.min()) if size else float("inf")
+    violating = [(mask_indices(members[:, s]), float(slack[s]))
+                 for s in np.flatnonzero(slack <= 0)]
     return ValidationReport(
         normalized=abs(original_mass - 1.0) > NORMALIZATION_TOL,
         original_mass=float(original_mass),
@@ -245,7 +259,7 @@ def validate_network(net: Network, cap: int = DEFAULT_SUBSET_CAP,
         hall_gap=hall_gap,
         lambda_min=float(col.min()),
         violating_subsets=violating,
-        epsilon_floor_drop=eps_floor,
+        epsilon_floor_drop=max(0.0, -hall_gap),
     )
 
 

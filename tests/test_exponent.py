@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from smwsim import (
     PoolingViolationError,
+    SubsetStats,
     build_network,
     drainable_subsets,
     gamma,
@@ -12,11 +14,18 @@ from smwsim import (
     lyapunov,
     min_drift_speed,
     most_likely_path,
+    neighborhood,
     optimal_alpha,
     uniform_alpha,
     vanilla_bound_check,
 )
-from smwsim.instances import example1, example1_crp_violated, random_crp
+from smwsim.instances import (
+    example1,
+    example1_crp_violated,
+    random_crp,
+    symmetric_ring,
+)
+from smwsim.network import SubsetCapError
 
 LOG2 = math.log(2)
 
@@ -54,6 +63,55 @@ def test_full_flexibility_has_no_drainable_subset():
     res = gamma(net, [0.5, 0.5])
     assert res.is_infinite
     assert res.to_json()["gamma"] == "inf"
+
+
+def drainable_subsets_loop(net):
+    """The per-subset loop that drainable_subsets replaced, kept as its
+    reference; the new code must match it bit for bit."""
+    out = []
+    for size in range(1, net.n_demand):
+        for J in itertools.combinations(range(net.n_demand), size):
+            boundary = sorted(neighborhood(net, J))
+            bset, jset = set(boundary), set(J)
+            mu = sum(net.phi[j, k] for j in J
+                     for k in range(net.n_supply) if k not in bset)
+            if mu <= 0.0:
+                continue
+            lam = sum(net.phi[j, k] for j in range(net.n_demand)
+                      if j not in jset for k in boundary)
+            out.append(SubsetStats(J, tuple(boundary), float(lam), float(mu)))
+    return out
+
+
+def test_drainable_subsets_equal_reference_loop():
+    nets = [random_crp(n, seed=s) for n in range(3, 10) for s in range(5)]
+    nets += [example1(),
+             build_network(3, 3, [(i, j) for i in range(3) for j in range(3)],
+                           np.arange(1.0, 10.0).reshape(3, 3))]
+    for net in nets:
+        assert drainable_subsets(net) == drainable_subsets_loop(net)
+
+
+def test_drainable_subsets_cap():
+    with pytest.raises(SubsetCapError):
+        drainable_subsets(random_crp(4, seed=0), cap=3)
+
+
+# optimal_alpha(symmetric_ring(10)) bit for bit.  The LP is degenerate
+# and SMW ties on the ring are decided by these last bits, so recorded
+# simulation replays depend on them: another solver or pivot order must
+# fail here first.
+RING10_ALPHA_HEX = [
+    "0x1.733a62662e511p-4", "0x1.bff8d0cd04e44p-4", "0x1.733a62662e50dp-4",
+    "0x1.bff8d0cd04de2p-4", "0x1.733a62662e55ap-4", "0x1.bff8d0cd04e12p-4",
+    "0x1.733a62662e50ep-4", "0x1.bff8d0cd04e38p-4", "0x1.733a62662e508p-4",
+    "0x1.bff8d0cd04e10p-4",
+]
+
+
+def test_optimal_alpha_ring10_bit_for_bit():
+    alpha, _ = optimal_alpha(symmetric_ring(10))
+    assert [float(a).hex() for a in alpha] == RING10_ALPHA_HEX
 
 
 def test_example1_gamma():

@@ -1,3 +1,7 @@
+import subprocess
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -26,6 +30,51 @@ def test_infeasible():
 
 def test_unbounded():
     assert solve_lp(LinearProgram(c=[1.0])).status == "unbounded"
+
+
+def test_solver_is_reentrant_across_threads():
+    # one thread repeats a bounded solve while another repeats an
+    # unbounded one; a status shared between solves would leak across
+    A = np.random.default_rng(0).uniform(0.1, 1.0, size=(15, 15))
+    bounded = LinearProgram(c=np.ones(15), a_ub=A, b_ub=np.ones(15))
+    unbounded = LinearProgram(c=[1.0])
+    seen = {"optimal": [], "unbounded": []}
+    done = threading.Event()
+
+    def solve_bounded():
+        try:
+            for _ in range(100):
+                seen["optimal"].append(solve_lp(bounded).status)
+        finally:
+            done.set()
+
+    def solve_unbounded():
+        while not done.is_set():
+            seen["unbounded"].append(solve_lp(unbounded).status)
+
+    threads = [threading.Thread(target=f)
+               for f in (solve_bounded, solve_unbounded)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert len(seen["optimal"]) == 100 and seen["unbounded"]
+    for status, statuses in seen.items():
+        assert set(statuses) == {status}
+
+
+def test_import_does_not_load_scipy_optimize():
+    # a top-level scipy.optimize import would cost every command's start-up
+    code = "import sys, smwsim; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"
 
 
 def test_rejects_nan():

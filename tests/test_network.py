@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,56 @@ from smwsim import (
 )
 from smwsim.network import NetworkError, SubsetCapError
 from smwsim.instances import example1, example1_crp_violated, random_crp
+
+
+def validate_loop(net):
+    """The per-subset loop that validate_network replaced, kept as its
+    reference: (nontrivial, hall gap, violating subsets, drop floor)."""
+    m, n = net.n_demand, net.n_supply
+    row, col = net.row_rates(), net.col_rates()
+    nontrivial = any(net.phi[j, k] > 0 and k not in net.supply_neighbors(j)
+                     for j in range(m) for k in range(n))
+    gap, violating, floor = math.inf, [], 0.0
+    for size in range(1, m):
+        for J in itertools.combinations(range(m), size):
+            slack = (sum(col[i] for i in neighborhood(net, J))
+                     - sum(row[j] for j in J))
+            gap = min(gap, slack)
+            if slack <= 0:
+                violating.append((J, float(slack)))
+            floor = max(floor, float(-slack))
+    return nontrivial, gap, violating, floor
+
+
+def unpooled_random(n, seed):
+    """Random square network with no rejection step, so pooling may fail."""
+    rng = np.random.default_rng(seed)
+    edges = {(i, j) for i in range(n) for j in range(n) if rng.random() < 0.4}
+    edges |= {(i, i) for i in range(n)}
+    return build_network(n, n, edges, rng.exponential(1.0, size=(n, n)))
+
+
+def test_validate_network_matches_reference_loop():
+    nets = [random_crp(n, seed=s) for n in range(3, 10) for s in range(5)]
+    nets += [unpooled_random(n, s) for n in range(3, 8) for s in range(5)]
+    nets += [example1(), example1_crp_violated(),
+             build_network(3, 3, [(i, j) for i in range(3) for j in range(3)],
+                           np.arange(1.0, 10.0).reshape(3, 3)),
+             build_network(2, 1, [(0, 0), (1, 0)], [[0.5, 0.5]])]
+    assert any(not validate_network(net).crp_holds for net in nets)
+    for net in nets:
+        rep = validate_network(net)
+        nontrivial, gap, violating, floor = validate_loop(net)
+        assert rep.nontrivial == nontrivial
+        assert rep.crp_holds == (gap > 0)
+        # the reference sums each neighborhood in frozenset order, the
+        # validator in ascending node order: they may differ by ulps
+        assert rep.hall_gap == pytest.approx(gap, abs=1e-12)
+        assert rep.epsilon_floor_drop == pytest.approx(floor, abs=1e-12)
+        assert [J for J, _ in rep.violating_subsets] == \
+            [J for J, _ in violating]
+        assert [s for _, s in rep.violating_subsets] == \
+            pytest.approx([s for _, s in violating], abs=1e-12)
 
 
 def test_example1_validation():
@@ -81,6 +134,8 @@ def test_subset_cap():
     net = build_network(n, n, edges, phi)
     with pytest.raises(SubsetCapError):
         validate_network(net)
+    with pytest.raises(SubsetCapError):
+        validate_network(example1(), cap=1)
 
 
 def test_symmetrize_demand():
