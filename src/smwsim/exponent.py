@@ -137,6 +137,11 @@ def gamma(net: Network, alpha, subsets=None) -> ExponentResult:
     _require_pooling(net)
     if subsets is None:
         subsets = drainable_subsets(net)
+    return _gamma(alpha, subsets)
+
+
+def _gamma(alpha, subsets) -> ExponentResult:
+    """gamma on a pooled network's drainable subsets, alpha already checked."""
     if not subsets:
         return ExponentResult(math.inf, (), ())
     per = []
@@ -164,7 +169,7 @@ def optimal_alpha(net: Network, eps_floor: float = DEFAULT_EPS_FLOOR):
     subsets = drainable_subsets(net)
     if not subsets:
         a = uniform_alpha(n)
-        return a, gamma(net, a, subsets)
+        return a, _gamma(a, subsets)
 
     # variables: alpha_0..alpha_{n-1}, t
     nv = n + 1
@@ -187,7 +192,7 @@ def optimal_alpha(net: Network, eps_floor: float = DEFAULT_EPS_FLOOR):
     if sol.status != "optimal":
         raise RuntimeError(f"optimal-alpha LP returned {sol.status}")
     alpha = sol.x[:n] / sol.x[:n].sum()
-    return alpha, gamma(net, alpha, subsets)
+    return alpha, _gamma(check_alpha(alpha, n), subsets)
 
 
 def vanilla_bound_check(net: Network):

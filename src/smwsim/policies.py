@@ -8,6 +8,7 @@ are exact.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,22 +32,19 @@ class DispatchDecision:
         assert (self.source == DROP) == (self.reason != SERVED)
 
 
-_DECISION_CACHE = {}
-
-
-def _decision(source, reason):
-    key = (source, reason)
-    d = _DECISION_CACHE.get(key)
-    if d is None:
-        d = _DECISION_CACHE[key] = DispatchDecision(source, reason)
-    return d
+_NO_SUPPLY = DispatchDecision(DROP, NO_COMPATIBLE_SUPPLY)
+_DECLINED = DispatchDecision(DROP, POLICY_DECLINED)
 
 
 class Policy:
-    """Base: subclasses implement dispatch(queues, origin[, rng])."""
+    """Base: subclasses implement dispatch(queues, origin[, rng]), where
+    queues is a list of ints or an integer array (same decisions)."""
 
     name = "base"
-    state_dependent = True
+
+    def __init__(self, net: Network):
+        self.net = net
+        self._serve = [DispatchDecision(i, SERVED) for i in range(net.n_supply)]
 
     def dispatch(self, queues, origin, rng=None) -> DispatchDecision:
         raise NotImplementedError
@@ -74,22 +72,22 @@ class SmwPolicy(Policy):
     name = "smw"
 
     def __init__(self, net: Network, alpha):
-        self.net = net
+        super().__init__(net)
         self.alpha = check_alpha(alpha, net.n_supply)
-        self._inv = 1.0 / self.alpha
-        self._nbrs = [net.supply_neighbors(j) for j in range(net.n_demand)]
+        inv = (1.0 / self.alpha).tolist()
+        # per origin: (node, 1 / alpha[node]) over its compatible nodes
+        self._nbrs = [[(i, inv[i]) for i in net.supply_neighbors(j)]
+                      for j in range(net.n_demand)]
 
     def dispatch(self, queues, origin, rng=None):
         best, src = 0.0, DROP
-        for i in self._nbrs[origin]:
+        for i, inv in self._nbrs[origin]:
             q = queues[i]
             if q > 0:
-                score = q * self._inv[i]
+                score = q * inv
                 if score >= best:   # >= prefers the higher index on ties
                     best, src = score, i
-        if src == DROP:
-            return _decision(DROP, NO_COMPATIBLE_SUPPLY)
-        return _decision(src, SERVED)
+        return _NO_SUPPLY if src == DROP else self._serve[src]
 
     def rest_weights(self, n):
         return self.alpha
@@ -108,7 +106,7 @@ class PriorityPolicy(Policy):
     name = "priority"
 
     def __init__(self, net: Network, priority_lists):
-        self.net = net
+        super().__init__(net)
         self.lists = []
         for j in range(net.n_demand):
             lst = [int(i) for i in priority_lists[j]]
@@ -121,33 +119,33 @@ class PriorityPolicy(Policy):
     def dispatch(self, queues, origin, rng=None):
         for i in self.lists[origin]:
             if queues[i] > 0:
-                return _decision(i, SERVED)
-        return _decision(DROP, NO_COMPATIBLE_SUPPLY)
+                return self._serve[i]
+        return _NO_SUPPLY
 
 
 class FluidPolicy(Policy):
     """State-independent randomized dispatch from a fluid flow table.
 
     Supply node i is drawn with probability flow[i, origin] / demand rate
-    of the origin; residual mass is an explicit decline.  If the sampled
-    node is empty the demand is dropped -- no fallback, by definition of
-    state-independent policies.
+    of the origin; mass a column leaves short of its demand rate is an
+    explicit decline.  If the sampled node is empty the demand is dropped
+    -- no fallback, by definition of state-independent policies.
     """
 
     name = "fluid"
-    state_dependent = False
 
     def __init__(self, net: Network, flow_table):
-        self.net = net
+        super().__init__(net)
         flow = np.array(flow_table, dtype=float)
         if flow.shape != (net.n_supply, net.n_demand):
             raise ValueError("flow table must be n_supply x n_demand")
         mu = net.row_rates()
-        if np.any(np.abs(flow.sum(axis=0) - mu) > 1e-9):
-            raise ValueError("flow column sums must equal the demand rates")
+        if np.any(flow.sum(axis=0) - mu > 1e-9):
+            raise ValueError("flow column sums must not exceed the demand rates")
         self.flow = flow
-        # per-origin sampling tables: sources plus an explicit decline atom
-        self._sources, self._probs = [], []
+        # per-origin sampling tables: sources plus an explicit decline atom,
+        # and the CDF that Generator.choice(sources, p=probs) searches
+        self._sources, self._probs, self._cdf = [], [], []
         for j in range(net.n_demand):
             probs = flow[:, j] / mu[j]
             src = [i for i in range(net.n_supply) if probs[i] > 0]
@@ -156,33 +154,34 @@ class FluidPolicy(Policy):
             if resid > 1e-12:
                 src.append(DROP)
                 p.append(resid)
-            self._sources.append(np.array(src))
-            self._probs.append(np.array(p) / np.sum(p))
+            p = np.array(p) / np.sum(p)
+            cdf = p.cumsum()
+            cdf /= cdf[-1]
+            self._sources.append(src)
+            self._probs.append(p.tolist())
+            self._cdf.append(cdf.tolist())
 
     def dispatch(self, queues, origin, rng=None):
         if rng is None:
             raise ValueError("fluid dispatch needs a random generator")
-        src = int(rng.choice(self._sources[origin], p=self._probs[origin]))
-        if src == DROP:
-            return _decision(DROP, POLICY_DECLINED)
-        if queues[src] <= 0:
-            return _decision(DROP, NO_COMPATIBLE_SUPPLY)
-        return _decision(src, SERVED)
+        # the draw and the search of Generator.choice(sources, p=probs)
+        return self._decide(queues, self._sources[origin][
+            bisect_right(self._cdf[origin], rng.random())])
 
     def dispatch_distribution(self, queues, origin):
-        out = []
-        for src, p in zip(self._sources[origin], self._probs[origin]):
-            src = int(src)
-            if src == DROP:
-                out.append((_decision(DROP, POLICY_DECLINED), float(p)))
-            elif queues[src] <= 0:
-                out.append((_decision(DROP, NO_COMPATIBLE_SUPPLY), float(p)))
-            else:
-                out.append((_decision(src, SERVED), float(p)))
-        return out
+        return [(self._decide(queues, src), p) for src, p in
+                zip(self._sources[origin], self._probs[origin])]
+
+    def _decide(self, queues, src):
+        """Decision once the table has drawn src (a node or DROP)."""
+        if src == DROP:
+            return _DECLINED
+        if queues[src] <= 0:
+            return _NO_SUPPLY
+        return self._serve[src]
 
 
-class SmwPickupPolicy(Policy):
+class SmwPickupPolicy(SmwPolicy):
     """SMW score penalized by pickup time: queues[i]/alpha[i] - beta * D[i, origin]."""
 
     name = "smw-pickup"
@@ -192,26 +191,22 @@ class SmwPickupPolicy(Policy):
             raise ValueError("pickup-aware policy requires a pickup time matrix")
         if beta < 0:
             raise ValueError("beta must be nonnegative")
-        self.net = net
-        self.alpha = check_alpha(alpha, net.n_supply)
+        super().__init__(net, alpha)
         self.beta = float(beta)
-        self._inv = 1.0 / self.alpha
-        self._nbrs = [net.supply_neighbors(j) for j in range(net.n_demand)]
+        pickup = net.pickup_time.tolist()
+        # per origin: (node, 1 / alpha[node], beta * D[node, origin])
+        self._nbrs = [[(i, inv, self.beta * pickup[i][j]) for i, inv in nbrs]
+                      for j, nbrs in enumerate(self._nbrs)]
 
     def dispatch(self, queues, origin, rng=None):
         best, src = None, DROP
-        for i in self._nbrs[origin]:
-            if queues[i] > 0:
-                score = queues[i] * self._inv[i] \
-                    - self.beta * self.net.pickup_time[i, origin]
+        for i, inv, penalty in self._nbrs[origin]:
+            q = queues[i]
+            if q > 0:
+                score = q * inv - penalty
                 if best is None or score >= best:
                     best, src = score, i
-        if src == DROP:
-            return _decision(DROP, NO_COMPATIBLE_SUPPLY)
-        return _decision(src, SERVED)
-
-    def rest_weights(self, n):
-        return self.alpha
+        return _NO_SUPPLY if src == DROP else self._serve[src]
 
 
 def policy_from_spec(net: Network, spec: dict) -> Policy:

@@ -8,6 +8,7 @@ import heapq
 import math
 import time
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,12 +26,14 @@ _SAMPLE_BLOCK = 1 << 16
 class SimReport:
     arrivals: int
     drops: int
-    drop_fraction: float
+    drop_fraction: float            # NaN when nothing arrived after warmup
     drop_fraction_by_origin: np.ndarray
     occupancy_mean: np.ndarray      # time-average normalized queue vector
     warmup_steps: int
     seed: int
     wall_time: float
+    # measured drops by DispatchDecision.reason; sums to drops
+    drops_by_reason: dict = field(default_factory=dict)
     # timed mode extras (None in jump mode)
     mean_in_transit: float | None = None
     served: int | None = None
@@ -45,7 +48,6 @@ class TimedConfig:
     total_rate: float               # arrivals per minute
     horizon_minutes: float
     k_tot: int
-    init: object = "proportional"   # explicit vector or "proportional"
     warmup_frac: float = DEFAULT_TIMED_WARMUP_FRAC
 
     def __post_init__(self):
@@ -66,14 +68,41 @@ def proportional_init(weights, K: int) -> np.ndarray:
     return base
 
 
+def _initial_queues(policy: Policy, n: int, K: int, init) -> list:
+    """Checked ``init`` as a list of ints; default: K split by rest weights."""
+    if init is None or (isinstance(init, str) and init == "proportional"):
+        return proportional_init(policy.rest_weights(n), K).tolist()
+    q = np.array(init, dtype=np.int64)
+    if q.sum() != K or np.any(q < 0):
+        raise ValueError(f"initial queues must be nonnegative and sum to K={K}")
+    return q.tolist()
+
+
 def _event_sampler(net: Network, rng):
     """Yield (origin, destination) pairs drawn from phi, block-buffered."""
     m, n = net.phi.shape
     flat = net.phi.ravel()
+    pairs = [divmod(d, n) for d in range(m * n)]
     while True:
-        draws = rng.choice(m * n, size=_SAMPLE_BLOCK, p=flat)
-        for d in draws:
-            yield d // n, d % n
+        yield from map(pairs.__getitem__,
+                       rng.choice(m * n, size=_SAMPLE_BLOCK, p=flat).tolist())
+
+
+def _report(t0, seed, warmup, arrivals_by_origin, drops_by_origin,
+            drops_by_reason, q, occ, mark, points, K, **timed) -> SimReport:
+    """Assemble a SimReport.  ``occ[i]`` sums queue i over the first
+    ``mark[i]`` of ``points`` samples; it has been ``q[i]`` since."""
+    occ = [o + x * (points - s) for o, x, s in zip(occ, q, mark)]
+    arrivals, drops = sum(arrivals_by_origin), sum(drops_by_origin)
+    a = np.array(arrivals_by_origin)
+    return SimReport(
+        arrivals=arrivals, drops=drops,
+        drop_fraction=drops / arrivals if arrivals else math.nan,
+        drop_fraction_by_origin=np.where(
+            a > 0, np.array(drops_by_origin) / np.maximum(a, 1), 0.0),
+        occupancy_mean=np.array(occ, dtype=float) / (max(points, 1) * max(K, 1)),
+        warmup_steps=warmup, seed=seed, wall_time=time.perf_counter() - t0,
+        drops_by_reason=dict(drops_by_reason), **timed)
 
 
 def run_jump_chain(net: Network, policy: Policy, K: int, steps: int,
@@ -92,52 +121,40 @@ def run_jump_chain(net: Network, policy: Policy, K: int, steps: int,
     if not 0 <= warmup < steps:
         raise ValueError("need steps > warmup >= 0")
     n = net.n_supply
-    if init is None or (isinstance(init, str) and init == "proportional"):
-        q = proportional_init(policy.rest_weights(n), K)
-    else:
-        q = np.array(init, dtype=np.int64)
-        if q.sum() != K or np.any(q < 0):
-            raise ValueError("initial queues must be nonnegative and sum to K")
-    q = q.copy()
+    q = _initial_queues(policy, n, K, init)
 
     rng = np.random.default_rng(seed)
-    events = _event_sampler(net, rng)
-    arrivals = drops = 0
-    drops_by_origin = np.zeros(net.n_demand, dtype=np.int64)
-    arrivals_by_origin = np.zeros(net.n_demand, dtype=np.int64)
-    occ = np.zeros(n)
+    arrivals_by_origin = [0] * net.n_demand
+    drops_by_origin = [0] * net.n_demand
+    drops_by_reason = Counter()
+    # occ[i] sums q[i] over the measured steps before mark[i], the step
+    # where q[i] last changed; the rest is added when it next changes
+    occ, mark = [0] * n, [0] * n
     dispatch = policy.dispatch
 
-    for t in range(steps):
-        origin, dest = next(events)
+    # t counts measured steps; the warmup runs at t < 0
+    for t, (origin, dest) in zip(range(-warmup, steps - warmup),
+                                 _event_sampler(net, rng)):
         dec = dispatch(q, origin, rng)
         src = dec.source
         if src != DROP:
+            s = t if t > 0 else 0
+            occ[src] += q[src] * (s - mark[src])
+            mark[src] = s
             q[src] -= 1
+            occ[dest] += q[dest] * (s - mark[dest])
+            mark[dest] = s
             q[dest] += 1
         if check_conservation:
-            assert q.sum() == K and np.all(q >= 0)
-        if t >= warmup:
-            arrivals += 1
+            assert sum(q) == K and min(q) >= 0
+        if t >= 0:
             arrivals_by_origin[origin] += 1
             if src == DROP:
-                drops += 1
                 drops_by_origin[origin] += 1
-            occ += q
+                drops_by_reason[dec.reason] += 1
 
-    measured = steps - warmup
-    with np.errstate(invalid="ignore", divide="ignore"):
-        by_origin = np.where(arrivals_by_origin > 0,
-                             drops_by_origin / np.maximum(arrivals_by_origin, 1),
-                             0.0)
-    return SimReport(
-        arrivals=arrivals, drops=drops,
-        drop_fraction=drops / arrivals if arrivals else 1.0,
-        drop_fraction_by_origin=by_origin,
-        occupancy_mean=occ / (measured * max(K, 1)),
-        warmup_steps=warmup, seed=seed,
-        wall_time=time.perf_counter() - t0,
-    )
+    return _report(t0, seed, warmup, arrivals_by_origin, drops_by_origin,
+                   drops_by_reason, q, occ, mark, steps - warmup, K)
 
 
 def run_timed(net: Network, policy: Policy, cfg: TimedConfig,
@@ -161,92 +178,76 @@ def run_timed(net: Network, policy: Policy, cfg: TimedConfig,
                          "needs n_demand <= n_supply")
 
     n = net.n_supply
-    if init is None or (isinstance(init, str) and init == "proportional"):
-        q = proportional_init(policy.rest_weights(n), cfg.k_tot)
-    else:
-        q = np.array(init, dtype=np.int64)
-        if q.sum() != cfg.k_tot or np.any(q < 0):
-            raise ValueError("initial queues must be nonnegative and sum to k_tot")
-    q = q.copy()
+    q = _initial_queues(policy, n, cfg.k_tot, init)
+    horizon = cfg.horizon_minutes
+    warmup_t = cfg.warmup_frac * horizon
+    if warmup_t >= horizon:
+        raise ValueError("horizon too short to leave the warmup window")
 
     rng = np.random.default_rng(seed)
     events = _event_sampler(net, rng)
+    travel = net.travel_time.tolist()
+    pickup = net.pickup_time.tolist() if with_pickup else None
+    scale = 1.0 / cfg.total_rate
     in_transit = []     # heap of (return time, destination)
-    warmup_t = cfg.warmup_frac * cfg.horizon_minutes
-    if warmup_t >= cfg.horizon_minutes:
-        raise ValueError("horizon too short to leave the warmup window")
-
     clock = 0.0
-    arrivals = drops = served = 0
-    drops_by_origin = np.zeros(net.n_demand, dtype=np.int64)
-    arrivals_by_origin = np.zeros(net.n_demand, dtype=np.int64)
-    occ = np.zeros(n)
+    arrivals = served = 0   # measured arrivals are the occupancy samples
+    arrivals_by_origin = [0] * net.n_demand
+    drops_by_origin = [0] * net.n_demand
+    drops_by_reason = Counter()
+    occ, mark = [0] * n, [0] * n     # as in run_jump_chain, per arrival
     transit_area = 0.0   # time integral of in-transit count after warmup
+    since = warmup_t     # counted up to here; event times never decrease
     trip_minutes = 0.0
-    last_t = 0.0
     dispatch = policy.dispatch
 
-    def advance(t):
-        # accumulate in-transit area up to t (clipped to the measured window)
-        nonlocal transit_area, last_t
-        lo, hi = max(last_t, warmup_t), min(t, cfg.horizon_minutes)
-        if hi > lo:
-            transit_area += (hi - lo) * len(in_transit)
-        last_t = t
-
     while True:
-        clock += rng.exponential(1.0 / cfg.total_rate)
-        if clock > cfg.horizon_minutes:
-            advance(clock)
+        clock += rng.exponential(scale)
+        if clock > horizon:
+            if horizon > since:
+                transit_area += (horizon - since) * len(in_transit)
             break
         while in_transit and in_transit[0][0] <= clock:
-            rt, dest = in_transit[0]
-            advance(rt)
-            heapq.heappop(in_transit)
-            q[dest] += 1
-        advance(clock)
+            rt, k = heapq.heappop(in_transit)
+            if rt > since:
+                transit_area += (rt - since) * (len(in_transit) + 1)
+                since = rt
+            occ[k] += q[k] * (arrivals - mark[k])
+            mark[k] = arrivals
+            q[k] += 1
+        if clock > since:
+            transit_area += (clock - since) * len(in_transit)
+            since = clock
 
         origin, dest = next(events)
         dec = dispatch(q, origin, rng)
         src = dec.source
-        measured = clock > warmup_t
-        if measured:
+        if src != DROP:
+            occ[src] += q[src] * (arrivals - mark[src])
+            mark[src] = arrivals
+            q[src] -= 1
+            trip = travel[origin][dest]
+            if with_pickup:
+                trip += pickup[src][origin]
+            heapq.heappush(in_transit, (clock + trip, dest))
+        if clock > warmup_t:
             arrivals += 1
             arrivals_by_origin[origin] += 1
-        if src != DROP:
-            q[src] -= 1
-            trip = net.travel_time[origin, dest]
-            if with_pickup:
-                trip += net.pickup_time[src, origin]
-            heapq.heappush(in_transit, (clock + trip, dest))
-            if measured:
+            if src == DROP:
+                drops_by_origin[origin] += 1
+                drops_by_reason[dec.reason] += 1
+            else:
                 served += 1
                 trip_minutes += trip
-                occ += q
-        elif measured:
-            drops += 1
-            drops_by_origin[origin] += 1
-            occ += q
         if check_conservation:
-            assert q.sum() + len(in_transit) == cfg.k_tot and np.all(q >= 0)
+            assert sum(q) + len(in_transit) == cfg.k_tot and min(q) >= 0
 
-    span = cfg.horizon_minutes - warmup_t
-    mean_transit = transit_area / span if span > 0 else 0.0
-    with np.errstate(invalid="ignore", divide="ignore"):
-        by_origin = np.where(arrivals_by_origin > 0,
-                             drops_by_origin / np.maximum(arrivals_by_origin, 1),
-                             0.0)
-    return SimReport(
-        arrivals=arrivals, drops=drops,
-        drop_fraction=drops / arrivals if arrivals else float("nan"),
-        drop_fraction_by_origin=by_origin,
-        occupancy_mean=occ / (max(arrivals, 1) * max(cfg.k_tot, 1)),
-        warmup_steps=0, seed=seed,
-        wall_time=time.perf_counter() - t0,
-        mean_in_transit=mean_transit,
-        served=served,
-        mean_trip_minutes=trip_minutes / served if served else float("nan"),
-    )
+    return _report(t0, seed, 0, arrivals_by_origin, drops_by_origin,
+                   drops_by_reason, q, occ, mark, arrivals, cfg.k_tot,
+                   mean_in_transit=transit_area / (horizon - warmup_t),
+                   served=served,
+                   mean_trip_minutes=trip_minutes / served if served
+                   else math.nan)
 
 
 @dataclass
@@ -267,10 +268,8 @@ def fleet_requirement(net: Network, total_rate: float) -> FleetRequirement:
     if net.pickup_time is not None:
         lam = net.col_rates()
         mu = net.row_rates()
-        support = [(i, j) for (i, j) in net.edges]
-        cost = np.array([[net.pickup_time[i, j] for j in range(net.n_demand)]
-                         for i in range(net.n_supply)])
-        flow = solve_transportation(lam, mu, cost, support)
+        cost = net.pickup_time[:net.n_supply, :net.n_demand]
+        flow = solve_transportation(lam, mu, cost, list(net.edges))
         k_pickup = total_rate * float(np.sum(flow * cost))
     return FleetRequirement(k_transit, k_pickup,
                             int(math.ceil(k_transit + k_pickup)))

@@ -110,8 +110,21 @@ RING10_ALPHA_HEX = [
 
 
 def test_optimal_alpha_ring10_bit_for_bit():
-    alpha, _ = optimal_alpha(symmetric_ring(10))
+    alpha, res = optimal_alpha(symmetric_ring(10))
     assert [float(a).hex() for a in alpha] == RING10_ALPHA_HEX
+    assert res == gamma(symmetric_ring(10), alpha)
+
+
+def test_optimal_alpha_validates_once(monkeypatch):
+    import smwsim.exponent as exponent
+    calls = []
+    validate = exponent.validate_network
+    monkeypatch.setattr(exponent, "validate_network",
+                        lambda net: calls.append(net) or validate(net))
+    for net in (example1(), symmetric_ring(10)):
+        calls.clear()
+        optimal_alpha(net)
+        assert len(calls) == 1
 
 
 def test_example1_gamma():

@@ -12,7 +12,7 @@ from smwsim import (
     vanilla_policy,
 )
 from smwsim.policies import NO_COMPATIBLE_SUPPLY, POLICY_DECLINED, SERVED
-from smwsim.instances import example1
+from smwsim.instances import example1, random_crp
 
 
 @pytest.fixture
@@ -155,3 +155,49 @@ def test_policy_from_spec(net):
     assert np.allclose(pol.alpha, [0.9, 0.1])
     with pytest.raises(ValueError, match="unknown policy"):
         policy_from_spec(net, {"kind": "nope"})
+
+
+def test_fluid_decline_atom():
+    flow = 0.75 * fluid_for(example1()).flow
+    pol = FluidPolicy(example1(), flow)
+    dist = pol.dispatch_distribution([5, 5], 1)
+    declined = [p for dec, p in dist if dec.reason == POLICY_DECLINED]
+    assert declined == [pytest.approx(0.25, abs=1e-12)]
+
+
+def _choice_reference(pol, origin, rng):
+    """Fluid draw as Generator.choice over the decision table: the source
+    of each atom (queues are all positive, so every atom names one)."""
+    dist = pol.dispatch_distribution([1] * pol.net.n_supply, origin)
+    sources = np.array([dec.source for dec, _ in dist])
+    return int(rng.choice(sources, p=np.array([p for _, p in dist])))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_fluid_draw_matches_generator_choice(seed):
+    net = random_crp(4, seed=seed)
+    flow = solve_transportation(net.col_rates(), net.row_rates(),
+                                np.zeros((4, 4)), support=list(net.edges))
+    pol = FluidPolicy(net, (0.9 if seed % 2 else 1.0) * flow)
+    full = [1] * net.n_supply
+    a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+    for t in range(3000):
+        j = t % net.n_demand
+        assert pol.dispatch(full, j, a).source == _choice_reference(pol, j, b)
+        if t % 3 == 0:
+            assert a.exponential(0.5) == b.exponential(0.5)
+    assert a.bit_generator.state == b.bit_generator.state
+
+
+def test_decisions_same_on_list_and_int_array():
+    net = example1(with_times=True)
+    pols = [vanilla_policy(net), SmwPolicy(net, [0.7, 0.3]),
+            PriorityPolicy(net, [[0], [0, 1]]),
+            SmwPickupPolicy(net, [0.4, 0.6], 0.3), fluid_for(net)]
+    rng = np.random.default_rng(5)
+    for pol in pols:
+        a, b = np.random.default_rng(6), np.random.default_rng(6)
+        for _ in range(500):
+            q = rng.integers(0, 4, 2)
+            j = int(rng.integers(0, 2))
+            assert pol.dispatch(q.tolist(), j, a) == pol.dispatch(q, j, b)

@@ -4,17 +4,22 @@ import numpy as np
 import pytest
 
 from smwsim import (
+    FluidPolicy,
+    PriorityPolicy,
+    SmwPickupPolicy,
     SmwPolicy,
     TimedConfig,
     estimate_exponent,
     fleet_requirement,
     run_jump_chain,
     run_timed,
+    solve_transportation,
     vanilla_policy,
 )
 from smwsim.network import build_network
+from smwsim.policies import NO_COMPATIBLE_SUPPLY, POLICY_DECLINED
 from smwsim.sim import proportional_init
-from smwsim.instances import example1, symmetric_ring
+from smwsim.instances import example1, random_crp, symmetric_ring
 
 
 def test_proportional_init():
@@ -157,3 +162,121 @@ def test_estimate_exponent_censored_points():
     with pytest.warns(UserWarning, match="censored"):
         with pytest.raises(ValueError, match="3 usable"):
             estimate_exponent([(10, 0.0), (20, 0.1), (30, 0.05)])
+
+
+def _pin_policy(net, kind, decline=0.0):
+    n = net.n_supply
+    alpha = np.arange(1, n + 1) / (n * (n + 1) / 2)
+    if kind == "vanilla":
+        return vanilla_policy(net)
+    if kind == "smw":
+        return SmwPolicy(net, alpha)
+    if kind == "priority":
+        return PriorityPolicy(net, [sorted(net.supply_neighbors(j), reverse=True)
+                                    for j in range(net.n_demand)])
+    if kind == "fluid":
+        cost = np.zeros((n, net.n_demand)) if net.pickup_time is None \
+            else net.pickup_time
+        return FluidPolicy(net, (1.0 - decline) * solve_transportation(
+            net.col_rates(), net.row_rates(), cost, support=list(net.edges)))
+    return SmwPickupPolicy(net, alpha, 0.2)
+
+
+def _pin_run(cell):
+    mode, kind, name, seed = cell
+    net = example1(with_times=True) if name == "example1" else \
+        random_crp(3, seed=2, with_times=True)
+    pol = _pin_policy(net, kind)
+    if mode == "jump":
+        rep = run_jump_chain(net, pol, 6, 4000, seed=seed,
+                             warmup=0 if seed % 2 else None)
+    else:
+        rep = run_timed(net, pol, TimedConfig(2.0, 1500.0, 12),
+                        with_pickup=mode == "timed+pickup", seed=seed)
+    assert sum(rep.drops_by_reason.values()) == rep.drops
+    fields = [rep.drop_fraction, *rep.occupancy_mean, rep.mean_in_transit,
+              rep.mean_trip_minutes]
+    return (rep.arrivals, rep.drops, rep.served,
+            [None if v is None else float(v).hex() for v in fields])
+
+
+# (arrivals, drops, served, float.hex of drop_fraction, occupancy_mean...,
+# mean_in_transit, mean_trip_minutes) as the simulators gave them when
+# they kept queues and occupancy in numpy arrays and drew the fluid
+# dispatch with Generator.choice.  Any drift in a draw, a tie-break or a
+# float operation fails here.
+PINNED = {
+    ("jump", "vanilla", "example1", 1): (4000, 143, None, [
+        "0x1.24dd2f1a9fbe7p-5", "0x1.d0b9af72015d8p-2",
+        "0x1.17a32846ff514p-1", None, None]),
+    ("jump", "smw", "crp3", 2): (3600, 501, None, [
+        "0x1.1d0369d0369d0p-3", "0x1.06c77d88e99fbp-2",
+        "0x1.04cfd585e0e69p-1", "0x1.df31aed6a9265p-3", None, None]),
+    ("jump", "priority", "crp3", 3): (4000, 1709, None, [
+        "0x1.b5810624dd2f2p-2", "0x1.3c54a6921735fp-2",
+        "0x1.4d7b900aec33ep-1", "0x1.45a1cac083127p-5", None, None]),
+    ("jump", "fluid", "crp3", 4): (3600, 831, None, [
+        "0x1.d8bf258bf258cp-3", "0x1.16b549327104fp-2",
+        "0x1.4dd7cc6bb5aa5p-2", "0x1.9b72ea61d950dp-2", None, None]),
+    ("jump", "smw-pickup", "example1", 5): (4000, 225, None, [
+        "0x1.ccccccccccccdp-5", "0x1.3978d4fdf3b64p-2",
+        "0x1.634395810624ep-1", None, None]),
+    ("timed", "vanilla", "example1", 6): (2409, 635, 1774, [
+        "0x1.0debcf1ddc81ap-2", "0x1.b61bb35861333p-5",
+        "0x1.9d987eabf11f6p-4", "0x1.2e882e04cd932p+3",
+        "0x1.9a1e97cf8351bp+2"]),
+    ("timed+pickup", "smw", "crp3", 7): (2460, 1590, 870, [
+        "0x1.4aed44aed44afp-1", "0x1.044d259a27aefp-5",
+        "0x1.325e1325e1326p-5", "0x1.91d46e729c3c8p-8",
+        "0x1.573293816de96p+3", "0x1.d901d43e73353p+3"]),
+    ("timed+pickup", "priority", "crp3", 8): (2372, 1549, 823, [
+        "0x1.4e5aa85d3f75ep-1", "0x1.6c11d7fed94a6p-5",
+        "0x1.e9437d567c0afp-5", "0x1.cc7bc14256a0ep-10",
+        "0x1.4c07dd8001dcfp+3", "0x1.e36915aac691cp+3"]),
+    ("timed", "fluid", "crp3", 9): (2376, 947, 1429, [
+        "0x1.98227a65b5df4p-2", "0x1.94418227a65b6p-4",
+        "0x1.5a37bd57a1c28p-4", "0x1.15fad40a57eb5p-4",
+        "0x1.0cf9a8990b3c3p+3", "0x1.c3da7f2f7b2c0p+2"]),
+    ("timed+pickup", "fluid", "example1", 10): (2378, 1417, 961, [
+        "0x1.311709b0561f7p-1", "0x1.a7b9611a7b961p-6",
+        "0x1.995ece8d190c2p-5", "0x1.563f05fb87444p+3",
+        "0x1.aafd11d91b702p+3"]),
+    ("timed+pickup", "smw-pickup", "crp3", 11): (2381, 1471, 910, [
+        "0x1.3c514893159c7p-1", "0x1.f00403957c539p-6",
+        "0x1.3bac22d5f5e4bp-5", "0x1.d3eaed2f33494p-8",
+        "0x1.57cd61937593ap+3", "0x1.c6606ba095651p+3"]),
+}
+
+
+@pytest.mark.parametrize("cell", list(PINNED),
+                         ids=lambda c: "/".join(map(str, c)))
+def test_outputs_pinned_bit_for_bit(cell):
+    assert _pin_run(cell) == PINNED[cell]
+
+
+def test_timed_run_without_measured_arrivals_reports_nan():
+    net = example1(with_times=True)
+    rep = run_timed(net, vanilla_policy(net), TimedConfig(1e-6, 100.0, 2),
+                    seed=0)
+    assert rep.arrivals == rep.drops == rep.served == 0
+    assert math.isnan(rep.drop_fraction) and math.isnan(rep.mean_trip_minutes)
+    assert rep.drops_by_reason == {}
+
+
+@pytest.mark.parametrize("timed", [False, True])
+def test_drops_by_reason(timed):
+    net = random_crp(3, seed=2, with_times=True)
+
+    def run(pol):
+        if timed:
+            return run_timed(net, pol, TimedConfig(2.0, 1500.0, 12),
+                             with_pickup=True, seed=3)
+        return run_jump_chain(net, pol, 3, 4000, seed=3)
+
+    smw = run(_pin_policy(net, "smw"))
+    assert smw.drops > 0
+    assert smw.drops_by_reason == {NO_COMPATIBLE_SUPPLY: smw.drops}
+    fluid = run(_pin_policy(net, "fluid", decline=0.2))
+    assert fluid.drops_by_reason[POLICY_DECLINED] > 0
+    assert fluid.drops_by_reason[NO_COMPATIBLE_SUPPLY] > 0
+    assert sum(fluid.drops_by_reason.values()) == fluid.drops
