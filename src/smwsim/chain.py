@@ -30,18 +30,6 @@ class StateCapError(ValueError):
     """State space would exceed the configured cap."""
 
 
-@dataclass(frozen=True)
-class _RankIndex:
-    """Read-only ``tuple(state) -> row`` view of a state space's rank."""
-    space: StateSpace
-
-    def __getitem__(self, state) -> int:
-        return int(self.space.rank([state])[0])
-
-    def __len__(self) -> int:
-        return len(self.space.states)
-
-
 @dataclass
 class StateSpace:
     states: np.ndarray          # count x n integer matrix, lexicographic order
@@ -49,6 +37,8 @@ class StateSpace:
 
     @classmethod
     def enumerate(cls, n: int, K: int, cap: int = DEFAULT_STATE_CAP):
+        if K < 0:
+            raise ValueError(f"fleet size K={K} must be nonnegative")
         count = comb(K + n - 1, n - 1)
         if count > cap:
             raise StateCapError(
@@ -59,10 +49,6 @@ class StateSpace:
         bars = np.pad(bars.reshape(count, n - 1), ((0, 0), (1, 1)),
                       constant_values=(-1, K + n - 1))
         return cls(np.diff(bars, axis=1) - 1, K)
-
-    @property
-    def index(self) -> _RankIndex:
-        return _RankIndex(self)
 
     def rank(self, states) -> np.ndarray:
         """Row of each state (m x n), by the combinatorial number system.
@@ -172,7 +158,7 @@ def stationary_drop_probability(net: Network, policy: Policy, K: int,
     """
     P, drop_mass, space = build_chain(net, policy, K, cap)
     init = proportional_init(policy.rest_weights(net.n_supply), K)
-    nclosed, members = _recurrent_class(P, space.index[tuple(init)])
+    nclosed, members = _recurrent_class(P, int(space.rank([init])[0]))
     # pin the class state nearest the resting point, near the bulk of pi
     pin = int(np.abs(space.states[members] - init).sum(axis=1).argmin())
     pi, residual = _stationary_on(P[members][:, members], pin)

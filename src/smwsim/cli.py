@@ -38,6 +38,7 @@ from .sim import (
     TimedConfig,
     estimate_exponent,
     fleet_requirement,
+    proportional_init,
     run_jump_chain,
     run_timed,
 )
@@ -82,9 +83,7 @@ def _make_policy(net, name, eps_floor, seed=0):
     if name == "fluid":
         cost = np.zeros((net.n_supply, net.n_demand))
         if net.pickup_time is not None:
-            cost = np.array([[net.pickup_time[i, j]
-                              for j in range(net.n_demand)]
-                             for i in range(net.n_supply)])
+            cost = net.pickup_time[:net.n_supply, :net.n_demand]
         flow = solve_transportation(net.col_rates(), net.row_rates(), cost,
                                     support=list(net.edges))
         return FluidPolicy(net, flow)
@@ -217,12 +216,8 @@ def cmd_transient(args):
     net = load_network(args.network)
     rng = np.random.default_rng(args.seed)
     cfg_hash = _config_hash(vars(args))
-    n = net.n_supply
-    inits = []
-    for _ in range(args.inits):
-        w = rng.dirichlet(np.ones(n))
-        from .sim import proportional_init
-        inits.append(proportional_init(w, args.K))
+    inits = [proportional_init(rng.dirichlet(np.ones(net.n_supply)), args.K)
+             for _ in range(args.inits)]
     rows = []
     for pname in args.policies:
         policy = _make_policy(net, pname, args.eps_floor)
@@ -341,7 +336,9 @@ def build_parser():
     p.add_argument("--replications", type=int, default=1)
     p.add_argument("--steps", type=int, default=15000)
     p.add_argument("--K", type=int, default=10)
-    p.add_argument("--tune-beta", action="store_true")
+    p.add_argument("--tune-beta", action="store_true",
+                   help="also tune the pickup penalty of pickup-aware SMW "
+                        "(needs pickup times)")
     p.set_defaults(fn=cmd_tune)
 
     return ap

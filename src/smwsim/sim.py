@@ -70,6 +70,8 @@ def proportional_init(weights, K: int) -> np.ndarray:
 
 def _initial_queues(policy: Policy, n: int, K: int, init) -> list:
     """Checked ``init`` as a list of ints; default: K split by rest weights."""
+    if K < 0:
+        raise ValueError(f"fleet size K={K} must be nonnegative")
     if init is None or (isinstance(init, str) and init == "proportional"):
         return proportional_init(policy.rest_weights(n), K).tolist()
     q = np.array(init, dtype=np.int64)

@@ -1,9 +1,19 @@
 """Simulation-based search for good scaling parameters.
 
-Cross-entropy over a Dirichlet on the simplex (optionally a log-normal
-over the pickup penalty), with common random numbers across candidates
-within an iteration so comparisons are low-variance and runs replay
-bit-exactly from the seed.
+Cross-entropy over a Dirichlet on the simplex, with common random
+numbers across candidates within an iteration so comparisons are
+low-variance and runs replay bit-exactly from the seed.  Each choice
+follows from one input:
+
+- policy: ``tune_beta`` also draws a log-normal pickup penalty beta and
+  scores pickup-aware SMW, ``SmwPickupPolicy(alpha, beta)``, which needs
+  a net with pickup times; otherwise ``SmwPolicy(alpha)``.
+- simulator: ``cfg.timed`` set runs ``run_timed`` under it, adding pickup
+  delay exactly when the net has pickup times; otherwise
+  ``run_jump_chain`` runs ``cfg.steps`` steps at fleet size ``cfg.K``.
+- objective: nonempty ``cfg.initial_states`` (jump chain only) scores the
+  mean drop fraction of runs started from each state with no warmup;
+  otherwise the steady-state drop fraction.
 """
 
 from __future__ import annotations
@@ -19,30 +29,31 @@ from .sim import TimedConfig, run_jump_chain, run_timed
 DEFAULT_CONCENTRATION = 8.0
 CONCENTRATION_GROWTH = 1.25
 SMOOTHING = 0.7
+ELITE_FRAC = 0.25
 
 
 @dataclass
 class TuneConfig:
-    objective: str = "steady_drop"     # or "transient_drop"
-    simulator: str = "jump"            # or "timed"
     budget: int = 400                  # total candidate evaluations
     replications: int = 1
-    steps: int = 15000                 # jump mode
-    K: int = 10                        # jump mode fleet size
-    warmup: int | None = None
-    timed: TimedConfig | None = None
-    with_pickup: bool = False
-    initial_states: list = field(default_factory=list)  # transient objective
+    steps: int = 15000                 # jump chain
+    K: int = 10                        # jump chain fleet size
+    timed: TimedConfig | None = None   # set: timed simulator
+    initial_states: list = field(default_factory=list)  # set: transient
     seed: int = 0
     population: int = 20
-    elite_frac: float = 0.25
     eps_floor: float = 1e-3
 
     def __post_init__(self):
+        if self.population < 1:
+            raise ValueError("population must be at least 1")
         if self.budget < self.population:
             raise ValueError("budget must cover at least one population")
         if self.replications < 1:
             raise ValueError("need at least one replication per candidate")
+        if self.timed is not None and self.initial_states:
+            raise ValueError("initial_states set the jump-chain transient "
+                             "objective; they cannot go with timed")
 
 
 @dataclass
@@ -76,7 +87,7 @@ def tune(net: Network, cfg: TuneConfig, tune_beta: bool = False) -> TuneResult:
     log_beta_mu, log_beta_sigma = np.log(0.05), 1.0
 
     n_iter = cfg.budget // cfg.population
-    n_elite = max(1, int(round(cfg.elite_frac * cfg.population)))
+    n_elite = max(1, int(round(ELITE_FRAC * cfg.population)))
     trace = []
     best = (np.inf, None, None)
     any_finite = False
@@ -124,23 +135,15 @@ def tune(net: Network, cfg: TuneConfig, tune_beta: bool = False) -> TuneResult:
 
 
 def _evaluate(net, cfg: TuneConfig, alpha, beta, seed) -> float:
-    if cfg.with_pickup and beta is not None:
-        policy = SmwPickupPolicy(net, alpha, beta)
-    else:
-        policy = SmwPolicy(net, alpha)
-    if cfg.simulator == "jump":
-        if cfg.objective == "transient_drop" and cfg.initial_states:
-            vals = []
-            for init in cfg.initial_states:
-                rep = run_jump_chain(net, policy, int(np.sum(init)), cfg.steps,
-                                     warmup=0, seed=seed, init=init)
-                vals.append(rep.drop_fraction)
-            return float(np.mean(vals))
-        rep = run_jump_chain(net, policy, cfg.K, cfg.steps,
-                             warmup=cfg.warmup, seed=seed)
-        return rep.drop_fraction
-    if cfg.timed is None:
-        raise ValueError("timed simulator requires cfg.timed")
-    rep = run_timed(net, policy, cfg.timed, with_pickup=cfg.with_pickup,
-                    seed=seed)
-    return rep.drop_fraction
+    policy = SmwPolicy(net, alpha) if beta is None \
+        else SmwPickupPolicy(net, alpha, beta)
+    if cfg.timed is not None:
+        return run_timed(net, policy, cfg.timed, seed=seed,
+                         with_pickup=net.pickup_time is not None).drop_fraction
+    if cfg.initial_states:
+        return float(np.mean([
+            run_jump_chain(net, policy, int(np.sum(init)), cfg.steps,
+                           warmup=0, seed=seed, init=init).drop_fraction
+            for init in cfg.initial_states]))
+    return run_jump_chain(net, policy, cfg.K, cfg.steps,
+                          seed=seed).drop_fraction

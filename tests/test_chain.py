@@ -69,7 +69,7 @@ def test_state_space_counts():
     for n, K in [(2, 5), (3, 4), (4, 6)]:
         sp = StateSpace.enumerate(n, K)
         assert sp.states.shape[0] == math.comb(K + n - 1, n - 1)
-        assert len(sp.index) == sp.states.shape[0]
+        assert sp.rank(sp.states[-1:])[0] == sp.states.shape[0] - 1
         assert np.all(sp.states.sum(axis=1) == K)
 
 
@@ -78,11 +78,19 @@ def test_state_cap():
         StateSpace.enumerate(10, 100, cap=1000)
 
 
+def test_negative_fleet_size_rejected():
+    net = example1()
+    with pytest.raises(ValueError, match="K=-1"):
+        StateSpace.enumerate(2, -1)
+    with pytest.raises(ValueError, match="K=-1"):
+        stationary_drop_probability(net, vanilla_policy(net), -1)
+
+
 def test_example1_k1_transitions():
     net = example1()
     P, drop, sp = build_chain(net, SmwPolicy(net, [0.5, 0.5]), 1)
     Pd = P.toarray()
-    i10, i01 = sp.index[(1, 0)], sp.index[(0, 1)]
+    i10, i01 = sp.rank([(1, 0), (0, 1)])
     assert Pd[i10, i10] == pytest.approx(5 / 8)
     assert Pd[i10, i01] == pytest.approx(3 / 8)
     assert Pd[i01, i01] == pytest.approx(3 / 4)

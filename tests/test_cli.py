@@ -139,3 +139,23 @@ def test_tune_smoke(net_file, tmp_path, capsys):
     assert sum(summary["alpha"]) == pytest.approx(1.0)
     rows = read_csv(out)
     assert len(rows) == 1 + 40
+
+
+def test_tune_population_zero_is_input_error(net_file, capsys):
+    assert main(["tune", net_file, "--budget", "40", "--population", "0"]) == 1
+    assert "population" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["tune", "--budget", "20", "--steps", "100", "--K", "-1"],
+    ["exact", "--K", "-1"],
+])
+def test_negative_fleet_size_is_input_error(net_file, capsys, command):
+    assert main([command[0], net_file] + command[1:]) == 1
+    assert "K=-1" in capsys.readouterr().err
+
+
+def test_tune_beta_needs_pickup_times(net_file, capsys):
+    assert main(["tune", net_file, "--budget", "20", "--steps", "100",
+                 "--tune-beta"]) == 1
+    assert "pickup time" in capsys.readouterr().err

@@ -109,6 +109,14 @@ def test_timed_fleet_monotonicity():
     assert drops[0] > drops[1]
 
 
+def test_negative_fleet_size_rejected():
+    net = example1(with_times=True)
+    with pytest.raises(ValueError, match="K=-1"):
+        run_jump_chain(net, vanilla_policy(net), -1, 1000)
+    with pytest.raises(ValueError, match="K=-1"):
+        run_timed(net, vanilla_policy(net), TimedConfig(1.0, 100, -1))
+
+
 def test_timed_requires_travel_matrix():
     net = example1()
     with pytest.raises(ValueError, match="travel time"):

@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
 
-from smwsim import TuneConfig, tune
-from smwsim.instances import example1
+from smwsim import (
+    SmwPickupPolicy,
+    SmwPolicy,
+    TimedConfig,
+    TuneConfig,
+    run_jump_chain,
+    run_timed,
+    tune,
+)
+from smwsim.instances import example1, symmetric_ring
 
 
 @pytest.fixture(scope="module")
@@ -55,3 +63,66 @@ def test_tune_budget_validation():
         TuneConfig(budget=5, population=20)
     with pytest.raises(ValueError, match="replication"):
         TuneConfig(replications=0)
+    with pytest.raises(ValueError, match="population"):
+        TuneConfig(population=0)
+    with pytest.raises(ValueError, match="timed"):
+        TuneConfig(timed=TimedConfig(1.0, 100.0, 4), initial_states=[[2, 2]])
+
+
+def replication_seeds(cfg):
+    """Per-iteration replication seeds, spawned as the tuner spawns them."""
+    kids = np.random.SeedSequence(cfg.seed).spawn(
+        cfg.budget // cfg.population * cfg.replications)
+    seeds = [int(s.generate_state(1)[0]) for s in kids]
+    r = cfg.replications
+    return [seeds[i:i + r] for i in range(0, len(seeds), r)]
+
+
+def assert_trace_matches(res, cfg, run):
+    """Every trace mean equals the mean of run(alpha, beta, seed) over the
+    row's replication seeds."""
+    seeds = replication_seeds(cfg)
+    assert len(res.trace) == cfg.budget // cfg.population * cfg.population
+    for it, _, alpha, beta, mean, _ in res.trace:
+        direct = [run(alpha, beta, s) for s in seeds[it]]
+        assert mean == float(np.nanmean(np.array(direct)))
+
+
+def test_tune_beta_scores_the_pickup_policy():
+    net = example1(with_times=True)
+    cfg = TuneConfig(budget=40, population=20, replications=2, steps=1000,
+                     K=5, seed=3)
+    res = tune(net, cfg, tune_beta=True)
+    assert res.beta is not None and res.beta > 0
+    assert_trace_matches(res, cfg, lambda a, b, s: run_jump_chain(
+        net, SmwPickupPolicy(net, a, b), cfg.K, cfg.steps,
+        seed=s).drop_fraction)
+
+
+def test_tune_beta_needs_pickup_times():
+    with pytest.raises(ValueError, match="pickup time"):
+        tune(example1(), TuneConfig(budget=20, steps=100), tune_beta=True)
+
+
+def test_timed_tune_runs_timed_with_pickup():
+    net = symmetric_ring(4, with_times=True)
+    cfg = TuneConfig(budget=40, population=20, seed=5,
+                     timed=TimedConfig(1.0, 400.0, 8))
+    res = tune(net, cfg)
+    again = tune(net, cfg)
+    assert [(r[0], r[1], r[2].tolist(), r[4]) for r in res.trace] == \
+        [(r[0], r[1], r[2].tolist(), r[4]) for r in again.trace]
+    assert_trace_matches(res, cfg, lambda a, b, s: run_timed(
+        net, SmwPolicy(net, a), cfg.timed, with_pickup=True,
+        seed=s).drop_fraction)
+
+
+def test_transient_tune_averages_runs_from_each_state():
+    net = example1()
+    states = [[5, 0], [1, 4], [0, 5]]
+    cfg = TuneConfig(budget=20, population=20, steps=300, seed=2,
+                     initial_states=states)
+    res = tune(net, cfg)
+    assert_trace_matches(res, cfg, lambda a, b, s: float(np.mean([
+        run_jump_chain(net, SmwPolicy(net, a), 5, cfg.steps, warmup=0,
+                       seed=s, init=init).drop_fraction for init in states])))
