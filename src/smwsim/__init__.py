@@ -29,7 +29,6 @@ from .exponent import (
     most_likely_path,
     optimal_alpha,
     uniform_alpha,
-    vanilla_bound_check,
 )
 from .policies import (
     DROP,

@@ -24,6 +24,8 @@ from .policies import DROP, Policy
 from .sim import proportional_init
 
 DEFAULT_STATE_CAP = 2_000_000
+DISSECTION_LEAF = 64        # sets this small are not split further
+REPIN_RATIO = 100.0         # mode / pinned mass above which the solve re-pins
 
 
 class StateCapError(ValueError):
@@ -74,6 +76,7 @@ class ChainSolution:
     recurrent_class_count: int
     residual: float
     space: StateSpace
+    lu_nnz: int                     # fill: entries SuperLU stores for L and U
 
 
 def build_chain(net: Network, policy: Policy, K: int,
@@ -83,15 +86,17 @@ def build_chain(net: Network, policy: Policy, K: int,
     Each state row mixes over all (origin, destination) demand types;
     randomized policies expand into their exact decision distributions.
     Drop events are self-loops whose probability is recorded separately.
-    The policy sees each (state, origin) once, queues as a list of ints.
+    The policy gives one decision table per origin, over all states.
     """
     space = StateSpace.enumerate(net.n_supply, K, cap)
     nstates = len(space.states)
     origins = [j for j in range(net.n_demand) if np.any(net.phi[j] != 0.0)]
-    atoms = [(r, j, dec.source, w)
-             for r, q in enumerate(space.states.tolist()) for j in origins
-             for dec, w in policy.dispatch_distribution(q, j)]
-    row, origin, source, weight = (np.array(a) for a in zip(*atoms))
+    ori, src, w = zip(*[(j, src, w) for j in origins
+                        for src, w in policy.dispatch_table(space.states, j)])
+    # atoms in (row, origin, atom) order: a stable sort of the tables by row
+    row = np.repeat(np.arange(nstates), len(w))
+    origin, weight = np.tile(ori, nstates), np.tile(w, nstates)
+    source = np.stack(src, axis=1).ravel()
     pw = net.phi[origin] * weight[:, None]      # atom x destination
     live = pw != 0.0
     move = live & (source[:, None] != DROP) \
@@ -123,29 +128,52 @@ def _recurrent_class(P: sp.csr_matrix, start: int):
     return int(ncomp - is_open.sum()), np.flatnonzero(labels == reached[0])
 
 
-def _stationary_on(sub: sp.csr_matrix, pin: int):
-    """Stationary law of an irreducible stochastic matrix, and its residual.
+def _dissection_order(states) -> np.ndarray:
+    """Nested-dissection order of the rows of a state matrix.
+
+    A transition changes each coordinate by at most 1, so the states on a
+    plane q_c = m separate q_c < m from q_c > m, in every net and class.
+    Each split takes the plane of least separator size per state of its
+    smaller side, and orders lower side, upper side, then separator.
+    """
+    width = int(states.max(initial=0)) + 1
+    shift = np.arange(states.shape[1]) * width  # row c of the table: q_c
+    order, stack = [], [(np.arange(len(states)), False)]
+    while stack:            # an explicit stack: a recursive closure is a cycle
+        idx, is_separator = stack.pop()
+        if not is_separator and len(idx) > DISSECTION_LEAF:
+            on = np.bincount((states[idx] + shift).ravel(),
+                             minlength=shift.size * width).reshape(-1, width)
+            below = np.cumsum(on, axis=1) - on
+            side = np.minimum(below, len(idx) - below - on)
+            ratio = np.where(side > 0, on / np.maximum(side, 1), np.inf)
+            c, m = np.unravel_index(ratio.argmin(), ratio.shape)
+            if ratio[c, m] < np.inf:
+                col = states[idx, c]
+                stack += [(idx[col == m], True), (idx[col > m], False),
+                          (idx[col < m], False)]
+                continue
+        order.append(idx)
+    return np.concatenate(order)
+
+
+def _stationary_on(P: sp.csr_matrix, members, pin: int, states):
+    """Stationary law of P on an irreducible closed class, and the LU fill.
 
     Solves (I - P)^T pi = 0 with equation ``pin`` dropped and pi[pin] = 1.
     The reduced matrix is a column-diagonally-dominant nonsingular
     M-matrix, so LU needs no pivoting and only its diagonal updates
-    subtract.  They cancel when elimination runs against the drift, so
-    pin a heavy state.
+    subtract.  A pivot cancels when its state rarely reaches the states
+    not yet eliminated, as when the chain drifts away from the pin.
     """
-    size = sub.shape[0]
-    A = (sp.eye(size) - sub).T.tocsc()
-    keep = np.arange(size) != pin
-    lu = splu(A[keep][:, keep], permc_spec="MMD_AT_PLUS_A",
+    rest = np.delete(np.arange(len(members)), pin)
+    perm = rest[_dissection_order(states[members[rest]])]
+    idx = members[perm]
+    lu = splu((sp.eye(len(idx)) - P[idx][:, idx]).T, permc_spec="NATURAL",
               diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
-    pi = np.ones(size)
-    pi[keep] = lu.solve(-A[keep][:, [pin]].toarray().ravel())
-    pi /= pi.sum()
-    residual = float(np.abs(pi @ sub - pi).sum())
-    if not np.all(pi >= 0):         # nan fails too
-        raise RuntimeError(
-            f"stationary solve on a class of {size} states gave a negative "
-            f"or non-finite entry (residual {residual:.3g})")
-    return pi, residual
+    pi = np.ones(len(members))
+    pi[perm] = lu.solve(P[members[pin]][:, idx].toarray().ravel())
+    return pi / pi.sum(), lu.nnz
 
 
 def stationary_drop_probability(net: Network, policy: Policy, K: int,
@@ -159,11 +187,19 @@ def stationary_drop_probability(net: Network, policy: Policy, K: int,
     P, drop_mass, space = build_chain(net, policy, K, cap)
     init = proportional_init(policy.rest_weights(net.n_supply), K)
     nclosed, members = _recurrent_class(P, int(space.rank([init])[0]))
-    # pin the class state nearest the resting point, near the bulk of pi
+    # pin the class state nearest the resting point, near the bulk of pi;
+    # where the mode outweighs it (priority, say), solve again pinning that
     pin = int(np.abs(space.states[members] - init).sum(axis=1).argmin())
-    pi, residual = _stationary_on(P[members][:, members], pin)
+    pi, lu_nnz = _stationary_on(P, members, pin, space.states)
+    if not pi.max() <= REPIN_RATIO * pi[pin]:       # nan solves again too
+        pi, lu_nnz = _stationary_on(P, members, int(pi.argmax()), space.states)
+    residual = float(np.abs((pi @ P[members])[members] - pi).sum())
+    if not np.all(pi >= 0):         # nan fails too
+        raise RuntimeError(
+            f"stationary solve on a class of {len(members)} states gave a "
+            f"negative or non-finite entry (residual {residual:.3g})")
     drop = float(pi @ drop_mass[members])
-    return ChainSolution(pi, members, drop, nclosed, residual, space)
+    return ChainSolution(pi, members, drop, nclosed, residual, space, lu_nnz)
 
 
 def exact_exponent_curve(net: Network, policy: Policy, K_list,

@@ -195,17 +195,6 @@ def optimal_alpha(net: Network, eps_floor: float = DEFAULT_EPS_FLOOR):
     return alpha, _gamma(check_alpha(alpha, n), subsets)
 
 
-def vanilla_bound_check(net: Network):
-    """Exponent of unscaled MaxWeight vs the optimum; the ratio is >= 1/n."""
-    n = net.n_supply
-    g_vanilla = gamma(net, uniform_alpha(n)).gamma
-    _, opt = optimal_alpha(net)
-    g_star = opt.gamma
-    ratio = g_vanilla / g_star if g_star > 0 and not math.isinf(g_star) else 1.0
-    assert g_vanilla >= g_star / n - 1e-9
-    return g_vanilla, g_star, ratio
-
-
 def kl_rate(f, phi) -> float:
     """Large-deviations cost per unit time of arrival-rate matrix f.
 

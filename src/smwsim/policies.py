@@ -38,7 +38,10 @@ _DECLINED = DispatchDecision(DROP, POLICY_DECLINED)
 
 class Policy:
     """Base: subclasses implement dispatch(queues, origin[, rng]), where
-    queues is a list of ints or an integer array (same decisions)."""
+    queues is a list of ints or an integer array (same decisions), and
+    dispatch_table(states, origin): the exact decisions of one origin over
+    a state matrix (rows x n) as [(source per row or DROP, prob)], one
+    atom if deterministic, so the chain oracle can expand mixtures."""
 
     name = "base"
 
@@ -49,17 +52,20 @@ class Policy:
     def dispatch(self, queues, origin, rng=None) -> DispatchDecision:
         raise NotImplementedError
 
-    def dispatch_distribution(self, queues, origin):
-        """Exact decision distribution as [(source_or_DROP, prob)] pairs.
-
-        Deterministic policies return a single atom; the chain oracle
-        uses this to expand randomized policies into mixture transitions.
-        """
-        return [(self.dispatch(queues, origin), 1.0)]
-
     def rest_weights(self, n: int) -> np.ndarray:
         """Weights used for the default initial supply placement."""
         return uniform_alpha(n)
+
+
+def _argmax_table(states, nodes, inv, penalty=0.0):
+    """One atom: per row, the node of largest q * inv - penalty among the
+    nodes with q > 0, ties to the last one listed (as the scalar loops'
+    >= breaks them, on the same float products), DROP where all q are 0."""
+    nodes = np.array(nodes)
+    q = states[:, nodes]
+    score = np.where(q > 0, q * np.array(inv) - np.array(penalty), -np.inf)
+    last = nodes[len(nodes) - 1 - score[:, ::-1].argmax(axis=1)]
+    return [(np.where((q > 0).any(axis=1), last, DROP), 1.0)]
 
 
 class SmwPolicy(Policy):
@@ -88,6 +94,9 @@ class SmwPolicy(Policy):
                 if score >= best:   # >= prefers the higher index on ties
                     best, src = score, i
         return _NO_SUPPLY if src == DROP else self._serve[src]
+
+    def dispatch_table(self, states, origin):   # pickup nbrs add a penalty
+        return _argmax_table(states, *zip(*self._nbrs[origin]))
 
     def rest_weights(self, n):
         return self.alpha
@@ -121,6 +130,10 @@ class PriorityPolicy(Policy):
             if queues[i] > 0:
                 return self._serve[i]
         return _NO_SUPPLY
+
+    def dispatch_table(self, states, origin):   # score: -position in list
+        lst = self.lists[origin]
+        return _argmax_table(states, lst, 0.0, np.arange(len(lst)))
 
 
 class FluidPolicy(Policy):
@@ -168,9 +181,9 @@ class FluidPolicy(Policy):
         return self._decide(queues, self._sources[origin][
             bisect_right(self._cdf[origin], rng.random())])
 
-    def dispatch_distribution(self, queues, origin):
-        return [(self._decide(queues, src), p) for src, p in
-                zip(self._sources[origin], self._probs[origin])]
+    def dispatch_table(self, states, origin):
+        return [(np.where((src != DROP) & (states[:, src] > 0), src, DROP), p)
+                for src, p in zip(self._sources[origin], self._probs[origin])]
 
     def _decide(self, queues, src):
         """Decision once the table has drawn src (a node or DROP)."""

@@ -107,8 +107,9 @@ def tune(net: Network, cfg: TuneConfig, tune_beta: bool = False) -> TuneResult:
             vals = [_evaluate(net, cfg, alpha, beta, s) for s in rep_seeds]
             vals = np.array(vals, dtype=float)
             mean = float(np.nanmean(vals))
-            stderr = float(np.nanstd(vals) / np.sqrt(len(vals))) \
-                if len(vals) > 1 else 0.0
+            finite = vals[np.isfinite(vals)]
+            stderr = float(np.std(finite, ddof=1) / np.sqrt(len(finite))) \
+                if len(finite) > 1 else 0.0
             scored.append((mean, c))
             trace.append((it, c, alpha.copy(), beta, mean, stderr))
             if np.isfinite(mean):

@@ -1,8 +1,10 @@
+import gc
 import math
 
 import numpy as np
 import pytest
 import scipy.sparse as sps
+from scipy.sparse.linalg import splu
 
 from smwsim import (
     FluidPolicy,
@@ -31,8 +33,19 @@ def fluid_policy(net):
     return FluidPolicy(net, flow)
 
 
+def reference_atoms(policy, q, j):
+    """[(source or DROP, prob)] of one (state, origin): scalar dispatch for
+    the deterministic policies, the flow table for fluid."""
+    if not isinstance(policy, FluidPolicy):
+        return [(policy.dispatch(q, j).source, 1.0)]
+    probs = policy.flow[:, j] / policy.net.row_rates()[j]
+    atoms = [(i if q[i] > 0 else DROP, p) for i, p in enumerate(probs) if p > 0]
+    decline = 1.0 - probs.sum()
+    return atoms + ([(DROP, decline)] if decline > 1e-12 else [])
+
+
 def reference_chain(net, policy, K):
-    """One policy call per (state, origin, destination), dict-indexed."""
+    """Reference atoms per (state, origin, destination), dict-indexed."""
     states = StateSpace.enumerate(net.n_supply, K).states
     index = {tuple(s): r for r, s in enumerate(states.tolist())}
     rows, cols, vals = [], [], []
@@ -43,18 +56,18 @@ def reference_chain(net, policy, K):
                 p = net.phi[j, k]
                 if p == 0.0:
                     continue
-                for dec, w in policy.dispatch_distribution(q, j):
+                for source, w in reference_atoms(policy, q, j):
                     pw = p * w
                     if pw == 0.0:
                         continue
-                    if dec.source == DROP:
+                    if source == DROP:
                         drop_mass[r] += pw
                         tgt = r
-                    elif dec.source == k:
+                    elif source == k:
                         tgt = r
                     else:
                         nxt = q.copy()
-                        nxt[dec.source] -= 1
+                        nxt[source] -= 1
                         nxt[k] += 1
                         tgt = index[tuple(nxt)]
                     rows.append(r)
@@ -199,16 +212,16 @@ def test_build_chain_matches_reference_loop():
     for net, pol in _equivalence_cases():
         K = 5
         P_ref, drop_ref = reference_chain(net, pol, K)
-        atoms, dist = [], pol.dispatch_distribution
+        atoms, table = [], pol.dispatch_table
 
-        def counted(q, j, dist=dist, atoms=atoms):
-            out = dist(q, j)
+        def counted(states, j, table=table, atoms=atoms):
+            out = table(states, j)
             atoms.append(len(out))
             return out
 
-        pol.dispatch_distribution = counted
+        pol.dispatch_table = counted
         P, drop, space = build_chain(net, pol, K)
-        assert len(atoms) == len(space.states) * net.n_demand
+        assert len(atoms) == net.n_demand       # one table per origin
         assert np.abs(P.toarray() - P_ref.toarray()).max() <= 1e-15
         assert np.abs(drop - drop_ref).max() <= 1e-15
         most_atoms = max(most_atoms, max(atoms))
@@ -233,3 +246,65 @@ def test_tail_slope_matches_gamma(alpha):
     for (k0, p0), (k1, p1) in zip(curve, curve[1:]):
         slope = -(math.log(p1) - math.log(p0)) / (k1 - k0)
         assert slope == pytest.approx(g, abs=1e-3)
+
+
+@pytest.mark.parametrize("n, K", [(4, 20), (5, 10)])
+def test_stationary_matches_mmd_ordered_solve(n, K):
+    net = random_crp(n, seed=1)
+    alpha, _ = optimal_alpha(net)
+    priority = PriorityPolicy(net, [net.supply_neighbors(j)[::-1]
+                                    for j in range(n)])
+    for pol in (vanilla_policy(net), SmwPolicy(net, alpha), priority):
+        P, _, _ = build_chain(net, pol, K)
+        sol = stationary_drop_probability(net, pol, K)
+        members = sol.class_states
+        pin = int(sol.stationary.argmax())      # this solve pins the mode
+        keep = np.delete(members, pin)
+        A = (sps.eye(len(keep)) - P[keep][:, keep]).T.tocsc()
+        lu = splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                  options=dict(SymmetricMode=True))
+        ref = np.ones(len(members))
+        ref[np.arange(len(members)) != pin] = lu.solve(
+            P[members[pin]][:, keep].toarray().ravel())
+        ref /= ref.sum()
+        assert np.all(np.abs(sol.stationary / ref - 1.0) <= 1e-12)
+        assert sol.lu_nnz > len(members)
+
+
+@pytest.mark.parametrize("make, K", [
+    (vanilla_policy, 300),
+    (lambda net: PriorityPolicy(net, [[0], [1, 0]]), 200)])
+def test_example1_matches_birth_death_product(make, K):
+    """On example1 the chain is a birth-death chain in x = queue at node 0:
+    pi(x + 1) / pi(x) = up(x) / down(x + 1), with up and down summed from
+    phi and the policy's scalar decisions.  Under priority the mass sits
+    at x = K - 1, far from the resting point."""
+    net = example1()
+    pol = make(net)
+    sol = stationary_drop_probability(net, pol, K)
+    up, down = np.zeros(K + 1), np.zeros(K + 1)
+    for x in range(K + 1):
+        for j in range(2):
+            src = pol.dispatch([x, K - x], j).source
+            up[x] += net.phi[j, 0] * (src == 1)
+            down[x] += net.phi[j, 1] * (src == 0)
+    xs = sol.space.states[sol.class_states, 0]
+    assert np.array_equal(np.diff(np.sort(xs)), np.ones(len(xs) - 1))
+    lo, hi = xs.min(), xs.max()
+    log_w = np.concatenate([[0.0], np.cumsum(np.log(
+        up[lo:hi] / down[lo + 1:hi + 1]))])
+    ref = np.exp(log_w - log_w.max())
+    ref = (ref / ref.sum())[xs - lo]
+    assert ref.min() < 1e-25                    # the tail is resolved
+    assert np.all(np.abs(sol.stationary / ref - 1.0) <= 1e-12)
+
+
+def test_stationary_solve_leaves_no_garbage():
+    net = random_crp(4, seed=1)
+    gc.collect()
+    gc.disable()
+    try:
+        stationary_drop_probability(net, vanilla_policy(net), 20)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

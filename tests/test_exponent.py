@@ -17,7 +17,6 @@ from smwsim import (
     neighborhood,
     optimal_alpha,
     uniform_alpha,
-    vanilla_bound_check,
 )
 from smwsim.instances import (
     example1,
@@ -184,12 +183,6 @@ def test_gamma_concavity():
         mix = lam * a1 + (1 - lam) * a2
         assert gamma(net, mix).gamma >= \
             lam * gamma(net, a1).gamma + (1 - lam) * gamma(net, a2).gamma - 1e-12
-
-
-def test_vanilla_bound():
-    g_v, g_s, ratio = vanilla_bound_check(example1())
-    assert g_v == pytest.approx(0.5 * LOG2)
-    assert ratio >= 0.5 - 1e-9
 
 
 def test_kl_rate():

@@ -11,7 +11,8 @@ from smwsim import (
     solve_transportation,
     vanilla_policy,
 )
-from smwsim.policies import NO_COMPATIBLE_SUPPLY, POLICY_DECLINED, SERVED
+from smwsim.chain import StateSpace
+from smwsim.policies import NO_COMPATIBLE_SUPPLY
 from smwsim.instances import example1, random_crp
 
 
@@ -102,12 +103,11 @@ def test_fluid_empirical_frequencies(net):
 
 def test_fluid_distribution_matches_sampler(net):
     pol = fluid_for(net)
-    dist = pol.dispatch_distribution([5, 0], 1)
+    dist = pol.dispatch_table(np.array([[5, 0]]), 1)
     total = sum(p for _, p in dist)
     assert total == pytest.approx(1.0, abs=1e-12)
-    for dec, p in dist:
-        if dec.source == DROP:
-            assert dec.reason in (POLICY_DECLINED, NO_COMPATIBLE_SUPPLY)
+    for src, p in dist:
+        assert src.tolist() in ([0], [DROP])   # node 1 is empty
 
 
 def test_fluid_rejects_bad_flow_table(net):
@@ -160,16 +160,16 @@ def test_policy_from_spec(net):
 def test_fluid_decline_atom():
     flow = 0.75 * fluid_for(example1()).flow
     pol = FluidPolicy(example1(), flow)
-    dist = pol.dispatch_distribution([5, 5], 1)
-    declined = [p for dec, p in dist if dec.reason == POLICY_DECLINED]
+    dist = pol.dispatch_table(np.array([[5, 5]]), 1)
+    declined = [p for src, p in dist if src[0] == DROP]   # no node is empty
     assert declined == [pytest.approx(0.25, abs=1e-12)]
 
 
 def _choice_reference(pol, origin, rng):
     """Fluid draw as Generator.choice over the decision table: the source
     of each atom (queues are all positive, so every atom names one)."""
-    dist = pol.dispatch_distribution([1] * pol.net.n_supply, origin)
-    sources = np.array([dec.source for dec, _ in dist])
+    dist = pol.dispatch_table(np.ones((1, pol.net.n_supply), int), origin)
+    sources = np.array([src[0] for src, _ in dist])
     return int(rng.choice(sources, p=np.array([p for _, p in dist])))
 
 
@@ -201,3 +201,54 @@ def test_decisions_same_on_list_and_int_array():
             q = rng.integers(0, 4, 2)
             j = int(rng.integers(0, 2))
             assert pol.dispatch(q.tolist(), j, a) == pol.dispatch(q, j, b)
+
+
+def _kernel_cases():
+    for n in (3, 4):
+        for seed in range(3):
+            net = random_crp(n, seed=seed, with_times=True)
+            alpha = np.arange(1.0, n + 1) / (n * (n + 1) / 2)
+            yield net, [vanilla_policy(net), SmwPolicy(net, alpha),
+                        PriorityPolicy(net, [net.supply_neighbors(j)[::-1]
+                                             for j in range(n)]),
+                        SmwPickupPolicy(net, alpha[::-1], 0.05)]
+
+
+def test_dispatch_table_equals_scalar_dispatch():
+    ties = 0
+    for net, pols in _kernel_cases():
+        states = StateSpace.enumerate(net.n_supply, 6).states
+        for pol in pols:
+            for j in range(net.n_demand):
+                (src, p), = pol.dispatch_table(states, j)
+                assert p == 1.0
+                assert src.tolist() == [pol.dispatch(q, j).source
+                                        for q in states.tolist()]
+        for q in states.tolist():
+            for j in range(net.n_demand):
+                longest = sorted(q[i] for i in net.supply_neighbors(j))[-2:]
+                ties += len(longest) == 2 and longest[0] == longest[1] > 0
+    assert ties > 0     # vanilla broke ties between nonempty queues
+
+
+def test_fluid_table_equals_flow_table():
+    for n in (3, 4):
+        for seed in range(3):
+            net = random_crp(n, seed=seed)
+            flow = solve_transportation(net.col_rates(), net.row_rates(),
+                                        np.zeros((n, n)),
+                                        support=list(net.edges))
+            pol = FluidPolicy(net, (0.8 if seed else 1.0) * flow)
+            states = StateSpace.enumerate(n, 6).states
+            for j in range(n):
+                probs = pol.flow[:, j] / net.row_rates()[j]
+                want = [(np.where(states[:, i] > 0, i, DROP), probs[i])
+                        for i in range(n) if probs[i] > 0]
+                if 1.0 - probs.sum() > 1e-12:
+                    want.append((np.full(len(states), DROP),
+                                 1.0 - probs.sum()))
+                got = pol.dispatch_table(states, j)
+                assert len(got) == len(want) > 0
+                for (src, p), (ref_src, ref_p) in zip(got, want):
+                    assert np.array_equal(src, ref_src)
+                    assert p == pytest.approx(ref_p, rel=1e-15, abs=1e-16)

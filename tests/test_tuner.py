@@ -88,6 +88,22 @@ def assert_trace_matches(res, cfg, run):
         assert mean == float(np.nanmean(np.array(direct)))
 
 
+def test_trace_stderr_is_the_sample_standard_error():
+    net = example1()
+    cfg = TuneConfig(budget=20, population=20, replications=2, steps=500,
+                     K=4, seed=1)
+    res = tune(net, cfg)
+    seeds = replication_seeds(cfg)
+    rows = {}
+    for it, _, alpha, _, mean, stderr in res.trace:
+        direct = [run_jump_chain(net, SmwPolicy(net, alpha), cfg.K, cfg.steps,
+                                 seed=s).drop_fraction for s in seeds[it]]
+        assert stderr == pytest.approx(np.std(direct, ddof=1) / np.sqrt(2),
+                                       rel=1e-12, abs=1e-15)
+        rows[tuple(round(d, 4) for d in sorted(direct))] = stderr
+    assert rows[(0.0867, 0.0933)] == pytest.approx(0.00333, abs=5e-6)
+
+
 def test_tune_beta_scores_the_pickup_policy():
     net = example1(with_times=True)
     cfg = TuneConfig(budget=40, population=20, replications=2, steps=1000,
