@@ -9,7 +9,7 @@ from smwsim import SmwPolicy, TimedConfig, TuneConfig, fleet_requirement, \
     run_timed, tune, vanilla_policy
 from smwsim.instances import symmetric_ring
 
-city = symmetric_ring(6, seed=1, with_times=True)
+city = symmetric_ring(6, with_times=True)
 rate = 2.0  # requests per minute
 
 fr = fleet_requirement(city, rate)

@@ -132,8 +132,7 @@ def cmd_generate(args):
     if args.kind == "example1":
         net = instances.example1(with_times=args.with_times)
     elif args.kind == "symmetric_ring":
-        net = instances.symmetric_ring(args.n, seed=args.seed,
-                                       with_times=args.with_times)
+        net = instances.symmetric_ring(args.n, with_times=args.with_times)
     elif args.kind == "random_crp":
         net = instances.random_crp(args.n, seed=args.seed, eta=args.eta,
                                    with_times=args.with_times)

@@ -130,14 +130,12 @@ def _require_pooling(net: Network):
         raise PoolingViolationError(J, slack)
 
 
-def gamma(net: Network, alpha, subsets=None) -> ExponentResult:
+def gamma(net: Network, alpha) -> ExponentResult:
     """Decay exponent of SMW(alpha): min over drainable subsets of
     (resting supply mass on the boundary) * log(inflow/outflow)."""
     alpha = check_alpha(alpha, net.n_supply)
     _require_pooling(net)
-    if subsets is None:
-        subsets = drainable_subsets(net)
-    return _gamma(alpha, subsets)
+    return _gamma(alpha, drainable_subsets(net))
 
 
 def _gamma(alpha, subsets) -> ExponentResult:
@@ -171,23 +169,21 @@ def optimal_alpha(net: Network, eps_floor: float = DEFAULT_EPS_FLOOR):
         a = uniform_alpha(n)
         return a, _gamma(a, subsets)
 
-    # variables: alpha_0..alpha_{n-1}, t
+    # variables: alpha_0..alpha_{n-1}, t; one row t - log_ratio * B(alpha) <= 0
     nv = n + 1
     c = np.zeros(nv)
     c[-1] = 1.0
-    rows, rhs = [], []
-    for st in subsets:
-        row = np.zeros(nv)
-        row[-1] = 1.0
-        for i in st.boundary:
-            row[i] = -st.log_ratio
-        rows.append(row)
-        rhs.append(0.0)
+    sizes = [len(st.boundary) for st in subsets]
+    rows = np.repeat(np.arange(len(subsets)), sizes)
+    cols = np.concatenate([st.boundary for st in subsets])
+    a_ub = np.zeros((len(subsets), nv))
+    a_ub[:, -1] = 1.0
+    a_ub[rows, cols] = np.repeat([-st.log_ratio for st in subsets], sizes)
     a_eq = np.zeros((1, nv))
     a_eq[0, :n] = 1.0
     lower = np.full(nv, eps_floor)
     lower[-1] = -np.inf
-    sol = solve_lp(LinearProgram(c=c, a_ub=np.array(rows), b_ub=np.array(rhs),
+    sol = solve_lp(LinearProgram(c=c, a_ub=a_ub, b_ub=np.zeros(len(subsets)),
                                  a_eq=a_eq, b_eq=np.array([1.0]), lower=lower))
     if sol.status != "optimal":
         raise RuntimeError(f"optimal-alpha LP returned {sol.status}")
@@ -267,34 +263,27 @@ def min_drift_speed(net: Network, alpha, f) -> float:
     if np.any(f < 0) or abs(f.sum() - 1.0) > 1e-9:
         raise ValueError("f must be a nonnegative matrix summing to 1")
     n, m = net.n_supply, net.n_demand
-    edges = sorted((i, j) for (i, j) in net.edges)
-    idx = {e: v for v, e in enumerate(edges)}
-    nv = len(edges) + 1            # d variables then t
+    ei, ej = np.array(sorted(net.edges)).T
+    nv = ei.size + 1               # d variables then t
     t_col = nv - 1
     row_mass = f.sum(axis=1)       # total rate per demand node
     inflow = f.sum(axis=0)         # supply inflow per node
+    d = np.arange(ei.size)
 
     # sum_i d_{i j} = 1 per demand node
     a_eq = np.zeros((m, nv))
-    for (i, j), v in idx.items():
-        a_eq[j, v] = 1.0
-    b_eq = np.ones(m)
+    a_eq[ej, d] = 1.0
 
     # t >= -Delta_i/alpha_i  <=>  (sum_j d_ij rowmass_j - inflow_i)/alpha_i - t <= 0
-    rows, rhs = [], []
-    for i in range(n):
-        row = np.zeros(nv)
-        row[t_col] = -1.0
-        for j in net.demand_neighbors(i):
-            row[idx[(i, j)]] = row_mass[j] / alpha[i]
-        rows.append(row)
-        rhs.append(inflow[i] / alpha[i])
+    a_ub = np.zeros((n, nv))
+    a_ub[:, t_col] = -1.0
+    a_ub[ei, d] = row_mass[ej] / alpha[ei]
     lower = np.zeros(nv)
     lower[t_col] = -np.inf
     c = np.zeros(nv)
     c[t_col] = -1.0                # maximize -t = minimize t
-    sol = solve_lp(LinearProgram(c=c, a_ub=np.array(rows), b_ub=np.array(rhs),
-                                 a_eq=a_eq, b_eq=b_eq, lower=lower))
+    sol = solve_lp(LinearProgram(c=c, a_ub=a_ub, b_ub=inflow / alpha,
+                                 a_eq=a_eq, b_eq=np.ones(m), lower=lower))
     if sol.status != "optimal":
         raise RuntimeError(f"min-drift LP returned {sol.status}")
     return float(sol.x[t_col])

@@ -5,7 +5,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .network import Network, build_network, symmetrize_demand, validate_network
+from .network import (
+    Network,
+    NetworkError,
+    build_network,
+    symmetrize_demand,
+    validate_network,
+)
 from .exponent import drainable_subsets
 
 MIN_PICKUP_MINUTES = 3.0
@@ -40,8 +46,7 @@ def example1_crp_violated() -> Network:
     return build_network(2, 2, [(0, 0), (0, 1), (1, 1)], phi)
 
 
-def symmetric_ring(n: int, seed: int | None = None,
-                   with_times: bool = False) -> Network:
+def symmetric_ring(n: int, with_times: bool = False) -> Network:
     """n-zone ring: each demand node served by itself and its two
     neighbors, uniform demand.  Pooled by construction for n >= 3."""
     if n < 3:
@@ -53,7 +58,6 @@ def symmetric_ring(n: int, seed: int | None = None,
     phi = np.full((n, n), 1.0 / (n * n))
     travel = pickup = None
     if with_times:
-        rng = np.random.default_rng(seed)
         # ring distance scaled to minutes
         travel = np.array([[2.0 + 4.0 * min((i - j) % n, (j - i) % n)
                             for j in range(n)] for i in range(n)], dtype=float)
@@ -90,7 +94,7 @@ def random_crp(n: int, seed: int = 0, eta: float | None = None,
             pickup = pickup_from_travel(travel)
         try:
             net = build_network(n, n, edges, phi, travel, pickup)
-        except Exception:
+        except NetworkError:
             continue
         report = validate_network(net)
         if report.crp_holds and report.nontrivial and drainable_subsets(net):

@@ -47,10 +47,6 @@ class Network:
         """Compatible supply nodes of one demand node, ascending."""
         return tuple(sorted(i for (i, j) in self.edges if j == demand_node))
 
-    def demand_neighbors(self, supply_node: int) -> tuple:
-        """Compatible demand nodes of one supply node, ascending."""
-        return tuple(sorted(j for (i, j) in self.edges if i == supply_node))
-
     def row_rates(self) -> np.ndarray:
         """Total arrival rate per demand (origin) node."""
         return self.phi.sum(axis=1)

@@ -209,7 +209,7 @@ def test_criterion_09_lyapunov_properties():
 
 def test_criterion_10_timed_conservation_and_littles_law():
     with timer(10, 300.0):
-        city = symmetric_ring(6, seed=1, with_times=True)
+        city = symmetric_ring(6, with_times=True)
         rate = 2.0
         fr = fleet_requirement(city, rate)
         horizon = 500_000.0          # about 1e6 arrival events at rate 2/min

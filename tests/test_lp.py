@@ -83,13 +83,41 @@ def test_rejects_nan():
 
 
 def test_free_variable_and_equality():
-    # minimize t with t >= 3 - x, t >= x - 1, x in [0, 2]: optimum t=1, x=2
-    lp = LinearProgram(c=[0.0, -1.0],
+    from scipy.optimize import linprog
+    cases = [
+        # minimize t with t >= 3 - x, t >= x - 1, x in [0, 2]
+        (LinearProgram(c=[0.0, -1.0],
                        a_ub=[[-1.0, -1.0], [1.0, -1.0]], b_ub=[-3.0, 1.0],
-                       lower=[0.0, -np.inf], upper=[2.0, np.inf])
-    sol = solve_lp(lp)
-    assert sol.status == "optimal"
-    assert sol.x[1] == pytest.approx(1.0, abs=1e-9)
+                       lower=[0.0, -np.inf], upper=[2.0, np.inf]),
+         [2.0, 1.0]),
+        # free y capped at 1.5: the y+ - y- cap row binds
+        (LinearProgram(c=[1.0, 1.0], a_ub=[[1.0, -1.0]], b_ub=[1.0],
+                       lower=[0.0, -np.inf], upper=[np.inf, 1.5]),
+         [2.5, 1.5]),
+        # negative finite lower bounds; the shifted cap on x0 binds
+        (LinearProgram(c=[3.0, -2.0], a_ub=[[1.0, -1.0]], b_ub=[1.2],
+                       lower=[-2.0, -1.0], upper=[0.5, np.inf]),
+         [0.5, -0.7]),
+        # equality row with a capped and a negatively shifted variable
+        (LinearProgram(c=[1.0, 2.0, 3.0], a_ub=[[-1.0, 1.0, 0.0]],
+                       b_ub=[0.5], a_eq=[[1.0, 1.0, 1.0]], b_eq=[1.0],
+                       lower=[-0.5, 0.0, 0.0], upper=[1.0, 1.0, 0.25]),
+         [0.125, 0.625, 0.25]),
+        # equality row forcing a capped free variable below -cap
+        (LinearProgram(c=[-1.0, -1.0], a_eq=[[1.0, -1.0]], b_eq=[-3.0],
+                       lower=[-np.inf, 0.0], upper=[2.0, 4.0]),
+         [-3.0, 0.0]),
+    ]
+    for lp, expected in cases:
+        ref = linprog(-lp.c, A_ub=lp.a_ub, b_ub=lp.b_ub, A_eq=lp.a_eq,
+                      b_eq=lp.b_eq, bounds=list(zip(lp.lower, lp.upper)),
+                      method="highs")
+        assert ref.status == 0
+        assert ref.x == pytest.approx(expected, abs=1e-9)
+        sol = solve_lp(lp)
+        assert sol.status == "optimal"
+        assert sol.x == pytest.approx(expected, abs=1e-9)
+        assert sol.objective == pytest.approx(-ref.fun, abs=1e-9)
 
 
 def test_fuzzed_feasibility_and_first_order_optimality():

@@ -87,7 +87,7 @@ def test_timed_zero_delays_matches_jump_chain():
 
 
 def test_timed_littles_law():
-    city = symmetric_ring(6, seed=1, with_times=True)
+    city = symmetric_ring(6, with_times=True)
     fr = fleet_requirement(city, 2.0)
     cfg = TimedConfig(2.0, 30000, fr.k_fl + 60)
     rep = run_timed(city, vanilla_policy(city), cfg, with_pickup=True,
@@ -98,7 +98,7 @@ def test_timed_littles_law():
 
 
 def test_timed_fleet_monotonicity():
-    city = symmetric_ring(6, seed=1, with_times=True)
+    city = symmetric_ring(6, with_times=True)
     fr = fleet_requirement(city, 2.0)
     drops = []
     for slack in (0, 40):
@@ -145,7 +145,7 @@ def test_fleet_requirement_values():
 
 
 def test_fleet_requirement_matches_bruteforce():
-    city = symmetric_ring(6, seed=1, with_times=True)
+    city = symmetric_ring(6, with_times=True)
     fr = fleet_requirement(city, 2.0)
     brute = sum(2.0 * city.phi[j, k] * city.travel_time[j, k]
                 for j in range(6) for k in range(6))
