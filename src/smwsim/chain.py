@@ -79,27 +79,17 @@ class ChainSolution:
     lu_nnz: int                     # fill: entries SuperLU stores for L and U
 
 
-def build_chain(net: Network, policy: Policy, K: int,
-                cap: int = DEFAULT_STATE_CAP):
-    """Row-stochastic transition matrix plus per-state drop mass.
-
-    Each state row mixes over all (origin, destination) demand types;
-    randomized policies expand into their exact decision distributions.
-    Drop events are self-loops whose probability is recorded separately.
-    The policy gives one decision table per origin, over all states.
-    """
-    space = StateSpace.enumerate(net.n_supply, K, cap)
+def transitions(net: Network, policy: Policy, space: StateSpace):
+    """Atoms in (row, origin, atom) order: row, source (a node or DROP),
+    rate phi[origin] * weight and next row (same if no move) per dest."""
     nstates = len(space.states)
-    origins = [j for j in range(net.n_demand) if np.any(net.phi[j] != 0.0)]
-    ori, src, w = zip(*[(j, src, w) for j in origins
+    ori, src, w = zip(*[(j, src, w) for j in range(net.n_demand)
                         for src, w in policy.dispatch_table(space.states, j)])
     # atoms in (row, origin, atom) order: a stable sort of the tables by row
     row = np.repeat(np.arange(nstates), len(w))
-    origin, weight = np.tile(ori, nstates), np.tile(w, nstates)
     source = np.stack(src, axis=1).ravel()
-    pw = net.phi[origin] * weight[:, None]      # atom x destination
-    live = pw != 0.0
-    move = live & (source[:, None] != DROP) \
+    pw = net.phi[np.tile(ori, nstates)] * np.tile(w, nstates)[:, None]
+    move = (pw != 0.0) & (source[:, None] != DROP) \
         & (source[:, None] != np.arange(net.n_supply))
     at, dest = np.nonzero(move)
     nxt = space.states[row[at]]
@@ -107,6 +97,21 @@ def build_chain(net: Network, policy: Policy, K: int,
     nxt[np.arange(len(at)), dest] += 1
     tgt = np.repeat(row[:, None], net.n_supply, axis=1)
     tgt[move] = space.rank(nxt)
+    return row, source, pw, tgt
+
+
+def build_chain(net: Network, policy: Policy, K: int,
+                cap: int = DEFAULT_STATE_CAP):
+    """Row-stochastic transition matrix plus per-state drop mass.
+
+    Each state row mixes over all (origin, destination) demand types;
+    randomized policies expand into their exact decision distributions.
+    Drop events are self-loops whose probability is recorded separately.
+    """
+    space = StateSpace.enumerate(net.n_supply, K, cap)
+    nstates = len(space.states)
+    row, source, pw, tgt = transitions(net, policy, space)
+    live = pw != 0.0
     drop = source == DROP
     drop_mass = np.bincount(row[drop], pw[drop].sum(axis=1), minlength=nstates)
     P = sp.coo_matrix((pw[live], (row[np.nonzero(live)[0]], tgt[live])),

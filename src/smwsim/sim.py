@@ -80,14 +80,17 @@ def _initial_queues(policy: Policy, n: int, K: int, init) -> list:
     return q.tolist()
 
 
+def draw_events(net: Network, rng, size: int) -> np.ndarray:
+    """``size`` draws of origin * n + dest from phi; calls extend a stream."""
+    return rng.choice(net.phi.size, size=size, p=net.phi.ravel())
+
+
 def _event_sampler(net: Network, rng):
     """Yield (origin, destination) pairs drawn from phi, block-buffered."""
-    m, n = net.phi.shape
-    flat = net.phi.ravel()
-    pairs = [divmod(d, n) for d in range(m * n)]
+    pairs = [divmod(d, net.phi.shape[1]) for d in range(net.phi.size)]
     while True:
         yield from map(pairs.__getitem__,
-                       rng.choice(m * n, size=_SAMPLE_BLOCK, p=flat).tolist())
+                       draw_events(net, rng, _SAMPLE_BLOCK).tolist())
 
 
 def _report(t0, seed, warmup, arrivals_by_origin, drops_by_origin,

@@ -9,8 +9,10 @@ follows from one input:
   scores pickup-aware SMW, ``SmwPickupPolicy(alpha, beta)``, which needs
   a net with pickup times; otherwise ``SmwPolicy(alpha)``.
 - simulator: ``cfg.timed`` set runs ``run_timed`` under it, adding pickup
-  delay exactly when the net has pickup times; otherwise
-  ``run_jump_chain`` runs ``cfg.steps`` steps at fleet size ``cfg.K``.
+  delay exactly when the net has pickup times.  A jump-chain run at fleet
+  size K (``cfg.K`` or an initial state's total) walks the chain's table
+  if comb(K + n - 1, n - 1) * phi.size <= ``cfg.steps``, else runs
+  ``run_jump_chain``, the per-step reference the walk is tested against.
 - objective: nonempty ``cfg.initial_states`` (jump chain only) scores the
   mean drop fraction of runs started from each state with no warmup;
   otherwise the steady-state drop fraction.
@@ -18,13 +20,17 @@ follows from one input:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
+from math import comb
 
 import numpy as np
 
+from .chain import StateSpace, transitions
 from .network import Network
-from .policies import SmwPolicy, SmwPickupPolicy
-from .sim import TimedConfig, run_jump_chain, run_timed
+from .policies import DROP, SmwPolicy, SmwPickupPolicy
+from .sim import (DEFAULT_JUMP_WARMUP_FRAC, TimedConfig, _initial_queues,
+                  draw_events, run_jump_chain, run_timed)
 
 DEFAULT_CONCENTRATION = 8.0
 CONCENTRATION_GROWTH = 1.25
@@ -89,8 +95,7 @@ def tune(net: Network, cfg: TuneConfig, tune_beta: bool = False) -> TuneResult:
     n_iter = cfg.budget // cfg.population
     n_elite = max(1, int(round(ELITE_FRAC * cfg.population)))
     trace = []
-    best = (np.inf, None, None)
-    any_finite = False
+    best = (np.inf, None, None)     # a nan or infinite mean never enters
 
     for it in range(n_iter):
         rep_seeds = [int(s.generate_state(1)[0]) for s in
@@ -103,19 +108,20 @@ def tune(net: Network, cfg: TuneConfig, tune_beta: bool = False) -> TuneResult:
             cands.append((alpha, beta))
 
         scored = []
+        # each seed's stream, drawn once: what run_jump_chain would draw
+        events = functools.cache(lambda s: draw_events(
+            net, np.random.default_rng(s), cfg.steps).tolist())
         for c, (alpha, beta) in enumerate(cands):
-            vals = [_evaluate(net, cfg, alpha, beta, s) for s in rep_seeds]
-            vals = np.array(vals, dtype=float)
+            vals = np.array(_evaluate(net, cfg, alpha, beta, rep_seeds,
+                                      events), dtype=float)
             mean = float(np.nanmean(vals))
             finite = vals[np.isfinite(vals)]
             stderr = float(np.std(finite, ddof=1) / np.sqrt(len(finite))) \
                 if len(finite) > 1 else 0.0
             scored.append((mean, c))
             trace.append((it, c, alpha.copy(), beta, mean, stderr))
-            if np.isfinite(mean):
-                any_finite = True
-                if mean < best[0]:
-                    best = (mean, alpha.copy(), beta)
+            if mean < best[0]:
+                best = (mean, alpha.copy(), beta)
 
         scored.sort(key=lambda t: (t[0], t[1]))
         elites = [cands[c][0] for (_, c) in scored[:n_elite]]
@@ -130,21 +136,47 @@ def tune(net: Network, cfg: TuneConfig, tune_beta: bool = False) -> TuneResult:
             log_beta_sigma = max(0.1, SMOOTHING * float(
                 np.std(np.log(elite_betas))) + (1.0 - SMOOTHING) * log_beta_sigma)
 
-    if not any_finite:
+    if best[1] is None:
         raise RuntimeError("no candidate produced a finite objective")
     return TuneResult(best[1], best[2], best[0], trace)
 
 
-def _evaluate(net, cfg: TuneConfig, alpha, beta, seed) -> float:
+def _evaluate(net, cfg: TuneConfig, alpha, beta, seeds, events) -> list:
+    """Objective of one candidate at each replication seed."""
     policy = SmwPolicy(net, alpha) if beta is None \
         else SmwPickupPolicy(net, alpha, beta)
     if cfg.timed is not None:
-        return run_timed(net, policy, cfg.timed, seed=seed,
-                         with_pickup=net.pickup_time is not None).drop_fraction
-    if cfg.initial_states:
-        return float(np.mean([
-            run_jump_chain(net, policy, int(np.sum(init)), cfg.steps,
-                           warmup=0, seed=seed, init=init).drop_fraction
-            for init in cfg.initial_states]))
-    return run_jump_chain(net, policy, cfg.K, cfg.steps,
-                          seed=seed).drop_fraction
+        pickup = net.pickup_time is not None
+        return [run_timed(net, policy, cfg.timed, pickup, s).drop_fraction
+                for s in seeds]
+    runs = [(int(np.sum(q)), 0, q) for q in cfg.initial_states] or \
+        [(cfg.K, int(cfg.steps * DEFAULT_JUMP_WARMUP_FRAC), None)]
+    n, size, steps = net.n_supply, net.phi.size, cfg.steps
+    tables, vals = {}, []   # tables: fleet size -> (table, drop, rank)
+    for K, warmup, init in runs:
+        if K < 0 or comb(K + n - 1, n - 1) * size > steps:  # K < 0 fails there
+            vals.append([run_jump_chain(net, policy, K, steps, warmup, s,
+                                        init).drop_fraction for s in seeds])
+            continue
+        if K not in tables:     # deterministic SMW: an atom per (row, origin)
+            space = StateSpace.enumerate(n, K)
+            _, source, _, tgt = transitions(net, policy, space)
+            tables[K] = ((tgt * size).ravel().tolist(),
+                         np.repeat(source == DROP, n).tolist(), space.rank)
+        table, drop, rank = tables[K]
+        start = size * int(rank([_initial_queues(policy, n, K, init)])[0])
+        vals.append([_walk(table, drop, start, events(s), warmup)
+                     / (steps - warmup) for s in seeds])
+    return [float(np.mean(v)) for v in zip(*vals)]
+
+
+def _walk(table, drop, s, events, warmup) -> int:
+    """Measured drops of a walk from s that goes on event e to table[s + e]."""
+    for e in events[:warmup]:
+        s = table[s + e]
+    drops = 0
+    for e in events[warmup:]:
+        s += e
+        drops += drop[s]
+        s = table[s]
+    return drops

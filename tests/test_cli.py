@@ -149,10 +149,12 @@ def test_tune_population_zero_is_input_error(net_file, capsys):
 @pytest.mark.parametrize("command", [
     ["tune", "--budget", "20", "--steps", "100", "--K", "-1"],
     ["exact", "--K", "-1"],
+    # K + n - 1 < 0: rejected before the tuner counts states
+    ["tune", "--budget", "20", "--steps", "100", "--K", "-5"],
 ])
 def test_negative_fleet_size_is_input_error(net_file, capsys, command):
     assert main([command[0], net_file] + command[1:]) == 1
-    assert "K=-1" in capsys.readouterr().err
+    assert f"K={command[-1]}" in capsys.readouterr().err
 
 
 def test_tune_beta_needs_pickup_times(net_file, capsys):

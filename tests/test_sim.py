@@ -18,7 +18,8 @@ from smwsim import (
 )
 from smwsim.network import build_network
 from smwsim.policies import NO_COMPATIBLE_SUPPLY, POLICY_DECLINED
-from smwsim.sim import proportional_init
+from smwsim.sim import (_SAMPLE_BLOCK, _event_sampler, draw_events,
+                        proportional_init)
 from smwsim.instances import example1, random_crp, symmetric_ring
 
 
@@ -115,6 +116,17 @@ def test_negative_fleet_size_rejected():
         run_jump_chain(net, vanilla_policy(net), -1, 1000)
     with pytest.raises(ValueError, match="K=-1"):
         run_timed(net, vanilla_policy(net), TimedConfig(1.0, 100, -1))
+
+
+@pytest.mark.parametrize("steps", [15_000, 70_000])
+def test_draw_events_is_the_sampler_stream(steps):
+    assert 15_000 < _SAMPLE_BLOCK < 70_000  # within one block, across two
+    net = random_crp(3, seed=1)
+    n = net.phi.shape[1]
+    flat = draw_events(net, np.random.default_rng(9), steps).tolist()
+    sampler = _event_sampler(net, np.random.default_rng(9))
+    pairs = [next(sampler) for _ in range(steps)]
+    assert [divmod(e, n) for e in flat] == pairs
 
 
 def test_timed_requires_travel_matrix():

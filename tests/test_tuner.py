@@ -1,6 +1,9 @@
+from math import comb
+
 import numpy as np
 import pytest
 
+import smwsim.tuner as tuner_module
 from smwsim import (
     SmwPickupPolicy,
     SmwPolicy,
@@ -10,7 +13,7 @@ from smwsim import (
     run_timed,
     tune,
 )
-from smwsim.instances import example1, symmetric_ring
+from smwsim.instances import example1, random_crp, symmetric_ring
 
 
 @pytest.fixture(scope="module")
@@ -142,3 +145,76 @@ def test_transient_tune_averages_runs_from_each_state():
     assert_trace_matches(res, cfg, lambda a, b, s: float(np.mean([
         run_jump_chain(net, SmwPolicy(net, a), 5, cfg.steps, warmup=0,
                        seed=s, init=init).drop_fraction for init in states])))
+
+
+def steady(net, cfg, policy=lambda net, a, b: SmwPolicy(net, a)):
+    """Direct steady-state run_jump_chain, the reference of the table walk."""
+    return lambda a, b, s: run_jump_chain(
+        net, policy(net, a, b), cfg.K, cfg.steps, seed=s).drop_fraction
+
+
+def transient(net, cfg):
+    return lambda a, b, s: float(np.mean([
+        run_jump_chain(net, SmwPolicy(net, a), int(np.sum(init)), cfg.steps,
+                       warmup=0, seed=s, init=init).drop_fraction
+        for init in cfg.initial_states]))
+
+
+def _table_cases():
+    cfg = TuneConfig(budget=40, population=20, steps=2000, K=5, seed=4)
+    nets = [("example1", example1())] + [
+        (f"crp3-{k}", random_crp(3, seed=k)) for k in range(3)]
+    for name, net in nets:
+        yield pytest.param(net, cfg, False, steady(net, cfg), id=name)
+    cfg2 = TuneConfig(budget=40, population=20, replications=2, steps=1500,
+                      K=7, seed=5)
+    net = example1()
+    yield pytest.param(net, cfg2, False, steady(net, cfg2), id="replications")
+    net = example1(with_times=True)
+    yield pytest.param(net, cfg2, True, steady(
+        net, cfg2, lambda net, a, b: SmwPickupPolicy(net, a, b)), id="beta")
+    # totals 5 and 3: two tables per candidate
+    cfg3 = TuneConfig(budget=20, population=20, replications=2, steps=400,
+                      seed=8, initial_states=[[5, 0], [1, 4], [3, 0], [0, 3]])
+    net = example1()
+    yield pytest.param(net, cfg3, False, transient(net, cfg3), id="transient")
+
+
+@pytest.mark.parametrize("net, cfg, tune_beta, run", _table_cases())
+def test_table_walk_equals_run_jump_chain(monkeypatch, net, cfg, tune_beta,
+                                          run):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a small chain ran per step")
+    monkeypatch.setattr(tuner_module, "run_jump_chain", refuse)
+    assert_trace_matches(tune(net, cfg, tune_beta=tune_beta), cfg, run)
+
+
+@pytest.mark.parametrize("steps, calls", [(44, 0), (43, 40)])
+def test_table_walk_needs_no_more_entries_than_steps(monkeypatch, steps,
+                                                     calls):
+    net = example1()
+    assert comb(10 + 1, 1) * net.phi.size == 44     # K=10: 11 states x 4
+    made = []
+
+    def counting(*args, **kwargs):
+        made.append(args)
+        return run_jump_chain(*args, **kwargs)
+    monkeypatch.setattr(tuner_module, "run_jump_chain", counting)
+    cfg = TuneConfig(budget=20, population=20, replications=2, steps=steps,
+                     K=10, seed=6)
+    res = tune(net, cfg)
+    assert len(made) == calls       # once per (candidate, seed) at 43
+    assert_trace_matches(res, cfg, steady(net, cfg))
+
+
+@pytest.mark.parametrize("init", [[6, -1], [-1, -2]])
+def test_transient_tune_rejects_a_malformed_state_as_the_simulator_does(init):
+    net = example1()
+    K = int(np.sum(init))
+    with pytest.raises(ValueError) as direct:
+        run_jump_chain(net, SmwPolicy(net, [0.5, 0.5]), K, 300, warmup=0,
+                       init=init)
+    cfg = TuneConfig(budget=20, steps=300, initial_states=[[2, 3], init])
+    with pytest.raises(ValueError) as tuned:
+        tune(net, cfg)
+    assert str(tuned.value) == str(direct.value)
