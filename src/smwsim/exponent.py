@@ -39,7 +39,7 @@ class PoolingViolationError(ValueError):
             f"(slack {slack:.6g})")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SubsetStats:
     """One drainable demand subset and its rate atoms.
 
@@ -112,15 +112,19 @@ def drainable_subsets(net: Network, cap: int = DEFAULT_SUBSET_CAP):
     destination outside its neighborhood (mu_rate > 0).
     """
     members, nbrs = subset_table(net, cap)
+    # rates are nonnegative, so mu_rate > 0 exactly when some member has
+    # demand toward a node outside the neighborhood; sum only those
+    drains = np.any([members[j] & ~nbrs[phi_j > 0.0].all(axis=0)
+                     for j, phi_j in enumerate(net.phi)], axis=0)
+    members, nbrs = members[:, drains], nbrs[:, drains]
     others, outside, size = ~members, ~nbrs, members.shape[1]
     pairs = [(j, k) for j in range(net.n_demand) for k in range(net.n_supply)]
     mu = masked_sum(((members[j] & outside[k], net.phi[j, k])
                      for j, k in pairs), size)
     lam = masked_sum(((others[j] & nbrs[k], net.phi[j, k])
                       for j, k in pairs), size)
-    return [SubsetStats(mask_indices(members[:, s]), mask_indices(nbrs[:, s]),
-                        float(lam[s]), float(mu[s]))
-            for s in np.flatnonzero(mu > 0.0)]
+    return list(map(SubsetStats, mask_indices(members), mask_indices(nbrs),
+                    lam.tolist(), mu.tolist()))
 
 
 def _require_pooling(net: Network):
@@ -142,10 +146,14 @@ def _gamma(alpha, subsets) -> ExponentResult:
     """gamma on a pooled network's drainable subsets, alpha already checked."""
     if not subsets:
         return ExponentResult(math.inf, (), ())
-    per = []
-    for st in subsets:
-        b_mass = float(sum(alpha[i] for i in st.boundary))
-        per.append((st, b_mass, b_mass * st.log_ratio))
+    # one mass per distinct boundary, summed a position at a time in its
+    # order; index -1 reads an exact 0.0 appended to alpha: sum()'s bits
+    bounds = list(dict.fromkeys(st.boundary for st in subsets))
+    width = max(map(len, bounds))
+    pad = np.array([b + (-1,) * (width - len(b)) for b in bounds])
+    mass = dict(zip(bounds, sum(np.append(alpha, 0.0)[pad.T]).tolist()))
+    per = [(st, b, b * st.log_ratio)
+           for st, b in zip(subsets, [mass[st.boundary] for st in subsets])]
     best = min(c for (_, _, c) in per)
     crit = tuple(sorted(st.members for (st, _, c) in per
                         if c <= best * (1 + TIE_RTOL) + 1e-300))

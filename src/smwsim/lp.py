@@ -1,11 +1,12 @@
 """Dense linear-program solver (two-phase simplex, Bland's rule).
 
 Problems here have few columns but up to a few thousand rows (the
-optimal-alpha LP has n + 1 columns and one row per drainable subset:
-1,892 rows at n = 15, 4,666 at n = 16).  A dense tableau with Bland's
-anti-cycling pivot rule is sufficient and easy to audit.  Maximization
-convention: maximize c'x subject to A x <= b, A_eq x = b_eq, and
-per-variable bounds.
+optimal-alpha LP has n + 1 columns and one row per drainable subset plus
+the sum-to-one row: 1,893 rows at n = 15, 4,667 at n = 16).  A dense
+tableau with Bland's anti-cycling pivot rule is sufficient and easy to
+audit.  Most pivots enter a column that is still a unit vector and so
+update only the objective row.  Maximization convention: maximize c'x
+subject to A x <= b, A_eq x = b_eq, and per-variable bounds.
 """
 
 from __future__ import annotations
@@ -70,6 +71,8 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     per finitely capped variable.  Each shifted right-hand side is one
     dot product per row: a matrix-vector product sums in another order,
     which moves the last bits of b and with them the returned x.
+
+    Phase 2 runs on the phase-1 tableau: 1,894 x 3,803 (58 MB) at n = 15.
     """
     _check_finite(lp.c, lp.a_ub, lp.b_ub, lp.a_eq, lp.b_eq)
     nvar = lp.c.size
@@ -102,70 +105,73 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     tab = np.zeros((nrow + 1, ncol + nrow + 1))
     tab[:nrow, :nstd] = A
     tab[slack_rows, nstd + np.arange(slack_rows.size)] = 1.0
+    # home[j] = r: column j starts as the unit vector e_r (an unflipped
+    # slack or an artificial) and stays it until row r is a pivot row
+    home = np.r_[[-1] * nstd, np.where(b[slack_rows] < 0, -1, slack_rows),
+                 np.arange(nrow)].tolist()
     flip = np.flatnonzero(b < 0)
     tab[flip, :ncol] *= -1.0
     b[flip] *= -1.0
     np.fill_diagonal(tab[:nrow, ncol:ncol + nrow], 1.0)
     tab[:nrow, -1] = b
     basis = list(range(ncol, ncol + nrow))
+    used = [False] * nrow
     obj = tab[nrow]
     for r in range(nrow):   # reduced costs of min sum(artificials)
         obj[:] -= tab[r]
     obj[ncol:ncol + nrow] = 0.0
 
-    iters, _ = _simplex_iterate(tab, basis, ncol + nrow, "phase 1")
-    if tab[nrow, -1] < -FEAS_TOL:
+    iters, _ = _simplex_iterate(tab, basis, ncol + nrow, home, used, "phase 1")
+    if obj[-1] < -FEAS_TOL:
         return LpSolution("infeasible", None, None, iters)
 
-    # drive artificials out of the basis, drop redundant rows
-    drop_rows = []
+    # drive artificials out of the basis; zero redundant rows, so they are
+    # never ratio candidates; phase 2 lets no artificial enter
     for r in range(nrow):
         if basis[r] >= ncol:
             piv = np.flatnonzero(np.abs(tab[r, :ncol]) > PIVOT_TOL)
             if piv.size == 0:
-                drop_rows.append(r)
+                tab[r] = 0.0
             else:
-                _pivot(tab, r, piv[0])
+                _pivot(tab, r, piv[0], tab[:, piv[0]].copy())
                 basis[r] = int(piv[0])
-    keep = [r for r in range(nrow) if r not in drop_rows]
-    tab = tab[np.ix_(keep + [nrow], list(range(ncol)) + [-1])]
-    tab[-1] = 0.0
-    basis = [basis[r] for r in keep]
-    nrow2 = len(keep)
+                used[r] = True
 
     # phase 2 objective (maximize): reduced costs of -c_std
     c_std = np.zeros(ncol)
     c_std[:nstd] = lp.c @ E
-    tab[nrow2, :ncol] = -c_std
-    for r in range(nrow2):
-        if c_std[basis[r]] != 0.0:
-            tab[nrow2] += c_std[basis[r]] * tab[r]
+    obj[:] = 0.0
+    obj[:ncol] = -c_std
+    for r in range(nrow):
+        if basis[r] < ncol and c_std[basis[r]] != 0.0:
+            obj += c_std[basis[r]] * tab[r]
 
-    iters2, unbounded = _simplex_iterate(tab, basis, ncol, "phase 2")
+    iters2, unbounded = _simplex_iterate(tab, basis, ncol, home, used,
+                                         "phase 2")
     if unbounded:
         return LpSolution("unbounded", None, None, iters + iters2)
 
-    y = np.zeros(ncol)
-    y[basis] = tab[:nrow2, -1]
+    y = np.zeros(ncol + nrow)   # a zeroed row sets its artificial to 0
+    y[basis] = tab[:nrow, -1]
     x = shift + E @ y[:nstd]
     return LpSolution("optimal", x, float(lp.c @ x), iters + iters2)
 
 
-def _pivot(tab, row, col):
-    """Gauss-Jordan pivot on (row, col).
+def _pivot(tab, row, col, colv):
+    """Gauss-Jordan pivot on (row, col); colv is column col before it.
 
     Only rows with a nonzero in the pivot column and columns with a
     nonzero in the pivot row change; every other product is an exact
     zero, so skipping it leaves those entries as they are.
     """
-    tab[row] /= tab[row, col]
-    rows = tab[:, col].nonzero()[0]
+    tab[row] /= colv[row]
+    rows = (colv != 0.0).nonzero()[0]
     rows = rows[rows != row]
-    cols = tab[row].nonzero()[0]
-    tab[rows[:, None], cols] -= np.outer(tab[rows, col], tab[row, cols])
+    cols = (tab[row] != 0.0).nonzero()[0]
+    tab[rows[:, None], cols] -= np.outer(colv[rows], tab[row, cols])
 
 
-def _simplex_iterate(tab, basis, ncols_usable, phase):
+def _simplex_iterate(tab, basis, ncols_usable, home, used, phase):
     """Run simplex pivots with Bland's rule; returns (iterations, unbounded).
 
     The objective row is the last row (minimization of its negated value,
@@ -173,24 +179,33 @@ def _simplex_iterate(tab, basis, ncols_usable, phase):
     unbounded when the entering column has no positive entry.
     """
     nrow = tab.shape[0] - 1
+    obj = tab[nrow]
     for it in range(MAX_ITER):
         # Bland: entering = lowest-index column with negative reduced cost
-        enter = (tab[nrow, :ncols_usable] < -FEAS_TOL).nonzero()[0]
+        enter = (obj[:ncols_usable] < -FEAS_TOL).nonzero()[0]
         if enter.size == 0:
             return it, False
         enter = int(enter[0])
-        # leaving: min ratio, ties by lowest basis index (Bland)
-        cand = (tab[:nrow, enter] > PIVOT_TOL).nonzero()[0]
-        if cand.size == 0:
-            return it, True
-        ratios = (tab[cand, -1] / tab[cand, enter]).tolist()
-        cand = cand.tolist()
-        best, leave = ratios[0], cand[0]
-        for r, ratio in zip(cand[1:], ratios[1:]):
-            if ratio < best - PIVOT_TOL or (
-                    abs(ratio - best) <= PIVOT_TOL and basis[r] < basis[leave]):
-                best, leave = ratio, r
-        _pivot(tab, leave, enter)
+        leave = home[enter]
+        if leave >= 0 and not used[leave]:
+            # still e_leave: it is the one ratio candidate; row / 1.0 == row
+            cols = (tab[leave] != 0.0).nonzero()[0]
+            obj[cols] -= obj[enter] * tab[leave, cols]
+        else:
+            # leaving: min ratio, ties by lowest basis index (Bland)
+            colv = tab[:, enter].copy()
+            cand = (colv[:nrow] > PIVOT_TOL).nonzero()[0]
+            if cand.size == 0:
+                return it, True
+            ratios = (tab[cand, -1] / colv[cand]).tolist()
+            cand = cand.tolist()
+            best, leave = ratios[0], cand[0]
+            for r, ratio in zip(cand[1:], ratios[1:]):
+                if ratio < best - PIVOT_TOL or (abs(ratio - best) <= PIVOT_TOL
+                                                and basis[r] < basis[leave]):
+                    best, leave = ratio, r
+            _pivot(tab, leave, enter, colv)
+        used[leave] = True
         basis[leave] = enter
     raise RuntimeError(f"simplex iteration cap exceeded in {phase}")
 

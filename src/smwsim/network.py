@@ -207,21 +207,26 @@ def subset_table(net: Network, cap: int = DEFAULT_SUBSET_CAP):
     return members, nbrs
 
 
-def mask_indices(mask) -> tuple:
-    """Set positions of one boolean mask, ascending, as Python ints."""
-    return tuple(np.flatnonzero(mask).tolist())
+def mask_indices(masks) -> list:
+    """Set rows of each column of a 2-D boolean mask, ascending, as tuples
+    of Python ints, from one ``nonzero`` pass; equal columns share one
+    tuple (drainable subsets of one net share few neighborhoods)."""
+    flat = np.nonzero(masks.T)[1].tolist()
+    ends = np.cumsum(masks.sum(axis=0)).tolist()
+    seen = {}
+    return [seen.setdefault(t, t) for t in
+            (tuple(flat[a:b]) for a, b in zip([0] + ends, ends))]
 
 
 def masked_sum(terms, size: int) -> np.ndarray:
     """Sum of ``mask * value`` over (mask, value) terms, added in order.
 
-    Values are finite and nonnegative, so an unset entry adds an exact
-    0.0 and each entry equals the sequential Python sum over its set
-    terms bit for bit.
+    Each value is added only where its mask is set, so each entry equals
+    the sequential Python sum over its set terms bit for bit.
     """
     out = np.zeros(size)
     for mask, value in terms:
-        out += mask * value
+        np.add(out, value, out=out, where=mask)
     return out
 
 
@@ -245,8 +250,8 @@ def validate_network(net: Network, cap: int = DEFAULT_SUBSET_CAP,
              - masked_sum(zip(members, row), size))
     # with one demand node no strict subset exists: vacuously pooled
     hall_gap = float(slack.min()) if size else float("inf")
-    violating = [(mask_indices(members[:, s]), float(slack[s]))
-                 for s in np.flatnonzero(slack <= 0)]
+    bad = np.flatnonzero(slack <= 0)
+    violating = list(zip(mask_indices(members[:, bad]), slack[bad].tolist()))
     return ValidationReport(
         normalized=abs(original_mass - 1.0) > NORMALIZATION_TOL,
         original_mass=float(original_mass),

@@ -96,6 +96,7 @@ def tune(net: Network, cfg: TuneConfig, tune_beta: bool = False) -> TuneResult:
     n_elite = max(1, int(round(ELITE_FRAC * cfg.population)))
     trace = []
     best = (np.inf, None, None)     # a nan or infinite mean never enters
+    spaces = functools.cache(lambda K: StateSpace.enumerate(n, K))  # per K
 
     for it in range(n_iter):
         rep_seeds = [int(s.generate_state(1)[0]) for s in
@@ -113,7 +114,7 @@ def tune(net: Network, cfg: TuneConfig, tune_beta: bool = False) -> TuneResult:
             net, np.random.default_rng(s), cfg.steps).tolist())
         for c, (alpha, beta) in enumerate(cands):
             vals = np.array(_evaluate(net, cfg, alpha, beta, rep_seeds,
-                                      events), dtype=float)
+                                      events, spaces), dtype=float)
             mean = float(np.nanmean(vals))
             finite = vals[np.isfinite(vals)]
             stderr = float(np.std(finite, ddof=1) / np.sqrt(len(finite))) \
@@ -141,7 +142,8 @@ def tune(net: Network, cfg: TuneConfig, tune_beta: bool = False) -> TuneResult:
     return TuneResult(best[1], best[2], best[0], trace)
 
 
-def _evaluate(net, cfg: TuneConfig, alpha, beta, seeds, events) -> list:
+def _evaluate(net, cfg: TuneConfig, alpha, beta, seeds, events,
+              spaces) -> list:
     """Objective of one candidate at each replication seed."""
     policy = SmwPolicy(net, alpha) if beta is None \
         else SmwPickupPolicy(net, alpha, beta)
@@ -159,7 +161,7 @@ def _evaluate(net, cfg: TuneConfig, alpha, beta, seeds, events) -> list:
                                         init).drop_fraction for s in seeds])
             continue
         if K not in tables:     # deterministic SMW: an atom per (row, origin)
-            space = StateSpace.enumerate(n, K)
+            space = spaces(K)
             _, source, _, tgt = transitions(net, policy, space)
             tables[K] = ((tgt * size).ravel().tolist(),
                          np.repeat(source == DROP, n).tolist(), space.rank)

@@ -114,6 +114,38 @@ def test_optimal_alpha_ring10_bit_for_bit():
     assert res == gamma(symmetric_ring(10), alpha)
 
 
+# optimal_alpha(random_crp(n, seed=0)) and its simplex iteration count for
+# the benchmark's base instances, recorded before the unit-column pivots
+CRP12_ALPHA_HEX = [
+    "0x1.1b3d847c379f8p-2", "0x1.7426d4fe54d3ap-3", "0x1.08795ef76a40ep-4",
+    "0x1.3b40b67a84ce2p-4", "0x1.6197fb49a0827p-6", "0x1.bd319f9316ac5p-9",
+    "0x1.0624dd2f1a9fcp-10", "0x1.e11094f71375ap-5",
+    "0x1.0624dd2f1a9fcp-10", "0x1.3ff202a0c3244p-2",
+    "0x1.0624dd2f1a9fcp-10", "0x1.0624dd2f1a9fcp-10",
+]
+CRP15_ALPHA_HEX = [
+    "0x1.e9abd61aa4d3ep-3", "0x1.5eaa442ba32e1p-4", "0x1.247f2d82e9b52p-3",
+    "0x1.0624dd2f1aa03p-10", "0x1.0624dd2f1aa03p-10",
+    "0x1.0624dd2f1aa03p-10", "0x1.0624dd2f1aa03p-10",
+    "0x1.705792a645ee5p-4", "0x1.0624dd2f1aa03p-10", "0x1.a0d027899860fp-3",
+    "0x1.ffa44d6c61055p-4", "0x1.32bf9b10fba06p-8", "0x1.2a15075c70a37p-4",
+    "0x1.0624dd2f1aa03p-10", "0x1.f63c3ea5f4b64p-6",
+]
+CRP_ALPHA_PINS = {12: (1003, CRP12_ALPHA_HEX), 15: (1948, CRP15_ALPHA_HEX)}
+
+
+@pytest.mark.parametrize("n", sorted(CRP_ALPHA_PINS))
+def test_optimal_alpha_random_crp_bit_for_bit(n, monkeypatch):
+    import smwsim.exponent as exponent
+    iterations = []
+    solve = exponent.solve_lp
+    monkeypatch.setattr(exponent, "solve_lp", lambda lp: (
+        lambda sol: iterations.append(sol.iterations) or sol)(solve(lp)))
+    alpha, _ = optimal_alpha(random_crp(n, seed=0))
+    hexes = [float(a).hex() for a in alpha]
+    assert (iterations[0], hexes) == CRP_ALPHA_PINS[n]
+
+
 def test_optimal_alpha_validates_once(monkeypatch):
     import smwsim.exponent as exponent
     calls = []
@@ -133,6 +165,17 @@ def test_example1_gamma():
     assert res.critical_subsets == ((0,),)
     res = gamma(net, [1 - 1e-3, 1e-3])
     assert res.gamma == pytest.approx(0.999 * LOG2, abs=1e-12)
+
+
+def test_boundary_mass_is_the_sequential_sum():
+    rng = np.random.default_rng(0)
+    for seed in range(5):
+        net = random_crp(6, seed=seed)
+        for alpha in rng.dirichlet(np.ones(net.n_supply), size=5):
+            for st, b, c in gamma(net, alpha).per_subset:
+                ref = float(sum(alpha[i] for i in st.boundary))
+                assert (b.hex(), c.hex()) == (ref.hex(),
+                                              (ref * st.log_ratio).hex())
 
 
 def test_gamma_requires_pooling():

@@ -1,3 +1,4 @@
+import hashlib
 import subprocess
 import sys
 import threading
@@ -190,3 +191,102 @@ def test_transportation_feasible_under_pooling():
     flow = solve_transportation(net.col_rates(), net.row_rates(),
                                 np.zeros((2, 2)), support=list(net.edges))
     assert np.allclose(flow.sum(axis=0), net.row_rates(), atol=1e-9)
+
+
+def _fuzzed_lps():
+    """The LPs of the fuzzed and degenerate tests above, drawn the same
+    way, plus mixed ones with free, shifted, capped and equality columns
+    and rows, some equality rows repeated."""
+    rng = np.random.default_rng(0)
+    for _ in range(60):
+        nvar = int(rng.integers(1, 8))
+        nrow = int(rng.integers(1, 6))
+        A = rng.normal(size=(nrow, nvar))
+        b = A @ rng.uniform(0, 1, nvar) + rng.uniform(0, 1, nrow)
+        c = rng.normal(size=nvar)
+        yield LinearProgram(c=c, a_ub=A, b_ub=b, upper=np.full(nvar, 10.0))
+    rng = np.random.default_rng(1)
+    for _ in range(20):
+        nvar = int(rng.integers(2, 12))
+        A = rng.normal(size=(2 * nvar, nvar))
+        b = np.concatenate([np.zeros(nvar), np.ones(nvar)])
+        yield LinearProgram(c=rng.normal(size=nvar), a_ub=A, b_ub=b)
+    rng = np.random.default_rng(2)
+    for _ in range(100):
+        nvar = int(rng.integers(1, 8))
+        A = rng.normal(size=(int(rng.integers(0, 6)), nvar))
+        a_eq = rng.normal(size=(int(rng.integers(0, 3)), nvar))
+        if a_eq.size and rng.random() < 0.5:
+            a_eq = np.vstack([a_eq, a_eq[:1]])
+        x0 = rng.uniform(-1, 1, nvar)
+        lower = np.where(rng.random(nvar) < 0.3, -np.inf,
+                         rng.uniform(-2, 0.5, nvar))
+        upper = np.where(rng.random(nvar) < 0.4, rng.uniform(0.6, 3, nvar),
+                         np.inf)
+        yield LinearProgram(c=rng.normal(size=nvar), a_ub=A,
+                            b_ub=A @ x0 + rng.uniform(-0.3, 1, len(A)),
+                            a_eq=a_eq, b_eq=a_eq @ x0, lower=lower,
+                            upper=upper)
+
+
+# sha256 over (status, x bytes, iterations) of every _fuzzed_lps() solve,
+# recorded before the unit-column pivots and the in-place phase 2
+FUZZED_LP_DIGEST = (
+    "4cabd69b06f44a16c6a889f09c0430ef86b01ae6d1f6c4e030c86e1575c657e7")
+
+
+def test_fuzzed_lps_pinned_bit_for_bit():
+    h = hashlib.sha256()
+    statuses = set()
+    for lp in _fuzzed_lps():
+        sol = solve_lp(lp)
+        statuses.add(sol.status)
+        h.update(sol.status.encode())
+        h.update(b"" if sol.x is None else sol.x.tobytes())
+        h.update(sol.iterations.to_bytes(4, "little"))
+    assert statuses == {"optimal", "unbounded", "infeasible"}
+    assert h.hexdigest() == FUZZED_LP_DIGEST
+
+
+def test_repeated_equality_row_changes_nothing():
+    # the copy is redundant: phase 1 leaves an artificial basic on a row
+    # with nothing to pivot on, and solve_lp zeroes that row
+    a_ub, b_ub = [[0.0, 1.0, 0.0]], [0.5]
+    row = [1.0, 1.0, 1.0]
+    once = solve_lp(LinearProgram(c=[1.0, 2.0, 0.5], a_ub=a_ub, b_ub=b_ub,
+                                  a_eq=[row], b_eq=[1.0]))
+    twice = solve_lp(LinearProgram(c=[1.0, 2.0, 0.5], a_ub=a_ub, b_ub=b_ub,
+                                   a_eq=[row, row], b_eq=[1.0, 1.0]))
+    assert once.status == twice.status == "optimal"
+    assert once.x.tobytes() == twice.x.tobytes()
+    assert once.x == pytest.approx([0.5, 0.5, 0.0], abs=1e-12)
+
+
+def test_nearly_redundant_row_leaves_the_problem():
+    # the third equality row is the sum of the first two up to about
+    # 1e-13: phase 1 ends with nothing above PIVOT_TOL to pivot on in it,
+    # so it must drop out; left in, its residue turns into a phase-2
+    # ratio candidate and the returned x is far from optimal
+    from scipy.optimize import linprog
+    a_eq = [[0.3252706467612809, -1.3886097110085291, -1.0248841884418924,
+             1.361959178339191, 1.0966867114337753],
+            [1.1585241863069546, -1.065595725691116, -0.8037341619873573,
+             -1.1137768173402771, -0.364269510562863],
+            [1.483794833067904, -2.4542054366999566, -1.828618350429958,
+             0.24818236100100213, 0.7324172008707767]]
+    lp = LinearProgram(
+        c=[-1.037878087198072, 1.106116635165383, -1.0949397172957842,
+           0.4266755453075035, -0.8917844877383474],
+        a_ub=[[-41.52694080531683, -19.131355826522782, -0.9426731460007378,
+               -6.209035421070916, 2.505032837100199],
+              [82.46348183845575, -34.38033274710818, 4.8471806940836695,
+               67.65554540752763, -66.87377686316017]],
+        b_ub=[-22.004820066383804, 11.275422800919689], a_eq=a_eq,
+        b_eq=[0.8116058823184996, -2.356024773489474, -1.5444188911699643],
+        upper=np.full(5, 5.0))
+    ref = linprog(-lp.c, A_ub=lp.a_ub, b_ub=lp.b_ub, A_eq=lp.a_eq,
+                  b_eq=lp.b_eq, bounds=list(zip(lp.lower, lp.upper)),
+                  method="highs")
+    sol = solve_lp(lp)
+    assert ref.status == 0 and sol.status == "optimal"
+    assert sol.objective == pytest.approx(-ref.fun, abs=1e-9)
