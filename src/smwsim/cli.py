@@ -19,16 +19,15 @@ import numpy as np
 from . import instances
 from .chain import stationary_drop_probability
 from .exponent import (
+    DEFAULT_EPS_FLOOR,
     PoolingViolationError,
     gamma,
     most_likely_path,
     optimal_alpha,
     uniform_alpha,
 )
-from .lp import solve_transportation
 from .network import (
     NetworkError,
-    build_network,
     load_network,
     save_network,
     validate_network,
@@ -38,6 +37,7 @@ from .sim import (
     TimedConfig,
     estimate_exponent,
     fleet_requirement,
+    fluid_flow,
     proportional_init,
     run_jump_chain,
     run_timed,
@@ -50,9 +50,10 @@ EXIT_ASSUMPTION = 2
 EXIT_RUNTIME = 3
 
 
-def _config_hash(d: dict) -> str:
-    return hashlib.sha1(
-        json.dumps(d, sort_keys=True, default=str).encode()).hexdigest()[:12]
+def _config_hash(args) -> str:
+    """Hash of the parsed options; a non-JSON option value raises."""
+    d = {k: v for k, v in vars(args).items() if k != "fn"}
+    return hashlib.sha1(json.dumps(d, sort_keys=True).encode()).hexdigest()[:12]
 
 
 def _emit(rows, header, out):
@@ -66,29 +67,17 @@ def _emit(rows, header, out):
             fh.close()
 
 
-def _parse_alpha(text):
-    return np.array([float(v) for v in text.split(",")])
-
-
-def _make_policy(net, name, eps_floor, seed=0):
+def _make_policy(net, name, eps_floor):
     """Policy from a CLI name: vanilla | smw-optimal | fluid | smw:<a,b,...>
     or a path to a policy-spec JSON file."""
     if name == "vanilla":
         return vanilla_policy(net)
-    if name == "smw-optimal":
-        alpha, _ = optimal_alpha(net, eps_floor)
-        p = SmwPolicy(net, alpha)
-        p.name = "smw-optimal"
-        return p
     if name == "fluid":
-        cost = np.zeros((net.n_supply, net.n_demand))
-        if net.pickup_time is not None:
-            cost = net.pickup_time[:net.n_supply, :net.n_demand]
-        flow = solve_transportation(net.col_rates(), net.row_rates(), cost,
-                                    support=list(net.edges))
-        return FluidPolicy(net, flow)
-    if name.startswith("smw:"):
-        p = SmwPolicy(net, _parse_alpha(name[4:]))
+        return FluidPolicy(net, fluid_flow(net))
+    if name == "smw-optimal" or name.startswith("smw:"):
+        alpha = (optimal_alpha(net, eps_floor)[0] if name == "smw-optimal"
+                 else _float_list(name[4:]))
+        p = SmwPolicy(net, alpha)
         p.name = name
         return p
     with open(name) as fh:
@@ -109,15 +98,15 @@ def cmd_gamma(args):
     if args.optimal:
         alpha, res = optimal_alpha(net, args.eps_floor)
     else:
-        alpha = _parse_alpha(args.alpha) if args.alpha \
-            else uniform_alpha(net.n_supply)
+        alpha = args.alpha or uniform_alpha(net.n_supply)
         res = gamma(net, alpha)
     rows = [[",".join(map(str, st.members)), ",".join(map(str, st.boundary)),
              st.lambda_rate, st.mu_rate, b, c]
             for (st, b, c) in res.per_subset]
     _emit(rows, ["subset", "boundary", "lambda", "mu", "B", "contribution"],
           args.out)
-    summary = {"alpha": list(alpha), "gamma": res.to_json()["gamma"],
+    summary = {"alpha": list(alpha),
+               "gamma": "inf" if res.is_infinite else res.gamma,
                "critical_subsets": [list(s) for s in res.critical_subsets]}
     if not res.is_infinite:
         path = most_likely_path(net, alpha)
@@ -133,11 +122,9 @@ def cmd_generate(args):
         net = instances.example1(with_times=args.with_times)
     elif args.kind == "symmetric_ring":
         net = instances.symmetric_ring(args.n, with_times=args.with_times)
-    elif args.kind == "random_crp":
+    else:  # random_crp, the parser's last choice
         net = instances.random_crp(args.n, seed=args.seed, eta=args.eta,
                                    with_times=args.with_times)
-    else:
-        raise NetworkError(f"unknown instance kind {args.kind!r}")
     save_network(net, args.out)
     print(f"wrote {args.out}")
     return EXIT_OK
@@ -166,7 +153,7 @@ def cmd_exact(args):
 
 def cmd_sweep(args):
     net = load_network(args.network)
-    cfg_hash = _config_hash(vars(args))
+    cfg_hash = _config_hash(args)
     rows, failures = [], 0
     slopes = []
     for pname in args.policies:
@@ -214,7 +201,7 @@ def cmd_sweep(args):
 def cmd_transient(args):
     net = load_network(args.network)
     rng = np.random.default_rng(args.seed)
-    cfg_hash = _config_hash(vars(args))
+    cfg_hash = _config_hash(args)
     inits = [proportional_init(rng.dirichlet(np.ones(net.n_supply)), args.K)
              for _ in range(args.inits)]
     rows = []
@@ -266,44 +253,44 @@ def _float_list(text):
 
 def build_parser():
     ap = argparse.ArgumentParser(prog="smwsim")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--eps-floor", type=float, default=1e-3)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--out", default=None)
     sub = ap.add_subparsers(dest="command", required=True)
+    # shared options, each given only to the subcommands that read it
+    eps, seed, out = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    eps.add_argument("--eps-floor", type=float, default=DEFAULT_EPS_FLOOR)
+    seed.add_argument("--seed", type=int, default=0)
+    out.add_argument("--out", default=None)
 
-    def add(*a, **kw):
-        return sub.add_parser(*a, parents=[common], **kw)
+    # no prefix matching: sweep's --seeds must not answer to --seed
+    def add(name, fn, *parents, **kw):
+        p = sub.add_parser(name, parents=parents, allow_abbrev=False, **kw)
+        p.set_defaults(fn=fn)
+        return p
 
-    p = add("validate", help="check model assumptions")
+    p = add("validate", cmd_validate, help="check model assumptions")
     p.add_argument("network")
-    p.set_defaults(fn=cmd_validate)
 
-    p = add("gamma", help="exponent table")
+    p = add("gamma", cmd_gamma, eps, out, help="exponent table")
     p.add_argument("network")
-    p.add_argument("--alpha", default=None)
+    p.add_argument("--alpha", type=_float_list, default=None)
     p.add_argument("--optimal", action="store_true")
-    p.set_defaults(fn=cmd_gamma)
 
-    p = add("generate", help="emit a network instance")
+    p = add("generate", cmd_generate, seed, help="emit a network instance")
     p.add_argument("kind", choices=["example1", "symmetric_ring", "random_crp"])
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--eta", type=float, default=None)
     p.add_argument("--with-times", action="store_true")
-    p.set_defaults(fn=cmd_generate)
+    p.add_argument("--out", required=True)
 
-    p = add("fleet", help="Little's-law fleet sizing")
+    p = add("fleet", cmd_fleet, help="Little's-law fleet sizing")
     p.add_argument("network")
     p.add_argument("--total-rate", type=float, required=True)
-    p.set_defaults(fn=cmd_fleet)
 
-    p = add("exact", help="exact drop probabilities per K")
+    p = add("exact", cmd_exact, eps, out, help="exact drop probabilities per K")
     p.add_argument("network")
     p.add_argument("--policy", default="vanilla")
     p.add_argument("--K", type=_int_list, required=True)
-    p.set_defaults(fn=cmd_exact)
 
-    p = add("sweep", help="policies x K x seeds")
+    p = add("sweep", cmd_sweep, eps, out, help="policies x K x seeds")
     p.add_argument("network")
     p.add_argument("--policies", type=lambda s: s.split(","),
                    default=["vanilla"])
@@ -314,9 +301,9 @@ def build_parser():
     p.add_argument("--timed", action="store_true")
     p.add_argument("--total-rate", type=float, default=1.0)
     p.add_argument("--horizon", type=float, default=10000.0)
-    p.set_defaults(fn=cmd_sweep)
 
-    p = add("transient", help="finite-horizon runs per initial state")
+    p = add("transient", cmd_transient, eps, seed, out,
+            help="finite-horizon runs per initial state")
     p.add_argument("network")
     p.add_argument("--policies", type=lambda s: s.split(","),
                    default=["vanilla"])
@@ -326,9 +313,9 @@ def build_parser():
     p.add_argument("--seeds", type=_int_list, default=[0])
     p.add_argument("--timed", action="store_true")
     p.add_argument("--total-rate", type=float, default=1.0)
-    p.set_defaults(fn=cmd_transient)
 
-    p = add("tune", help="simulation-based parameter search")
+    p = add("tune", cmd_tune, eps, seed, out,
+            help="simulation-based parameter search")
     p.add_argument("network")
     p.add_argument("--budget", type=int, default=400)
     p.add_argument("--population", type=int, default=20)
@@ -338,14 +325,15 @@ def build_parser():
     p.add_argument("--tune-beta", action="store_true",
                    help="also tune the pickup penalty of pickup-aware SMW "
                         "(needs pickup times)")
-    p.set_defaults(fn=cmd_tune)
 
     return ap
 
 
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse: 0 after --help, 2 on a usage error
+        return EXIT_OK if exc.code == 0 else EXIT_INPUT
     try:
         return args.fn(args)
     except PoolingViolationError as exc:

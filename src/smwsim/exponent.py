@@ -15,7 +15,6 @@ import numpy as np
 
 from .lp import LinearProgram, solve_lp
 from .network import (
-    DEFAULT_SUBSET_CAP,
     Network,
     mask_indices,
     masked_sum,
@@ -89,14 +88,14 @@ class RatePath:
     kl_rate: float
 
 
-def check_alpha(alpha, n: int, eps_floor: float = 0.0) -> np.ndarray:
+def check_alpha(alpha, n: int) -> np.ndarray:
     """Validate a scaling vector: positive, length n, sums to 1."""
     alpha = np.atleast_1d(np.array(alpha, dtype=float))
     if alpha.size != n:
         raise ValueError(f"alpha must have length {n}")
     if abs(alpha.sum() - 1.0) > 1e-12:
         raise ValueError("alpha must sum to 1")
-    if np.any(alpha < max(eps_floor, np.finfo(float).tiny)):
+    if np.any(alpha < np.finfo(float).tiny):
         raise ValueError("alpha entries must be strictly positive")
     return alpha
 
@@ -105,13 +104,13 @@ def uniform_alpha(n: int) -> np.ndarray:
     return np.full(n, 1.0 / n)
 
 
-def drainable_subsets(net: Network, cap: int = DEFAULT_SUBSET_CAP):
+def drainable_subsets(net: Network):
     """All nonempty strict demand subsets with positive drain rate.
 
     A subset is drainable when some of its demand carries supply to a
     destination outside its neighborhood (mu_rate > 0).
     """
-    members, nbrs = subset_table(net, cap)
+    members, nbrs = subset_table(net)
     # rates are nonnegative, so mu_rate > 0 exactly when some member has
     # demand toward a node outside the neighborhood; sum only those
     drains = np.any([members[j] & ~nbrs[phi_j > 0.0].all(axis=0)

@@ -15,6 +15,8 @@ from .network import (
 from .exponent import drainable_subsets
 
 MIN_PICKUP_MINUTES = 3.0
+EDGE_PROB = 0.6       # chance of each edge in a random_crp draw
+MAX_TRIES = 2000      # random_crp draws before giving up
 
 
 def pickup_from_travel(travel: np.ndarray) -> np.ndarray:
@@ -66,8 +68,7 @@ def symmetric_ring(n: int, with_times: bool = False) -> Network:
 
 
 def random_crp(n: int, seed: int = 0, eta: float | None = None,
-               edge_prob: float = 0.6, with_times: bool = False,
-               max_tries: int = 2000) -> Network:
+               with_times: bool = False) -> Network:
     """Rejection-sample a square instance until pooling holds.
 
     Demand entries are exponential draws (optionally symmetrized with
@@ -76,12 +77,12 @@ def random_crp(n: int, seed: int = 0, eta: float | None = None,
     holds, the instance is nontrivial, and some subset is drainable.
     """
     rng = np.random.default_rng(seed)
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         phi = rng.exponential(1.0, size=(n, n))
         if eta is not None:
             phi = symmetrize_demand(phi, eta)
         edges = {(i, j) for i in range(n) for j in range(n)
-                 if rng.random() < edge_prob}
+                 if rng.random() < EDGE_PROB}
         for j in range(n):
             if not any(e[1] == j for e in edges):
                 edges.add((int(rng.integers(n)), j))
@@ -100,4 +101,4 @@ def random_crp(n: int, seed: int = 0, eta: float | None = None,
         if report.crp_holds and report.nontrivial and drainable_subsets(net):
             return net
     raise RuntimeError(
-        f"no pooled instance found in {max_tries} tries (n={n}, seed={seed})")
+        f"no pooled instance found in {MAX_TRIES} tries (n={n}, seed={seed})")

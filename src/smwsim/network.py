@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
 NORMALIZATION_TOL = 1e-12
-DEFAULT_SUBSET_CAP = 20
+SUBSET_CAP = 20  # most demand nodes whose subsets are enumerated
 
 
 class NetworkError(ValueError):
@@ -23,7 +23,7 @@ class NetworkError(ValueError):
 
 
 class SubsetCapError(NetworkError):
-    """Raised when exact subset enumeration would exceed the configured cap."""
+    """Raised when exact subset enumeration would exceed SUBSET_CAP."""
 
 
 @dataclass(frozen=True)
@@ -182,18 +182,18 @@ def adjacency(net: Network) -> np.ndarray:
     return adj
 
 
-def subset_table(net: Network, cap: int = DEFAULT_SUBSET_CAP):
+def subset_table(net: Network):
     """Every nonempty strict demand subset as one column of two boolean masks.
 
     Columns follow ``itertools.combinations`` order (size, then
     lexicographic); this is the alpha LP's row order.  Returns the
     m x (2^m - 2) member mask and the n x (2^m - 2) neighborhood mask,
-    the OR of the members' adjacency masks.  Guarded by a hard cap on m.
+    the OR of the members' adjacency masks.  Guarded by SUBSET_CAP on m.
     """
     m = net.n_demand
-    if m > cap:
-        raise SubsetCapError(
-            f"{m} demand nodes exceed the subset enumeration cap ({cap})")
+    if m > SUBSET_CAP:
+        raise SubsetCapError(f"{m} demand nodes exceed the subset "
+                             f"enumeration cap ({SUBSET_CAP})")
     # bit m-1-j of a code marks demand node j, so within one size the
     # lexicographic order of member tuples is descending code order
     codes = np.arange(1, (1 << m) - 1)
@@ -230,7 +230,7 @@ def masked_sum(terms, size: int) -> np.ndarray:
     return out
 
 
-def validate_network(net: Network, cap: int = DEFAULT_SUBSET_CAP,
+def validate_network(net: Network,
                      original_mass: float = 1.0) -> ValidationReport:
     """Check the two model assumptions and compute structural constants.
 
@@ -244,7 +244,7 @@ def validate_network(net: Network, cap: int = DEFAULT_SUBSET_CAP,
     col = net.col_rates()
     nontrivial = bool(np.any((net.phi > 0) & ~adjacency(net)))
 
-    members, nbrs = subset_table(net, cap)
+    members, nbrs = subset_table(net)
     size = members.shape[1]
     slack = (masked_sum(zip(nbrs, col), size)
              - masked_sum(zip(members, row), size))

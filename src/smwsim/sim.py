@@ -255,6 +255,16 @@ def run_timed(net: Network, policy: Policy, cfg: TimedConfig,
                    else math.nan)
 
 
+def fluid_flow(net: Network) -> np.ndarray:
+    """Min-pickup-cost transportation flow (n x m) from supply inflow to
+    demand rates over the edges; zero cost without pickup times."""
+    cost = np.zeros((net.n_supply, net.n_demand))
+    if net.pickup_time is not None:
+        cost = net.pickup_time[:net.n_supply, :net.n_demand]
+    return solve_transportation(net.col_rates(), net.row_rates(), cost,
+                                list(net.edges))
+
+
 @dataclass
 class FleetRequirement:
     k_in_transit: float
@@ -271,11 +281,8 @@ def fleet_requirement(net: Network, total_rate: float) -> FleetRequirement:
         :net.n_demand, :net.n_supply]))
     k_pickup = 0.0
     if net.pickup_time is not None:
-        lam = net.col_rates()
-        mu = net.row_rates()
         cost = net.pickup_time[:net.n_supply, :net.n_demand]
-        flow = solve_transportation(lam, mu, cost, list(net.edges))
-        k_pickup = total_rate * float(np.sum(flow * cost))
+        k_pickup = total_rate * float(np.sum(fluid_flow(net) * cost))
     return FleetRequirement(k_transit, k_pickup,
                             int(math.ceil(k_transit + k_pickup)))
 

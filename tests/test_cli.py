@@ -1,11 +1,16 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import smwsim
 from smwsim import save_network
-from smwsim.cli import main
+from smwsim.cli import build_parser, main
 from smwsim.instances import example1, example1_crp_violated
 
 
@@ -68,6 +73,14 @@ def test_gamma_optimal(net_file, tmp_path, capsys):
     summary = json.loads(capsys.readouterr().out)
     assert summary["alpha"] == pytest.approx([0.999, 0.001], abs=1e-9)
     assert summary["gamma"] == pytest.approx(0.999 * math.log(2))
+
+
+def test_gamma_given_alpha(net_file, tmp_path, capsys):
+    out = str(tmp_path / "table.csv")
+    assert main(["gamma", net_file, "--alpha", "0.75,0.25", "--out", out]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["alpha"] == [0.75, 0.25]
+    assert summary["gamma"] == pytest.approx(0.75 * math.log(2))
 
 
 def test_gamma_on_violating_instance_exits_2(bad_net_file, capsys):
@@ -161,3 +174,80 @@ def test_tune_beta_needs_pickup_times(net_file, capsys):
     assert main(["tune", net_file, "--budget", "20", "--steps", "100",
                  "--tune-beta"]) == 1
     assert "pickup time" in capsys.readouterr().err
+
+
+# minimal valid arguments per subcommand, and the shared options it reads
+SUBCOMMANDS = {
+    "validate": ([], set()),
+    "fleet": (["--total-rate", "1.0"], set()),
+    "generate": (["--out", "{tmp}/gen.json"], {"seed", "out"}),
+    "gamma": ([], {"eps_floor", "out"}),
+    "exact": (["--K", "1"], {"eps_floor", "out"}),
+    "sweep": (["--K", "1", "--steps", "100"], {"eps_floor", "out"}),
+    "transient": (["--K", "1", "--inits", "1", "--horizons", "5"],
+                  {"eps_floor", "seed", "out"}),
+    "tune": (["--budget", "2", "--population", "2", "--steps", "50",
+              "--K", "1"], {"eps_floor", "seed", "out"}),
+}
+SHARED = {"eps_floor": ["--eps-floor", "0.01"], "seed": ["--seed", "1"],
+          "out": ["--out", "{tmp}/out.txt"]}
+
+
+@pytest.fixture
+def timed_net_file(tmp_path):
+    path = tmp_path / "city.json"
+    save_network(example1(with_times=True), path)
+    return str(path)
+
+
+def argv_for(command, path, tmp_path):
+    extra, _ = SUBCOMMANDS[command]
+    head = [command, "example1"] if command == "generate" else [command, path]
+    return [a.format(tmp=tmp_path) for a in head + extra]
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_each_subcommand_takes_the_shared_options_it_reads(
+        command, timed_net_file, tmp_path):
+    args = build_parser().parse_args(argv_for(command, timed_net_file,
+                                              tmp_path))
+    assert set(vars(args)) & set(SHARED) == SUBCOMMANDS[command][1]
+
+
+@pytest.mark.parametrize("command, option", [
+    (c, o) for c, (_, takes) in SUBCOMMANDS.items()
+    for o in SHARED if o not in takes])
+def test_an_unread_shared_option_is_a_usage_error(
+        command, option, timed_net_file, tmp_path, capsys):
+    argv = argv_for(command, timed_net_file, tmp_path)
+    argv += [a.format(tmp=tmp_path) for a in SHARED[option]]
+    assert main(argv) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "out.txt").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["exact", "{net}"],                        # missing required --K
+    ["gamma", "{net}", "--bogus"],             # unknown option
+    ["generate", "example1"],                  # missing required --out
+    ["frobnicate"],                            # unknown subcommand
+])
+def test_usage_error_is_input_error(argv, net_file, capsys):
+    assert main([a.format(net=net_file) for a in argv]) == 1
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    assert main(["sweep", "--help"]) == 0
+    assert "--eps-floor" in capsys.readouterr().out
+
+
+def test_sweep_config_hash_is_stable_across_processes(net_file, tmp_path):
+    src = str(Path(smwsim.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    argv = [sys.executable, "-m", "smwsim.cli", "sweep", net_file,
+            "--K", "2", "--steps", "200"]
+    hashes = [{row[-1] for row in csv.reader(subprocess.run(
+        argv, env=env, check=True, capture_output=True,
+        text=True).stdout.splitlines()[1:])} for _ in range(2)]
+    assert len(hashes[0]) == 1 and hashes[0] == hashes[1]

@@ -92,8 +92,11 @@ def test_drainable_subsets_equal_reference_loop():
 
 
 def test_drainable_subsets_cap():
+    n = 22
+    net = build_network(n, n, [(i, j) for i in range(n) for j in range(n)],
+                        np.full((n, n), 1.0))
     with pytest.raises(SubsetCapError):
-        drainable_subsets(random_crp(4, seed=0), cap=3)
+        drainable_subsets(net)
 
 
 # optimal_alpha(symmetric_ring(10)) bit for bit.  The LP is degenerate

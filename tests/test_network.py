@@ -134,8 +134,6 @@ def test_subset_cap():
     net = build_network(n, n, edges, phi)
     with pytest.raises(SubsetCapError):
         validate_network(net)
-    with pytest.raises(SubsetCapError):
-        validate_network(example1(), cap=1)
 
 
 def test_symmetrize_demand():

@@ -19,7 +19,7 @@ from smwsim import (
 from smwsim.network import build_network
 from smwsim.policies import NO_COMPATIBLE_SUPPLY, POLICY_DECLINED
 from smwsim.sim import (_SAMPLE_BLOCK, _event_sampler, draw_events,
-                        proportional_init)
+                        fluid_flow, proportional_init)
 from smwsim.instances import example1, random_crp, symmetric_ring
 
 
@@ -162,6 +162,17 @@ def test_fleet_requirement_matches_bruteforce():
     brute = sum(2.0 * city.phi[j, k] * city.travel_time[j, k]
                 for j in range(6) for k in range(6))
     assert fr.k_in_transit == pytest.approx(brute, abs=1e-9)
+
+
+@pytest.mark.parametrize("net, cost", [
+    (symmetric_ring(4, with_times=True),
+     symmetric_ring(4, with_times=True).pickup_time),
+    (example1(), np.zeros((2, 2))),
+])
+def test_fluid_flow_is_the_min_pickup_cost_transportation(net, cost):
+    direct = solve_transportation(net.col_rates(), net.row_rates(), cost,
+                                  support=list(net.edges))
+    assert fluid_flow(net).tobytes() == direct.tobytes()
 
 
 def test_estimate_exponent_exact_decay():
