@@ -12,6 +12,7 @@ import argparse
 import csv
 import hashlib
 import json
+import re
 import sys
 
 import numpy as np
@@ -251,6 +252,21 @@ def _float_list(text):
     return [float(v) for v in text.split(",")]
 
 
+# a policy name; the numbers of an smw:<a1,a2,...> spec stay with it
+_POLICY = re.compile(r"smw:[^,]*(?:,[-+]?[\d.]+(?:[eE][-+]?\d+)?(?=,|$))*"
+                     r"|[^,]+")
+# options a (command, mode) does not read; None marks one not given, and
+# _parse_args fills in these defaults after its check
+_UNREAD = {("gamma", "optimal"): ["alpha"],
+           ("sweep", "exact"): ["seeds", "timed", "steps", "total_rate",
+                                "horizon"],
+           ("sweep", "timed"): ["steps"],
+           ("sweep", None): ["total_rate", "horizon"],
+           ("transient", None): ["total_rate"]}
+_MODE_DEFAULTS = {"seeds": [0], "timed": False, "steps": 100000,
+                  "total_rate": 1.0, "horizon": 10000.0}
+
+
 def build_parser():
     ap = argparse.ArgumentParser(prog="smwsim")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -292,27 +308,25 @@ def build_parser():
 
     p = add("sweep", cmd_sweep, eps, out, help="policies x K x seeds")
     p.add_argument("network")
-    p.add_argument("--policies", type=lambda s: s.split(","),
-                   default=["vanilla"])
+    p.add_argument("--policies", type=_POLICY.findall, default=["vanilla"])
     p.add_argument("--K", type=_int_list, required=True)
-    p.add_argument("--seeds", type=_int_list, default=[0])
-    p.add_argument("--steps", type=int, default=100000)
+    p.add_argument("--seeds", type=_int_list)
+    p.add_argument("--steps", type=int)
     p.add_argument("--exact", action="store_true")
-    p.add_argument("--timed", action="store_true")
-    p.add_argument("--total-rate", type=float, default=1.0)
-    p.add_argument("--horizon", type=float, default=10000.0)
+    p.add_argument("--timed", action="store_true", default=None)
+    p.add_argument("--total-rate", type=float)
+    p.add_argument("--horizon", type=float)
 
     p = add("transient", cmd_transient, eps, seed, out,
             help="finite-horizon runs per initial state")
     p.add_argument("network")
-    p.add_argument("--policies", type=lambda s: s.split(","),
-                   default=["vanilla"])
+    p.add_argument("--policies", type=_POLICY.findall, default=["vanilla"])
     p.add_argument("--K", type=int, required=True)
     p.add_argument("--inits", type=int, default=4)
     p.add_argument("--horizons", type=_float_list, default=[30, 60, 90, 120])
     p.add_argument("--seeds", type=_int_list, default=[0])
     p.add_argument("--timed", action="store_true")
-    p.add_argument("--total-rate", type=float, default=1.0)
+    p.add_argument("--total-rate", type=float)
 
     p = add("tune", cmd_tune, eps, seed, out,
             help="simulation-based parameter search")
@@ -329,9 +343,25 @@ def build_parser():
     return ap
 
 
+def _parse_args(argv):
+    """Parsed argv; an option the chosen mode ignores is a usage error."""
+    ap = build_parser()
+    args = ap.parse_args(argv)
+    a = vars(args)
+    mode = next((m for m in ("optimal", "exact", "timed") if a.get(m)), None)
+    for name in _UNREAD.get((args.command, mode), ()):
+        if a[name] is not None:
+            ap.error(f"--{name.replace('_', '-')} is not read " +
+                     (f"with --{mode}" if mode else "without --timed"))
+    for name, default in _MODE_DEFAULTS.items():
+        if a.get(name, default) is None:
+            a[name] = default
+    return args
+
+
 def main(argv=None):
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:  # argparse: 0 after --help, 2 on a usage error
         return EXIT_OK if exc.code == 0 else EXIT_INPUT
     try:

@@ -41,9 +41,11 @@ class Policy:
     queues is a list of ints or an integer array (same decisions), and
     dispatch_table(states, origin): the exact decisions of one origin over
     a state matrix (rows x n) as [(source per row or DROP, prob)], one
-    atom if deterministic, so the chain oracle can expand mixtures."""
+    atom if deterministic, so the chain oracle can expand mixtures.
+    ``randomized`` says whether dispatch draws from rng."""
 
     name = "base"
+    randomized = False
 
     def __init__(self, net: Network):
         self.net = net
@@ -146,6 +148,7 @@ class FluidPolicy(Policy):
     """
 
     name = "fluid"
+    randomized = True
 
     def __init__(self, net: Network, flow_table):
         super().__init__(net)

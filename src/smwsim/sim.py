@@ -10,6 +10,7 @@ import time
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -20,6 +21,7 @@ from .policies import DROP, Policy
 DEFAULT_JUMP_WARMUP_FRAC = 0.1
 DEFAULT_TIMED_WARMUP_FRAC = 0.2
 _SAMPLE_BLOCK = 1 << 16
+_GAP_CHUNK = 1 << 12     # batched gaps drawn at a time, within a block
 
 
 @dataclass
@@ -85,19 +87,28 @@ def draw_events(net: Network, rng, size: int) -> np.ndarray:
     return rng.choice(net.phi.size, size=size, p=net.phi.ravel())
 
 
-def _event_sampler(net: Network, rng):
-    """Yield (origin, destination) pairs drawn from phi, block-buffered."""
+def _arrival_blocks(net: Network, rng, scale: float, batched: bool):
+    """Per chunk of a block, zip((origin, destination), gap to the next
+    arrival), drawn in the order of one scalar gap per arrival; unless
+    ``batched``, the gap is None and the caller draws it after dispatch.
+    Gaps become floats one at a time, through a memoryview: a list of
+    floats per chunk fragments the heap of a process that keeps reports."""
     pairs = [divmod(d, net.phi.shape[1]) for d in range(net.phi.size)]
     while True:
-        yield from map(pairs.__getitem__,
-                       draw_events(net, rng, _SAMPLE_BLOCK).tolist())
+        codes = draw_events(net, rng, _SAMPLE_BLOCK).tolist()
+        for lo in range(0, _SAMPLE_BLOCK, _GAP_CHUNK):
+            gaps = memoryview(rng.exponential(scale, _GAP_CHUNK)) if batched \
+                else repeat(None)
+            yield zip(map(pairs.__getitem__, codes[lo:lo + _GAP_CHUNK]), gaps)
+        del codes       # freed before the next block is drawn
 
 
 def _report(t0, seed, warmup, arrivals_by_origin, drops_by_origin,
-            drops_by_reason, q, occ, mark, points, K, **timed) -> SimReport:
-    """Assemble a SimReport.  ``occ[i]`` sums queue i over the first
-    ``mark[i]`` of ``points`` samples; it has been ``q[i]`` since."""
-    occ = [o + x * (points - s) for o, x, s in zip(occ, q, mark)]
+            drops_by_reason, q, acc, points, K, **timed) -> SimReport:
+    """Assemble a SimReport.  A move at sample s adds s to ``acc`` at its
+    destination and takes s from its source, so queue i summed over the
+    ``points`` samples is q[i] * points - acc[i]."""
+    occ = [x * points - a for x, a in zip(q, acc)]
     arrivals, drops = sum(arrivals_by_origin), sum(drops_by_origin)
     a = np.array(arrivals_by_origin)
     return SimReport(
@@ -129,37 +140,41 @@ def run_jump_chain(net: Network, policy: Policy, K: int, steps: int,
     q = _initial_queues(policy, n, K, init)
 
     rng = np.random.default_rng(seed)
-    arrivals_by_origin = [0] * net.n_demand
+    pairs = [divmod(d, net.phi.shape[1]) for d in range(net.phi.size)]
+    measured = np.zeros(net.phi.size, dtype=np.int64)   # arrivals per code
     drops_by_origin = [0] * net.n_demand
     drops_by_reason = Counter()
-    # occ[i] sums q[i] over the measured steps before mark[i], the step
-    # where q[i] last changed; the rest is added when it next changes
-    occ, mark = [0] * n, [0] * n
+    acc = [0] * n       # see _report
     dispatch = policy.dispatch
 
-    # t counts measured steps; the warmup runs at t < 0
-    for t, (origin, dest) in zip(range(-warmup, steps - warmup),
-                                 _event_sampler(net, rng)):
-        dec = dispatch(q, origin, rng)
-        src = dec.source
-        if src != DROP:
-            s = t if t > 0 else 0
-            occ[src] += q[src] * (s - mark[src])
-            mark[src] = s
-            q[src] -= 1
-            occ[dest] += q[dest] * (s - mark[dest])
-            mark[dest] = s
-            q[dest] += 1
-        if check_conservation:
-            assert sum(q) == K and min(q) >= 0
-        if t >= 0:
-            arrivals_by_origin[origin] += 1
-            if src == DROP:
+    # t counts measured steps; the warmup runs at t < 0.  Splitting a draw
+    # keeps the events, but a randomized policy's draws follow whole blocks
+    for start in range(-warmup, steps - warmup, _SAMPLE_BLOCK):
+        size = min(_SAMPLE_BLOCK, steps - warmup - start)
+        codes = draw_events(net, rng, _SAMPLE_BLOCK if policy.randomized
+                            else size)[:size]
+        measured += np.bincount(codes[max(-start, 0):],
+                                minlength=net.phi.size)
+        for t, (origin, dest) in zip(range(start, start + size),
+                                     map(pairs.__getitem__, codes.tolist())):
+            dec = dispatch(q, origin, rng)
+            src = dec.source
+            if src != DROP:
+                s = t if t > 0 else 0
+                acc[src] -= s
+                acc[dest] += s
+                q[src] -= 1
+                q[dest] += 1
+            elif t >= 0:
                 drops_by_origin[origin] += 1
                 drops_by_reason[dec.reason] += 1
+            if check_conservation:
+                assert sum(q) == K and min(q) >= 0
+        del codes       # freed before the next block is drawn
 
-    return _report(t0, seed, warmup, arrivals_by_origin, drops_by_origin,
-                   drops_by_reason, q, occ, mark, steps - warmup, K)
+    return _report(t0, seed, warmup,
+                   measured.reshape(net.phi.shape).sum(axis=1).tolist(),
+                   drops_by_origin, drops_by_reason, q, acc, steps - warmup, K)
 
 
 def run_timed(net: Network, policy: Policy, cfg: TimedConfig,
@@ -190,46 +205,41 @@ def run_timed(net: Network, policy: Policy, cfg: TimedConfig,
         raise ValueError("horizon too short to leave the warmup window")
 
     rng = np.random.default_rng(seed)
-    events = _event_sampler(net, rng)
     travel = net.travel_time.tolist()
     pickup = net.pickup_time.tolist() if with_pickup else None
     scale = 1.0 / cfg.total_rate
+    batched = not policy.randomized
     in_transit = []     # heap of (return time, destination)
-    clock = 0.0
     arrivals = served = 0   # measured arrivals are the occupancy samples
     arrivals_by_origin = [0] * net.n_demand
     drops_by_origin = [0] * net.n_demand
     drops_by_reason = Counter()
-    occ, mark = [0] * n, [0] * n     # as in run_jump_chain, per arrival
+    acc = [0] * n       # see _report
     transit_area = 0.0   # time integral of in-transit count after warmup
     since = warmup_t     # counted up to here; event times never decrease
     trip_minutes = 0.0
     dispatch = policy.dispatch
 
-    while True:
-        clock += rng.exponential(scale)
+    clock = rng.exponential(scale)      # drawn before the first block
+    for (origin, dest), gap in chain.from_iterable(
+            _arrival_blocks(net, rng, scale, batched)):
         if clock > horizon:
-            if horizon > since:
-                transit_area += (horizon - since) * len(in_transit)
             break
         while in_transit and in_transit[0][0] <= clock:
             rt, k = heapq.heappop(in_transit)
             if rt > since:
                 transit_area += (rt - since) * (len(in_transit) + 1)
                 since = rt
-            occ[k] += q[k] * (arrivals - mark[k])
-            mark[k] = arrivals
+            acc[k] += arrivals
             q[k] += 1
         if clock > since:
             transit_area += (clock - since) * len(in_transit)
             since = clock
 
-        origin, dest = next(events)
         dec = dispatch(q, origin, rng)
         src = dec.source
         if src != DROP:
-            occ[src] += q[src] * (arrivals - mark[src])
-            mark[src] = arrivals
+            acc[src] -= arrivals
             q[src] -= 1
             trip = travel[origin][dest]
             if with_pickup:
@@ -246,9 +256,12 @@ def run_timed(net: Network, policy: Policy, cfg: TimedConfig,
                 trip_minutes += trip
         if check_conservation:
             assert sum(q) + len(in_transit) == cfg.k_tot and min(q) >= 0
+        clock += gap if batched else rng.exponential(scale)
+    if horizon > since:
+        transit_area += (horizon - since) * len(in_transit)
 
     return _report(t0, seed, 0, arrivals_by_origin, drops_by_origin,
-                   drops_by_reason, q, occ, mark, arrivals, cfg.k_tot,
+                   drops_by_reason, q, acc, arrivals, cfg.k_tot,
                    mean_in_transit=transit_area / (horizon - warmup_t),
                    served=served,
                    mean_trip_minutes=trip_minutes / served if served

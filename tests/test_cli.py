@@ -11,7 +11,8 @@ import pytest
 import smwsim
 from smwsim import save_network
 from smwsim.cli import build_parser, main
-from smwsim.instances import example1, example1_crp_violated
+from smwsim.instances import (example1, example1_crp_violated,
+                              symmetric_ring)
 
 
 @pytest.fixture
@@ -251,3 +252,44 @@ def test_sweep_config_hash_is_stable_across_processes(net_file, tmp_path):
         argv, env=env, check=True, capture_output=True,
         text=True).stdout.splitlines()[1:])} for _ in range(2)]
     assert len(hashes[0]) == 1 and hashes[0] == hashes[1]
+
+
+def test_policies_keep_an_smw_alpha_together(tmp_path):
+    path, out = str(tmp_path / "ring.json"), str(tmp_path / "sweep.csv")
+    save_network(symmetric_ring(4), path)
+    spec = "smw:0.3,0.2,0.2,0.3"
+    assert main(["sweep", path, "--policies", f"vanilla,{spec},smw-optimal",
+                 "--K", "3,4", "--exact", "--out", out]) == 0
+    assert [r[0] for r in read_csv(out)[1:]] == \
+        ["vanilla"] * 2 + [spec] * 2 + ["smw-optimal"] * 2
+    args = build_parser().parse_args(
+        ["transient", path, "--K", "3", "--policies", f"{spec},1e-3.json"])
+    assert args.policies == [spec, "1e-3.json"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--K", "2", "--exact", "--seeds", "0,1"],
+    ["sweep", "--K", "2", "--exact", "--steps", "5"],
+    ["sweep", "--K", "2", "--exact", "--horizon", "3"],
+    ["sweep", "--K", "2", "--exact", "--timed"],
+    ["sweep", "--K", "2", "--exact", "--total-rate", "2"],
+    ["sweep", "--K", "2", "--timed", "--steps", "5"],
+    ["sweep", "--K", "2", "--horizon", "3"],
+    ["sweep", "--K", "2", "--total-rate", "2"],
+    ["transient", "--K", "2", "--total-rate", "2"],
+    ["gamma", "--optimal", "--alpha", "0.5,0.5"],
+], ids=" ".join)
+def test_an_option_the_mode_ignores_is_a_usage_error(
+        argv, timed_net_file, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert main([argv[0], timed_net_file, *argv[1:], "--out", str(out)]) == 1
+    assert "is not read" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_timed_reads_its_options(timed_net_file, tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", timed_net_file, "--K", "3", "--timed",
+                 "--total-rate", "2", "--horizon", "50", "--seeds", "0,1",
+                 "--out", str(out)]) == 0
+    assert [r[2] for r in read_csv(out)[1:]] == ["0", "1", "aggregate"]

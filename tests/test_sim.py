@@ -1,4 +1,5 @@
 import math
+from itertools import chain, islice
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from smwsim import (
 )
 from smwsim.network import build_network
 from smwsim.policies import NO_COMPATIBLE_SUPPLY, POLICY_DECLINED
-from smwsim.sim import (_SAMPLE_BLOCK, _event_sampler, draw_events,
+from smwsim.sim import (_SAMPLE_BLOCK, _arrival_blocks, draw_events,
                         fluid_flow, proportional_init)
 from smwsim.instances import example1, random_crp, symmetric_ring
 
@@ -120,13 +121,30 @@ def test_negative_fleet_size_rejected():
 
 @pytest.mark.parametrize("steps", [15_000, 70_000])
 def test_draw_events_is_the_sampler_stream(steps):
+    """Blocks of min(block, steps left) events, and the timed loop's
+    chunked gaps, replay one scalar gap and one event per arrival."""
     assert 15_000 < _SAMPLE_BLOCK < 70_000  # within one block, across two
     net = random_crp(3, seed=1)
     n = net.phi.shape[1]
-    flat = draw_events(net, np.random.default_rng(9), steps).tolist()
-    sampler = _event_sampler(net, np.random.default_rng(9))
-    pairs = [next(sampler) for _ in range(steps)]
-    assert [divmod(e, n) for e in flat] == pairs
+    flat = draw_events(net, np.random.default_rng(9), steps)
+    rng = np.random.default_rng(9)
+    blocks = [draw_events(net, rng, min(_SAMPLE_BLOCK, steps - lo))
+              for lo in range(0, steps, _SAMPLE_BLOCK)]
+    assert np.array_equal(np.concatenate(blocks), flat)
+
+    # scalar reference: the first gap, then per arrival its event (a new
+    # block when the last is used up) and the gap to the next arrival
+    rng, scalar = np.random.default_rng(9), []
+    first = rng.exponential(0.5)
+    for i in range(steps):
+        if i % _SAMPLE_BLOCK == 0:
+            block = draw_events(net, rng, _SAMPLE_BLOCK).tolist()
+        scalar.append((divmod(block[i % _SAMPLE_BLOCK], n),
+                       rng.exponential(0.5)))
+    rng = np.random.default_rng(9)
+    assert rng.exponential(0.5) == first
+    stream = chain.from_iterable(_arrival_blocks(net, rng, 0.5, True))
+    assert list(islice(stream, steps)) == scalar
 
 
 def test_timed_requires_travel_matrix():
@@ -311,3 +329,76 @@ def test_drops_by_reason(timed):
     assert fluid.drops_by_reason[POLICY_DECLINED] > 0
     assert fluid.drops_by_reason[NO_COMPATIBLE_SUPPLY] > 0
     assert sum(fluid.drops_by_reason.values()) == fluid.drops
+
+
+def _block_run(cell):
+    mode, kind, seed = cell[0], cell[1], cell[-1]
+    if mode == "jump":
+        net = symmetric_ring(6)
+        steps, warmup = cell[2:4]
+        rep = run_jump_chain(net, _pin_policy(net, kind), 12, steps,
+                             warmup=warmup, seed=seed)
+    else:
+        net = random_crp(3, seed=2, with_times=True)
+        pol = _pin_policy(net, kind, decline=0.2 if kind == "fluid" else 0.0)
+        rep = run_timed(net, pol, TimedConfig(2.0, 70000.0, 12),
+                        with_pickup=True, seed=seed)
+    fields = [rep.drop_fraction, *rep.occupancy_mean, rep.mean_in_transit,
+              rep.mean_trip_minutes]
+    return (rep.arrivals, rep.drops, rep.served,
+            [None if v is None else float(v).hex() for v in fields],
+            rep.drops_by_reason)
+
+
+# Runs that cross _SAMPLE_BLOCK: about 140k timed arrivals, a jump warmup
+# that ends inside the second block, and exactly two blocks with no
+# warmup.  Recorded from the simulators that drew one exponential gap per
+# arrival and one event at a time from a block-buffered generator.
+PINNED_BLOCKS = {
+    ("timed+pickup", "vanilla", 21): (111576, 72444, 39132, [
+        "0x1.4c6e59fa29bd6p-1", "0x1.2b30961277201p-5",
+        "0x1.8d02c267f39ddp-5", "0x1.dcbeeb2794768p-9",
+        "0x1.52bc332666a14p+3", "0x1.e4c80c131e5d8p+3"],
+        {NO_COMPATIBLE_SUPPLY: 72444}),
+    ("timed+pickup", "fluid", 22): (112280, 66768, 45512, [
+        "0x1.3076c79554f1bp-1", "0x1.24837fc284c6ap-4",
+        "0x1.10e57c25f6b8dp-4", "0x1.e684c0658f9acp-5",
+        "0x1.27135a12c255fp+3", "0x1.6b10c810c81dcp+3"],
+        {NO_COMPATIBLE_SUPPLY: 44344, POLICY_DECLINED: 22424}),
+    ("timed+pickup", "smw-pickup", 23): (111971, 70706, 41265, [
+        "0x1.434fa7126385ep-1", "0x1.fe1266d6eebf3p-6",
+        "0x1.68cf42e391795p-5", "0x1.0481399ec8e44p-7",
+        "0x1.5451445209684p+3", "0x1.cdce82938cd87p+3"],
+        {NO_COMPATIBLE_SUPPLY: 70706}),
+    ("jump", "vanilla", 200_000, 70_000, 31): (130000, 71, None, [
+        "0x1.1e57874334b66p-11", "0x1.9e552d00e4893p-3",
+        "0x1.81404944112eap-3", "0x1.61f56f362ec74p-3",
+        "0x1.44f8be236f86dp-3", "0x1.284d62053af37p-3",
+        "0x1.112efa5c3106ap-3", None, None],
+        {NO_COMPATIBLE_SUPPLY: 71}),
+    ("jump", "vanilla", 131_072, 0, 32): (131072, 49, None, [
+        "0x1.8800000000000p-12", "0x1.9d78000000000p-3",
+        "0x1.7f4b000000000p-3", "0x1.6428aaaaaaaabp-3",
+        "0x1.45b4555555555p-3", "0x1.28b2aaaaaaaabp-3",
+        "0x1.10ad555555555p-3", None, None],
+        {NO_COMPATIBLE_SUPPLY: 49}),
+    ("jump", "fluid", 200_000, 70_000, 31): (130000, 38193, None, [
+        "0x1.2cd7e4056b58cp-2", "0x1.55e124ba3b416p-3",
+        "0x1.4e9180a55a34ep-3", "0x1.5b95157a4d676p-3",
+        "0x1.5027d362966afp-3", "0x1.548954df084ecp-3",
+        "0x1.5b471ce47e68bp-3", None, None],
+        {NO_COMPATIBLE_SUPPLY: 38193}),
+    ("jump", "fluid", 131_072, 0, 32): (131072, 38343, None, [
+        "0x1.2b8e000000000p-2", "0x1.41a0000000000p-3",
+        "0x1.5f07aaaaaaaabp-3", "0x1.6b61555555555p-3",
+        "0x1.47b0555555555p-3", "0x1.4797000000000p-3",
+        "0x1.64afaaaaaaaabp-3", None, None],
+        {NO_COMPATIBLE_SUPPLY: 38343}),
+}
+
+
+@pytest.mark.parametrize("cell", list(PINNED_BLOCKS),
+                         ids=lambda c: "/".join(map(str, c)))
+def test_outputs_pinned_across_sample_blocks(cell):
+    assert 131_072 == 2 * _SAMPLE_BLOCK < 140_000   # 2.0/min * 70000 min
+    assert _block_run(cell) == PINNED_BLOCKS[cell]
