@@ -9,18 +9,14 @@ rate matrix, and the min-drift variational speed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .lp import LinearProgram, solve_lp
-from .network import (
-    Network,
-    mask_indices,
-    masked_sum,
-    subset_table,
-    validate_network,
-)
+# not called here, but the benchmark tracer patches validate_network here
+from .network import (Network, hall_slack, mask_indices, masked_sum,
+                      subset_table, validate_network)  # noqa: F401
 
 TIE_RTOL = 1e-9
 SIMPLEX_TOL = 1e-9
@@ -56,11 +52,22 @@ class SubsetStats:
         return math.log(self.lambda_rate / self.mu_rate)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExponentResult:
     gamma: float                  # math.inf when no subset is drainable
     critical_subsets: tuple       # argmin subsets (members tuples)
-    per_subset: tuple             # (SubsetStats, boundary mass, contribution)
+    _columns: tuple = field(repr=False)  # subset columns, mass, contribution
+
+    @property
+    def per_subset(self) -> tuple:
+        """(SubsetStats, boundary mass, contribution) per drainable subset."""
+        cols, mass, contrib = self._columns
+        return tuple(zip(_stats(*cols), mass.tolist(), contrib.tolist()))
+
+    def __eq__(self, other):
+        return isinstance(other, ExponentResult) and (
+            (self.gamma, self.critical_subsets, self.per_subset)
+            == (other.gamma, other.critical_subsets, other.per_subset))
 
     @property
     def is_infinite(self) -> bool:
@@ -110,53 +117,62 @@ def drainable_subsets(net: Network):
     A subset is drainable when some of its demand carries supply to a
     destination outside its neighborhood (mu_rate > 0).
     """
-    members, nbrs = subset_table(net)
+    return _stats(*_drainable(net, *subset_table(net)))
+
+
+def _stats(members, boundary, lam, mu) -> list:
+    return list(map(SubsetStats, mask_indices(members), mask_indices(boundary),
+                    lam.tolist(), mu.tolist()))
+
+
+def _drainable(net: Network, members, nbrs):
+    """Columns (members, boundary, lambda, mu) of the drainable subsets."""
     # rates are nonnegative, so mu_rate > 0 exactly when some member has
     # demand toward a node outside the neighborhood; sum only those
     drains = np.any([members[j] & ~nbrs[phi_j > 0.0].all(axis=0)
                      for j, phi_j in enumerate(net.phi)], axis=0)
-    members, nbrs = members[:, drains], nbrs[:, drains]
+    members, nbrs = members.compress(drains, 1), nbrs.compress(drains, 1)
     others, outside, size = ~members, ~nbrs, members.shape[1]
     pairs = [(j, k) for j in range(net.n_demand) for k in range(net.n_supply)]
     mu = masked_sum(((members[j] & outside[k], net.phi[j, k])
                      for j, k in pairs), size)
     lam = masked_sum(((others[j] & nbrs[k], net.phi[j, k])
                       for j, k in pairs), size)
-    return list(map(SubsetStats, mask_indices(members), mask_indices(nbrs),
-                    lam.tolist(), mu.tolist()))
+    return members, nbrs, lam, mu
 
 
-def _require_pooling(net: Network):
-    report = validate_network(net)
-    if not report.crp_holds:
-        J, slack = min(report.violating_subsets, key=lambda t: t[1])
-        raise PoolingViolationError(J, slack)
+def _pooled_subsets(net: Network):
+    """Drainable subsets and their log ratios (``math.log``, as SubsetStats)
+    from one subset table.  The Hall check raises PoolingViolationError on
+    the least slack, the first in table order on ties."""
+    members, nbrs = subset_table(net)
+    slack = hall_slack(net, members, nbrs)
+    if slack.size and slack.min() <= 0:
+        k = int(slack.argmin())
+        raise PoolingViolationError(mask_indices(members[:, [k]])[0],
+                                    float(slack[k]))
+    cols = _drainable(net, members, nbrs)
+    return cols, np.array([math.log(a / b) for a, b in
+                           zip(cols[2].tolist(), cols[3].tolist())])
 
 
 def gamma(net: Network, alpha) -> ExponentResult:
     """Decay exponent of SMW(alpha): min over drainable subsets of
     (resting supply mass on the boundary) * log(inflow/outflow)."""
     alpha = check_alpha(alpha, net.n_supply)
-    _require_pooling(net)
-    return _gamma(alpha, drainable_subsets(net))
+    return _exponent(alpha, *_pooled_subsets(net))
 
 
-def _gamma(alpha, subsets) -> ExponentResult:
+def _exponent(alpha, cols, log_ratio) -> ExponentResult:
     """gamma on a pooled network's drainable subsets, alpha already checked."""
-    if not subsets:
-        return ExponentResult(math.inf, (), ())
-    # one mass per distinct boundary, summed a position at a time in its
-    # order; index -1 reads an exact 0.0 appended to alpha: sum()'s bits
-    bounds = list(dict.fromkeys(st.boundary for st in subsets))
-    width = max(map(len, bounds))
-    pad = np.array([b + (-1,) * (width - len(b)) for b in bounds])
-    mass = dict(zip(bounds, sum(np.append(alpha, 0.0)[pad.T]).tolist()))
-    per = [(st, b, b * st.log_ratio)
-           for st, b in zip(subsets, [mass[st.boundary] for st in subsets])]
-    best = min(c for (_, _, c) in per)
-    crit = tuple(sorted(st.members for (st, _, c) in per
-                        if c <= best * (1 + TIE_RTOL) + 1e-300))
-    return ExponentResult(float(best), crit, tuple(per))
+    members, boundary = cols[:2]
+    # each mass adds alpha a node at a time in ascending order: sum()'s bits
+    mass = masked_sum(zip(boundary, alpha), log_ratio.size)
+    contrib = mass * log_ratio
+    best = float(contrib.min(initial=math.inf))
+    crit = np.flatnonzero(contrib <= best * (1 + TIE_RTOL) + 1e-300)
+    return ExponentResult(best, tuple(sorted(mask_indices(members[:, crit]))),
+                          (cols, mass, contrib))
 
 
 def optimal_alpha(net: Network, eps_floor: float = DEFAULT_EPS_FLOOR):
@@ -170,32 +186,28 @@ def optimal_alpha(net: Network, eps_floor: float = DEFAULT_EPS_FLOOR):
     n = net.n_supply
     if not 0.0 < eps_floor < 1.0 / n:
         raise ValueError("eps_floor must lie in (0, 1/n)")
-    _require_pooling(net)
-    subsets = drainable_subsets(net)
-    if not subsets:
+    cols, log_ratio = _pooled_subsets(net)
+    if not log_ratio.size:
         a = uniform_alpha(n)
-        return a, _gamma(a, subsets)
+        return a, _exponent(a, cols, log_ratio)
 
     # variables: alpha_0..alpha_{n-1}, t; one row t - log_ratio * B(alpha) <= 0
     nv = n + 1
     c = np.zeros(nv)
     c[-1] = 1.0
-    sizes = [len(st.boundary) for st in subsets]
-    rows = np.repeat(np.arange(len(subsets)), sizes)
-    cols = np.concatenate([st.boundary for st in subsets])
-    a_ub = np.zeros((len(subsets), nv))
+    a_ub = np.zeros((log_ratio.size, nv))
+    a_ub[:, :n] = np.where(cols[1].T, -log_ratio[:, None], 0.0)
     a_ub[:, -1] = 1.0
-    a_ub[rows, cols] = np.repeat([-st.log_ratio for st in subsets], sizes)
     a_eq = np.zeros((1, nv))
     a_eq[0, :n] = 1.0
     lower = np.full(nv, eps_floor)
     lower[-1] = -np.inf
-    sol = solve_lp(LinearProgram(c=c, a_ub=a_ub, b_ub=np.zeros(len(subsets)),
+    sol = solve_lp(LinearProgram(c=c, a_ub=a_ub, b_ub=np.zeros(log_ratio.size),
                                  a_eq=a_eq, b_eq=np.array([1.0]), lower=lower))
     if sol.status != "optimal":
         raise RuntimeError(f"optimal-alpha LP returned {sol.status}")
     alpha = sol.x[:n] / sol.x[:n].sum()
-    return alpha, _gamma(check_alpha(alpha, n), subsets)
+    return alpha, _exponent(check_alpha(alpha, n), cols, log_ratio)
 
 
 def kl_rate(f, phi) -> float:
@@ -224,23 +236,18 @@ def most_likely_path(net: Network, alpha) -> RatePath:
     is left at its typical rate.
     """
     alpha = check_alpha(alpha, net.n_supply)
-    res = gamma(net, alpha)
+    res = _exponent(alpha, *_pooled_subsets(net))
     if res.is_infinite:
         raise ValueError("no drainable subset: most likely path undefined")
     jstar = res.critical_subsets[0]
-    st = next(s for (s, _, _) in res.per_subset if s.members == jstar)
-    bset, jset = set(st.boundary), set(jstar)
-    ratio = st.lambda_rate / st.mu_rate
+    (members, boundary, lam, mu), mass, _ = res._columns
+    inside = np.isin(np.arange(net.n_demand), jstar)
+    k = np.flatnonzero((members.T == inside).all(axis=1))[0]
+    bnd, lam, mu = boundary[:, k], float(lam[k]), float(mu[k])
     f = net.phi.copy()
-    for j in range(net.n_demand):
-        for k in range(net.n_supply):
-            if j in jset and k not in bset:
-                f[j, k] *= ratio
-            elif j not in jset and k in bset:
-                f[j, k] /= ratio
-    b_mass = float(sum(alpha[i] for i in st.boundary))
-    drain_time = b_mass / (st.lambda_rate - st.mu_rate)
-    return RatePath(f, jstar, drain_time, kl_rate(f, net.phi))
+    f[np.ix_(inside, ~bnd)] *= lam / mu
+    f[np.ix_(~inside, bnd)] /= lam / mu
+    return RatePath(f, jstar, float(mass[k]) / (lam - mu), kl_rate(f, net.phi))
 
 
 def lyapunov(alpha, x) -> float:

@@ -196,15 +196,14 @@ def subset_table(net: Network):
                              f"enumeration cap ({SUBSET_CAP})")
     # bit m-1-j of a code marks demand node j, so within one size the
     # lexicographic order of member tuples is descending code order
-    codes = np.arange(1, (1 << m) - 1)
+    codes = np.arange((1 << m) - 2, 0, -1)
     members = np.stack([((codes >> (m - 1 - j)) & 1).astype(bool)
                         for j in range(m)])
-    members = members[:, np.lexsort((-codes, members.sum(axis=0)))]
+    size = members.sum(axis=0, dtype=np.uint8)   # a radix sort for uint8
+    members = members.take(np.argsort(size, kind="stable"), axis=1)
     adj = adjacency(net)
-    nbrs = np.zeros((net.n_supply, codes.size), dtype=bool)
-    for j in range(m):
-        nbrs[adj[j]] |= members[j]
-    return members, nbrs
+    return members, np.stack([members[adj[:, i]].any(axis=0)
+                              for i in range(net.n_supply)])
 
 
 def mask_indices(masks) -> list:
@@ -230,6 +229,13 @@ def masked_sum(terms, size: int) -> np.ndarray:
     return out
 
 
+def hall_slack(net: Network, members, nbrs) -> np.ndarray:
+    """Per ``subset_table`` column: neighborhood inflow minus member demand."""
+    size = members.shape[1]
+    return (masked_sum(zip(nbrs, net.col_rates()), size)
+            - masked_sum(zip(members, net.row_rates()), size))
+
+
 def validate_network(net: Network,
                      original_mass: float = 1.0) -> ValidationReport:
     """Check the two model assumptions and compute structural constants.
@@ -240,16 +246,12 @@ def validate_network(net: Network,
     inequality is strictly reversed, its deficit is an unavoidable drop
     fraction, reported as ``epsilon_floor_drop``.
     """
-    row = net.row_rates()
-    col = net.col_rates()
     nontrivial = bool(np.any((net.phi > 0) & ~adjacency(net)))
 
     members, nbrs = subset_table(net)
-    size = members.shape[1]
-    slack = (masked_sum(zip(nbrs, col), size)
-             - masked_sum(zip(members, row), size))
+    slack = hall_slack(net, members, nbrs)
     # with one demand node no strict subset exists: vacuously pooled
-    hall_gap = float(slack.min()) if size else float("inf")
+    hall_gap = float(slack.min(initial=np.inf))
     bad = np.flatnonzero(slack <= 0)
     violating = list(zip(mask_indices(members[:, bad]), slack[bad].tolist()))
     return ValidationReport(
@@ -258,7 +260,7 @@ def validate_network(net: Network,
         nontrivial=nontrivial,
         crp_holds=hall_gap > 0,
         hall_gap=hall_gap,
-        lambda_min=float(col.min()),
+        lambda_min=float(net.col_rates().min()),
         violating_subsets=violating,
         epsilon_floor_drop=max(0.0, -hall_gap),
     )

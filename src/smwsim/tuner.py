@@ -21,6 +21,7 @@ follows from one input:
 from __future__ import annotations
 
 import functools
+from array import array
 from dataclasses import dataclass, field
 from math import comb
 
@@ -29,8 +30,8 @@ import numpy as np
 from .chain import StateSpace, transitions
 from .network import Network
 from .policies import DROP, SmwPolicy, SmwPickupPolicy
-from .sim import (DEFAULT_JUMP_WARMUP_FRAC, TimedConfig, _initial_queues,
-                  draw_events, run_jump_chain, run_timed)
+from .sim import (_SAMPLE_BLOCK, DEFAULT_JUMP_WARMUP_FRAC, TimedConfig,
+                  _initial_queues, draw_events, run_jump_chain, run_timed)
 
 DEFAULT_CONCENTRATION = 8.0
 CONCENTRATION_GROWTH = 1.25
@@ -109,9 +110,8 @@ def tune(net: Network, cfg: TuneConfig, tune_beta: bool = False) -> TuneResult:
             cands.append((alpha, beta))
 
         scored = []
-        # each seed's stream, drawn once: what run_jump_chain would draw
-        events = functools.cache(lambda s: draw_events(
-            net, np.random.default_rng(s), cfg.steps).tolist())
+        # each seed's stream, drawn once
+        events = functools.cache(lambda s: _stream(net, s, cfg.steps))
         for c, (alpha, beta) in enumerate(cands):
             vals = np.array(_evaluate(net, cfg, alpha, beta, rep_seeds,
                                       events, spaces), dtype=float)
@@ -170,6 +170,17 @@ def _evaluate(net, cfg: TuneConfig, alpha, beta, seeds, events,
         vals.append([_walk(table, drop, start, events(s), warmup)
                      / (steps - warmup) for s in seeds])
     return [float(np.mean(v)) for v in zip(*vals)]
+
+
+def _stream(net, seed, steps) -> array:
+    """The events run_jump_chain draws at seed, drawn block by block into
+    2-byte codes while the codes fit (numpy reads the type code alike)."""
+    rng = np.random.default_rng(seed)
+    out = array("H" if net.phi.size <= 1 << 16 else "I")
+    for lo in range(0, steps, _SAMPLE_BLOCK):
+        block = draw_events(net, rng, min(_SAMPLE_BLOCK, steps - lo))
+        out.frombytes(block.astype(out.typecode).tobytes())
+    return out
 
 
 def _walk(table, drop, s, events, warmup) -> int:

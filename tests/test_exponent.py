@@ -17,6 +17,7 @@ from smwsim import (
     neighborhood,
     optimal_alpha,
     uniform_alpha,
+    validate_network,
 )
 from smwsim.instances import (
     example1,
@@ -24,7 +25,7 @@ from smwsim.instances import (
     random_crp,
     symmetric_ring,
 )
-from smwsim.network import SubsetCapError
+from smwsim.network import SubsetCapError, mask_indices, subset_table
 
 LOG2 = math.log(2)
 
@@ -149,16 +150,91 @@ def test_optimal_alpha_random_crp_bit_for_bit(n, monkeypatch):
     assert (iterations[0], hexes) == CRP_ALPHA_PINS[n]
 
 
-def test_optimal_alpha_validates_once(monkeypatch):
+def exponent_calls(net):
+    alpha = uniform_alpha(net.n_supply)
+    return (lambda: gamma(net, alpha), lambda: optimal_alpha(net),
+            lambda: most_likely_path(net, alpha))
+
+
+def test_one_subset_table_per_call(monkeypatch):
     import smwsim.exponent as exponent
-    calls = []
-    validate = exponent.validate_network
-    monkeypatch.setattr(exponent, "validate_network",
-                        lambda net: calls.append(net) or validate(net))
+    import smwsim.network as network
+    builds = []
+    table = network.subset_table
+    for module in (exponent, network):   # wherever a build is looked up
+        monkeypatch.setattr(module, "subset_table",
+                            lambda net: builds.append(net) or table(net))
     for net in (example1(), symmetric_ring(10)):
-        calls.clear()
-        optimal_alpha(net)
-        assert len(calls) == 1
+        for call in exponent_calls(net):
+            builds.clear()
+            call()
+            assert len(builds) == 1
+
+
+def test_pooling_check_raises_most_violated_subset():
+    from test_network import unpooled_random
+    # diagonal edges, slack per subset (0,) 1/4, (1,) 0, (2,) -1/4,
+    # (1, 2) -1/4 exactly: the tie goes to (2,), first in table order
+    tie = build_network(3, 3, [(i, i) for i in range(3)],
+                        [[1, 0, 0], [0, 1, 0], [1, 0, 1]])
+    nets = [unpooled_random(n, s) for n in range(3, 9) for s in range(20)]
+    nets += [example1_crp_violated(), tie]
+    violated = 0
+    for net in nets:
+        report = validate_network(net)
+        if report.crp_holds:
+            gamma(net, uniform_alpha(net.n_supply))
+            continue
+        violated += 1
+        J, slack = min(report.violating_subsets, key=lambda t: t[1])
+        for call in exponent_calls(net):
+            with pytest.raises(PoolingViolationError) as exc:
+                call()
+            assert (exc.value.subset, exc.value.slack.hex()) == (J, slack.hex())
+    assert violated > 20
+    with pytest.raises(PoolingViolationError) as exc:
+        gamma(tie, uniform_alpha(3))
+    assert (exc.value.subset, exc.value.slack) == ((2,), -0.25)
+
+
+def gamma_loop(net, alpha):
+    """(gamma, critical subsets, per-subset triples) from the reference
+    loop, each boundary mass a sequential sum()."""
+    per = [(st, b, b * st.log_ratio) for st in drainable_subsets_loop(net)
+           for b in [float(sum(alpha[i] for i in st.boundary))]]
+    best = min(c for (_, _, c) in per)
+    crit = tuple(sorted(st.members for (st, _, c) in per
+                        if c <= best * (1 + 1e-9) + 1e-300))
+    return best, crit, per
+
+
+def hexed(per):
+    return [(st, b.hex(), c.hex()) for (st, b, c) in per]
+
+
+def test_gamma_columns_equal_reference_loop():
+    rng = np.random.default_rng(7)
+    for n in range(3, 10):
+        for seed in range(5):
+            net = random_crp(n, seed=seed)
+            alpha = rng.dirichlet(np.ones(n))
+            res = gamma(net, alpha)
+            best, crit, per = gamma_loop(net, alpha)
+            assert res.gamma.hex() == best.hex()
+            assert res.critical_subsets == crit
+            assert hexed(res.per_subset) == hexed(per)
+
+
+def test_subset_table_columns_in_combinations_order():
+    for m in range(2, 13):
+        ring = [(j, j) for j in range(m)] + [((j + 1) % m, j) for j in range(m)]
+        net = build_network(m, m, ring, np.ones((m, m)))
+        members, nbrs = subset_table(net)
+        combos = [J for size in range(1, m)
+                  for J in itertools.combinations(range(m), size)]
+        assert mask_indices(members) == combos
+        assert mask_indices(nbrs) == [tuple(sorted(neighborhood(net, J)))
+                                      for J in combos]
 
 
 def test_example1_gamma():

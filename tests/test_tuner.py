@@ -9,11 +9,13 @@ from smwsim import (
     SmwPolicy,
     TimedConfig,
     TuneConfig,
+    build_network,
     run_jump_chain,
     run_timed,
     tune,
 )
 from smwsim.instances import example1, random_crp, symmetric_ring
+from smwsim.sim import draw_events
 
 
 @pytest.fixture(scope="module")
@@ -218,3 +220,15 @@ def test_transient_tune_rejects_a_malformed_state_as_the_simulator_does(init):
     with pytest.raises(ValueError) as tuned:
         tune(net, cfg)
     assert str(tuned.value) == str(direct.value)
+
+
+@pytest.mark.parametrize("n, steps, itemsize", [
+    (2, 1, 2), (2, (1 << 16) - 1, 2), (2, 2 * (1 << 16) + 3, 2),
+    (257, 1000, 4)])    # 257 * 257 event codes no longer fit two bytes
+def test_event_stream_equals_one_draw(n, steps, itemsize):
+    net = example1() if n == 2 else build_network(
+        n, n, [(i, i) for i in range(n)], np.ones((n, n)))
+    stream = tuner_module._stream(net, 11, steps)
+    assert stream.itemsize == itemsize
+    assert stream.tolist() == draw_events(
+        net, np.random.default_rng(11), steps).tolist()
