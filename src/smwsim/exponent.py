@@ -15,8 +15,8 @@ import numpy as np
 
 from .lp import LinearProgram, solve_lp
 # not called here, but the benchmark tracer patches validate_network here
-from .network import (Network, hall_slack, mask_indices, masked_sum,
-                      subset_table, validate_network)  # noqa: F401
+from .network import (Network, _nontrivial_pairs, hall_slack, mask_indices,
+                      masked_sum, subset_table, validate_network)  # noqa: F401
 
 TIE_RTOL = 1e-9
 SIMPLEX_TOL = 1e-9
@@ -64,26 +64,9 @@ class ExponentResult:
         cols, mass, contrib = self._columns
         return tuple(zip(_stats(*cols), mass.tolist(), contrib.tolist()))
 
-    def __eq__(self, other):
-        return isinstance(other, ExponentResult) and (
-            (self.gamma, self.critical_subsets, self.per_subset)
-            == (other.gamma, other.critical_subsets, other.per_subset))
-
     @property
     def is_infinite(self) -> bool:
         return math.isinf(self.gamma)
-
-    def to_json(self) -> dict:
-        return {
-            "gamma": "inf" if self.is_infinite else self.gamma,
-            "critical_subsets": [list(s) for s in self.critical_subsets],
-            "per_subset": [
-                {"subset": list(st.members), "boundary": list(st.boundary),
-                 "lambda": st.lambda_rate, "mu": st.mu_rate,
-                 "B": b, "contribution": c}
-                for (st, b, c) in self.per_subset
-            ],
-        }
 
 
 @dataclass(frozen=True)
@@ -127,17 +110,21 @@ def _stats(members, boundary, lam, mu) -> list:
 
 def _drainable(net: Network, members, nbrs):
     """Columns (members, boundary, lambda, mu) of the drainable subsets."""
-    # rates are nonnegative, so mu_rate > 0 exactly when some member has
-    # demand toward a node outside the neighborhood; sum only those
-    drains = np.any([members[j] & ~nbrs[phi_j > 0.0].all(axis=0)
-                     for j, phi_j in enumerate(net.phi)], axis=0)
-    members, nbrs = members.compress(drains, 1), nbrs.compress(drains, 1)
-    others, outside, size = ~members, ~nbrs, members.shape[1]
-    pairs = [(j, k) for j in range(net.n_demand) for k in range(net.n_supply)]
+    # rates are nonnegative, so mu_rate > 0 exactly when a member j has
+    # demand toward a node k outside the neighborhood; such a k never
+    # serves j, so only the nontrivial pairs drain or add to mu
+    pairs, outside = _nontrivial_pairs(net), ~nbrs
+    drains = np.zeros(members.shape[1], dtype=bool)
+    for j, k in pairs:
+        drains |= members[j] & outside[k]
+    members, nbrs, outside = (a.compress(drains, 1)
+                              for a in (members, nbrs, outside))
+    others, size = ~members, members.shape[1]
     mu = masked_sum(((members[j] & outside[k], net.phi[j, k])
                      for j, k in pairs), size)
     lam = masked_sum(((others[j] & nbrs[k], net.phi[j, k])
-                      for j, k in pairs), size)
+                      for j in range(net.n_demand)
+                      for k in range(net.n_supply)), size)
     return members, nbrs, lam, mu
 
 

@@ -12,7 +12,8 @@ from .network import (
     symmetrize_demand,
     validate_network,
 )
-from .exponent import drainable_subsets
+# not called here, but the benchmark tracer patches drainable_subsets here
+from .exponent import drainable_subsets  # noqa: F401
 
 MIN_PICKUP_MINUTES = 3.0
 EDGE_PROB = 0.6       # chance of each edge in a random_crp draw
@@ -74,7 +75,9 @@ def random_crp(n: int, seed: int = 0, eta: float | None = None,
     Demand entries are exponential draws (optionally symmetrized with
     weight eta before normalization); edges are random with each demand
     node guaranteed a neighbor.  Rejects until the pooling condition
-    holds, the instance is nontrivial, and some subset is drainable.
+    holds and the instance is nontrivial (some demand j has rate toward a
+    destination that does not serve j), which for n >= 2 is exactly when
+    some subset is drainable: {j} is.
     """
     rng = np.random.default_rng(seed)
     for _ in range(MAX_TRIES):
@@ -98,7 +101,7 @@ def random_crp(n: int, seed: int = 0, eta: float | None = None,
         except NetworkError:
             continue
         report = validate_network(net)
-        if report.crp_holds and report.nontrivial and drainable_subsets(net):
+        if report.crp_holds and report.nontrivial:
             return net
     raise RuntimeError(
         f"no pooled instance found in {MAX_TRIES} tries (n={n}, seed={seed})")

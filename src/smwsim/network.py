@@ -182,6 +182,15 @@ def adjacency(net: Network) -> np.ndarray:
     return adj
 
 
+def _nontrivial_pairs(net: Network) -> list:
+    """[j, k] pairs, row-major, where demand j has rate toward a
+    destination k that does not serve j.  With two or more demand nodes a
+    net has a drainable subset exactly when such a pair exists: {j}
+    drains through it, and a draining J drains through some j in J and
+    k outside N(J), which contains N(j)."""
+    return np.argwhere((net.phi > 0) & ~adjacency(net)).tolist()
+
+
 def subset_table(net: Network):
     """Every nonempty strict demand subset as one column of two boolean masks.
 
@@ -246,8 +255,6 @@ def validate_network(net: Network,
     inequality is strictly reversed, its deficit is an unavoidable drop
     fraction, reported as ``epsilon_floor_drop``.
     """
-    nontrivial = bool(np.any((net.phi > 0) & ~adjacency(net)))
-
     members, nbrs = subset_table(net)
     slack = hall_slack(net, members, nbrs)
     # with one demand node no strict subset exists: vacuously pooled
@@ -257,7 +264,7 @@ def validate_network(net: Network,
     return ValidationReport(
         normalized=abs(original_mass - 1.0) > NORMALIZATION_TOL,
         original_mass=float(original_mass),
-        nontrivial=nontrivial,
+        nontrivial=bool(_nontrivial_pairs(net)),
         crp_holds=hall_gap > 0,
         hall_gap=hall_gap,
         lambda_min=float(net.col_rates().min()),

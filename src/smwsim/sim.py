@@ -201,8 +201,8 @@ def run_timed(net: Network, policy: Policy, cfg: TimedConfig,
     q = _initial_queues(policy, n, cfg.k_tot, init)
     horizon = cfg.horizon_minutes
     warmup_t = cfg.warmup_frac * horizon
-    if warmup_t >= horizon:
-        raise ValueError("horizon too short to leave the warmup window")
+    if not 0 <= warmup_t < horizon:   # also rejects a NaN warmup_frac
+        raise ValueError("need horizon > warmup >= 0")
 
     rng = np.random.default_rng(seed)
     travel = net.travel_time.tolist()

@@ -1,0 +1,33 @@
+"""The benchmark records a digest of the `simulate` and `tune` results at
+each seed; one set-up and one round at seed 1 must replay it, so a change
+that moves a simulation draw or a tuner decision fails here as well as in
+the benchmark.  Reads the benchmark's files and writes none."""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return workloads
+
+
+@pytest.mark.parametrize("name", ["simulate", "tune"])
+def test_recorded_digest_replays_at_seed_1(workloads, name):
+    wl = workloads.WORKLOADS[name]()
+    state = wl.setup(1)
+    tally = workloads.Tally()
+    rnd = workloads.run_round(wl, state, tally)
+    assert tally.failures == []
+    out = wl.check(state, [rnd], 1)
+    assert "replay_recorded" in out
+    assert {k: v for k, v in out.items() if not v["ok"]} == {}

@@ -19,13 +19,15 @@ from smwsim import (
     uniform_alpha,
     validate_network,
 )
+import smwsim.instances as instances
 from smwsim.instances import (
     example1,
     example1_crp_violated,
     random_crp,
     symmetric_ring,
 )
-from smwsim.network import SubsetCapError, mask_indices, subset_table
+from smwsim.network import (Network, SubsetCapError, mask_indices,
+                            subset_table)
 
 LOG2 = math.log(2)
 
@@ -62,7 +64,6 @@ def test_full_flexibility_has_no_drainable_subset():
     assert drainable_subsets(net) == []
     res = gamma(net, [0.5, 0.5])
     assert res.is_infinite
-    assert res.to_json()["gamma"] == "inf"
 
 
 def drainable_subsets_loop(net):
@@ -92,6 +93,66 @@ def test_drainable_subsets_equal_reference_loop():
         assert drainable_subsets(net) == drainable_subsets_loop(net)
 
 
+def sparse_nets():
+    """Hand-built nets, square and not, with zero-rate pairs and sparse
+    edges (random_crp draws every rate positive)."""
+    # a 3-ring whose demand stays inside each neighborhood: trivial
+    ring = [(0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (0, 2)]
+    inside = [[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0]]
+    leak = [[1.0, 1.0, 0.5], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0]]
+    nets = [build_network(3, 3, ring, inside), build_network(3, 3, ring, leak),
+            build_network(3, 2, [(0, 0), (1, 0), (2, 1)],
+                          [[0.0, 2.0, 0.0], [1.0, 0.0, 0.0]])]
+    rng = np.random.default_rng(7)
+    for _ in range(40):
+        m, n = int(rng.integers(2, 6)), int(rng.integers(1, 6))
+        phi = rng.exponential(size=(m, n)) * (rng.random((m, n)) < 0.5)
+        phi[:, 0] += 0.1                       # no zero rows
+        edges = {(i, j) for i in range(n) for j in range(m)
+                 if rng.random() < 0.4}
+        edges |= {(int(rng.integers(n)), j) for j in range(m)}
+        edges |= {(i, int(rng.integers(m))) for i in range(n)}
+        nets.append(build_network(n, m, edges, phi))
+    return nets
+
+
+def test_drainable_exactly_when_nontrivial():
+    # with two or more demand nodes, {j} drains through any rate from j
+    # to a destination that does not serve j, and every draining subset
+    # contains such a j
+    nets = sparse_nets() + [example1(), example1_crp_violated(),
+                            symmetric_ring(10)]
+    seen = set()
+    for net in nets:
+        assert net.n_demand >= 2
+        nontrivial = validate_network(net).nontrivial
+        assert bool(drainable_subsets(net)) == nontrivial
+        seen.add(nontrivial)
+    assert seen == {False, True}
+
+
+def test_one_demand_node_is_the_exception():
+    # build_network makes every supply node serve the lone demand node,
+    # so a built one-demand net is trivial and has no strict subset
+    built = build_network(2, 1, [(0, 0), (1, 0)], [[0.5, 0.5]])
+    assert not validate_network(built).nontrivial
+    assert drainable_subsets(built) == []
+    # a raw Network with an edgeless supply node is nontrivial, yet no
+    # strict demand subset exists to drain
+    raw = Network(2, 1, frozenset({(0, 0)}), np.array([[0.5, 0.5]]))
+    assert validate_network(raw).nontrivial
+    assert drainable_subsets(raw) == []
+
+
+def test_random_crp_accepts_on_the_validation_report(monkeypatch):
+    calls = []
+    monkeypatch.setattr(instances, "drainable_subsets",
+                        lambda net: calls.append(net) or [])
+    for n in (2, 4, 8):
+        assert validate_network(random_crp(n, seed=3)).nontrivial
+    assert calls == []
+
+
 def test_drainable_subsets_cap():
     n = 22
     net = build_network(n, n, [(i, j) for i in range(n) for j in range(n)],
@@ -115,7 +176,9 @@ RING10_ALPHA_HEX = [
 def test_optimal_alpha_ring10_bit_for_bit():
     alpha, res = optimal_alpha(symmetric_ring(10))
     assert [float(a).hex() for a in alpha] == RING10_ALPHA_HEX
-    assert res == gamma(symmetric_ring(10), alpha)
+    again = gamma(symmetric_ring(10), alpha)
+    assert (res.gamma, res.critical_subsets, res.per_subset) == \
+        (again.gamma, again.critical_subsets, again.per_subset)
 
 
 # optimal_alpha(random_crp(n, seed=0)) and its simplex iteration count for

@@ -160,6 +160,16 @@ def test_timed_horizon_too_short():
         run_timed(net, vanilla_policy(net), cfg)
 
 
+@pytest.mark.parametrize("frac", [-0.5, math.nan])
+def test_timed_rejects_warmup_outside_the_horizon(frac):
+    # a negative warmup would divide the in-transit area by more than the
+    # horizon and read the mean in transit low
+    net = example1(with_times=True)
+    cfg = TimedConfig(1.0, 100, 2, warmup_frac=frac)
+    with pytest.raises(ValueError, match="warmup"):
+        run_timed(net, vanilla_policy(net), cfg)
+
+
 def test_fleet_requirement_values():
     # one origin, rate 1/min, 10-minute trip: 10 cars in transit
     net = build_network(2, 1, [(0, 0), (1, 0)], [[0.0, 1.0]],

@@ -1,3 +1,4 @@
+import math
 from math import comb
 
 import numpy as np
@@ -123,6 +124,14 @@ def test_tune_beta_scores_the_pickup_policy():
 def test_tune_beta_needs_pickup_times():
     with pytest.raises(ValueError, match="pickup time"):
         tune(example1(), TuneConfig(budget=20, steps=100), tune_beta=True)
+
+
+@pytest.mark.parametrize("frac", [-0.5, math.nan])
+def test_timed_tune_rejects_warmup_outside_the_horizon(frac):
+    cfg = TuneConfig(budget=20, timed=TimedConfig(1.0, 100.0, 4,
+                                                  warmup_frac=frac))
+    with pytest.raises(ValueError, match="warmup"):
+        tune(symmetric_ring(4, with_times=True), cfg)
 
 
 def test_timed_tune_runs_timed_with_pickup():
