@@ -81,7 +81,11 @@ class ChainSolution:
 
 def transitions(net: Network, policy: Policy, space: StateSpace):
     """Atoms in (row, origin, atom) order: row, source (a node or DROP),
-    rate phi[origin] * weight and next row (same if no move) per dest."""
+    rate phi[origin] * weight and next row (same if no move) per dest.
+
+    Adding e_d - e_s keeps lexicographic order, so the move from s to d
+    sends the k-th row with q_s > 0 to the k-th row with q_d > 0: next
+    rows come from that shift, with no per-move rank."""
     nstates = len(space.states)
     ori, src, w = zip(*[(j, src, w) for j in range(net.n_demand)
                         for src, w in policy.dispatch_table(space.states, j)])
@@ -92,11 +96,11 @@ def transitions(net: Network, policy: Policy, space: StateSpace):
     move = (pw != 0.0) & (source[:, None] != DROP) \
         & (source[:, None] != np.arange(net.n_supply))
     at, dest = np.nonzero(move)
-    nxt = space.states[row[at]]
-    nxt[np.arange(len(at)), source[at]] -= 1
-    nxt[np.arange(len(at)), dest] += 1
+    occupied = space.states > 0
+    pos = np.cumsum(occupied, axis=0) - 1       # index among rows with q_c > 0
+    nz = np.nonzero(occupied.T)[1].reshape(net.n_supply, -1)
     tgt = np.repeat(row[:, None], net.n_supply, axis=1)
-    tgt[move] = space.rank(nxt)
+    tgt[move] = nz[dest, pos[row[at], source[at]]]
     return row, source, pw, tgt
 
 
@@ -136,25 +140,30 @@ def _recurrent_class(P: sp.csr_matrix, start: int):
 def _dissection_order(states) -> np.ndarray:
     """Nested-dissection order of the rows of a state matrix.
 
-    A transition changes each coordinate by at most 1, so the states on a
-    plane q_c = m separate q_c < m from q_c > m, in every net and class.
-    Each split takes the plane of least separator size per state of its
-    smaller side, and orders lower side, upper side, then separator.
+    A transition changes each coordinate, and each pair sum q_a + q_b, by
+    at most 1, so the states on a plane q_c = m or q_a + q_b = m separate
+    the two sides of it, in every net and class.  The candidate planes are
+    the columns of ``planes``: the coordinates, then the pair sums in
+    ``triu_indices`` order.  Each split takes the plane of least separator
+    size per state of its smaller side, and orders lower side, upper side,
+    then separator.
     """
-    width = int(states.max(initial=0)) + 1
-    shift = np.arange(states.shape[1]) * width  # row c of the table: q_c
+    a, b = np.triu_indices(states.shape[1], 1)
+    planes = np.hstack([states, states[:, a] + states[:, b]])
+    width = int(planes.max(initial=0)) + 1
+    shift = np.arange(planes.shape[1]) * width  # row c of the table: plane c
     order, stack = [], [(np.arange(len(states)), False)]
     while stack:            # an explicit stack: a recursive closure is a cycle
         idx, is_separator = stack.pop()
         if not is_separator and len(idx) > DISSECTION_LEAF:
-            on = np.bincount((states[idx] + shift).ravel(),
+            on = np.bincount((planes[idx] + shift).ravel(),
                              minlength=shift.size * width).reshape(-1, width)
             below = np.cumsum(on, axis=1) - on
             side = np.minimum(below, len(idx) - below - on)
             ratio = np.where(side > 0, on / np.maximum(side, 1), np.inf)
             c, m = np.unravel_index(ratio.argmin(), ratio.shape)
             if ratio[c, m] < np.inf:
-                col = states[idx, c]
+                col = planes[idx, c]
                 stack += [(idx[col == m], True), (idx[col > m], False),
                           (idx[col < m], False)]
                 continue

@@ -146,9 +146,9 @@ def cmd_exact(args):
     for K in args.K:
         sol = stationary_drop_probability(net, policy, K)
         rows.append([K, sol.drop_probability, len(sol.space.states),
-                     sol.recurrent_class_count])
-    _emit(rows, ["K", "drop_probability", "states", "recurrent_classes"],
-          args.out)
+                     sol.recurrent_class_count, sol.residual, sol.lu_nnz])
+    _emit(rows, ["K", "drop_probability", "states", "recurrent_classes",
+                 "residual", "lu_nnz"], args.out)
     return EXIT_OK
 
 

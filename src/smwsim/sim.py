@@ -147,12 +147,10 @@ def run_jump_chain(net: Network, policy: Policy, K: int, steps: int,
     acc = [0] * n       # see _report
     dispatch = policy.dispatch
 
-    # t counts measured steps; the warmup runs at t < 0.  Splitting a draw
-    # keeps the events, but a randomized policy's draws follow whole blocks
+    # t counts measured steps; the warmup runs at t < 0
     for start in range(-warmup, steps - warmup, _SAMPLE_BLOCK):
         size = min(_SAMPLE_BLOCK, steps - warmup - start)
-        codes = draw_events(net, rng, _SAMPLE_BLOCK if policy.randomized
-                            else size)[:size]
+        codes = draw_events(net, rng, size)
         measured += np.bincount(codes[max(-start, 0):],
                                 minlength=net.phi.size)
         for t, (origin, dest) in zip(range(start, start + size),

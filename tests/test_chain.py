@@ -19,8 +19,10 @@ from smwsim import (
     stationary_drop_probability,
     vanilla_policy,
 )
-from smwsim.chain import StateCapError, StateSpace
-from smwsim.instances import example1, example1_crp_violated, random_crp
+from smwsim import chain
+from smwsim.chain import StateCapError, StateSpace, transitions
+from smwsim.instances import (example1, example1_crp_violated, random_crp,
+                              symmetric_ring)
 from smwsim.lp import solve_transportation
 from smwsim.policies import DROP
 
@@ -194,6 +196,97 @@ def test_rank_inverts_enumeration(n, K):
     space = StateSpace.enumerate(n, K)
     count = math.comb(K + n - 1, n - 1)
     assert np.array_equal(space.rank(space.states), np.arange(count))
+
+
+@pytest.mark.parametrize("n, K", [(2, 300), (4, 0), (4, 40), (5, 12), (40, 2)])
+def test_shift_map_matches_rank(n, K):
+    """Every next row from the order-preserving shift is the rank of the
+    explicit neighbor q - e_s + e_d; a row that does not move keeps its
+    own index."""
+    net = symmetric_ring(n) if n > 5 else random_crp(n, seed=1)
+    space = StateSpace.enumerate(n, K)
+    for pol in (vanilla_policy(net), fluid_policy(net)):
+        row, source, pw, tgt = transitions(net, pol, space)
+        move = (pw != 0.0) & (source[:, None] != DROP) \
+            & (source[:, None] != np.arange(n))
+        at, dest = np.nonzero(move)
+        nxt = space.states[row[at]]
+        nxt[np.arange(len(at)), source[at]] -= 1
+        nxt[np.arange(len(at)), dest] += 1
+        assert nxt.min(initial=0) >= 0
+        assert np.array_equal(tgt[move], space.rank(nxt))
+        assert np.array_equal(tgt[~move], np.broadcast_to(
+            row[:, None], tgt.shape)[~move])
+        assert move.any() == (K > 0)
+
+
+def test_chain_ranks_only_the_initial_state(monkeypatch):
+    calls, rank = [], StateSpace.rank
+
+    def spy(self, states):
+        calls.append(len(states))
+        return rank(self, states)
+
+    monkeypatch.setattr(StateSpace, "rank", spy)
+    net = random_crp(4, seed=1)
+    for pol in (vanilla_policy(net), fluid_policy(net)):
+        build_chain(net, pol, 20)
+        assert calls == []
+        stationary_drop_probability(net, pol, 20)
+        assert calls == [1]
+        calls.clear()
+
+
+class _PlaneSpy:
+    """Stands in for numpy in ``chain``, recording the candidate planes of
+    a dissection (its one ``hstack``) and the (plane, value) each step
+    picks; everything else passes through."""
+
+    def __init__(self):
+        self.planes, self.picks = None, []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def hstack(self, arrays):
+        self.planes = np.hstack(arrays)
+        return self.planes
+
+    def unravel_index(self, flat, shape):
+        pick = np.unravel_index(flat, shape)
+        self.picks.append(tuple(map(int, pick)))
+        return pick
+
+
+def test_dissection_splits_are_separators(monkeypatch):
+    """Whichever plane a split takes, a coordinate or a pair sum, P has no
+    entry between its lower and its upper side."""
+    spy = _PlaneSpy()
+    monkeypatch.setattr(chain, "np", spy)
+    pair_splits = 0
+    for n, K in ((4, 15), (5, 10)):
+        for seed in range(3):
+            net = random_crp(n, seed=seed)
+            priority = PriorityPolicy(net, [net.supply_neighbors(j)[::-1]
+                                            for j in range(n)])
+            for pol in (vanilla_policy(net), priority, fluid_policy(net)):
+                P, _, _ = build_chain(net, pol, K)
+                members = stationary_drop_probability(
+                    net, pol, K).class_states
+                states = StateSpace.enumerate(n, K).states[members]
+                spy.picks.clear()
+                order = chain._dissection_order(states)
+                assert np.array_equal(np.sort(order), np.arange(len(states)))
+                planes = spy.planes
+                assert np.array_equal(planes[:, :n], states)
+                assert planes.shape[1] == n + n * (n - 1) // 2
+                sub = P[members][:, members]
+                for c, m in spy.picks:
+                    lower, upper = planes[:, c] < m, planes[:, c] > m
+                    assert sub[lower][:, upper].nnz == 0
+                    assert sub[upper][:, lower].nnz == 0
+                    pair_splits += c >= n and lower.any() and upper.any()
+    assert pair_splits > 0
 
 
 def _equivalence_cases():

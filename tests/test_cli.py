@@ -104,6 +104,11 @@ def test_exact_curve(net_file, tmp_path, capsys):
                  "--K", "1,5", "--out", str(out)]) == 0
     rows = read_csv(out)
     assert float(rows[1][1]) == pytest.approx(0.3, abs=1e-12)
+    assert rows[0][2:] == ["states", "recurrent_classes", "residual",
+                           "lu_nnz"]
+    for _, _, states, _, residual, lu_nnz in rows[1:]:
+        assert math.isfinite(float(residual)) and float(residual) <= 1e-12
+        assert int(lu_nnz) >= int(states)
 
 
 def test_sweep_exact_with_slope(net_file, tmp_path):

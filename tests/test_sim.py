@@ -274,9 +274,9 @@ PINNED = {
     ("jump", "priority", "crp3", 3): (4000, 1709, None, [
         "0x1.b5810624dd2f2p-2", "0x1.3c54a6921735fp-2",
         "0x1.4d7b900aec33ep-1", "0x1.45a1cac083127p-5", None, None]),
-    ("jump", "fluid", "crp3", 4): (3600, 831, None, [
-        "0x1.d8bf258bf258cp-3", "0x1.16b549327104fp-2",
-        "0x1.4dd7cc6bb5aa5p-2", "0x1.9b72ea61d950dp-2", None, None]),
+    ("jump", "fluid", "crp3", 4): (3600, 777, None, [
+        "0x1.ba06d3a06d3a0p-3", "0x1.22a7a1f19690ep-2",
+        "0x1.5b425ed097b42p-2", "0x1.8215ff3dd1bb0p-2", None, None]),
     ("jump", "smw-pickup", "example1", 5): (4000, 225, None, [
         "0x1.ccccccccccccdp-5", "0x1.3978d4fdf3b64p-2",
         "0x1.634395810624ep-1", None, None]),
