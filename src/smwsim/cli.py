@@ -190,8 +190,9 @@ def cmd_sweep(args):
                 se = float(np.std(vals) / max(len(vals) - 1, 1) ** 0.5)
                 rows.append([pname, K, "aggregate", mean, se, "", cfg_hash])
                 curve.append((K, mean))
-        if len([p for (_, p) in curve if p > 0]) >= 3:
-            slope, r2 = estimate_exponent([(k, p) for (k, p) in curve if p > 0])
+        fit = [(k, p) for (k, p) in curve if 0 < p < 1]  # ln p finite, nonzero
+        if len(fit) >= 3:
+            slope, r2 = estimate_exponent(fit)
             slopes.append([pname, "slope", "", slope, r2, "", cfg_hash])
     _emit(rows + slopes,
           ["policy", "K", "seed", "drop", "stderr", "note", "config_hash"],
@@ -240,7 +241,9 @@ def cmd_tune(args):
                  "stderr"], args.out)
     print(json.dumps({"alpha": list(res.alpha),
                       "beta": res.beta,
-                      "objective": res.best_objective}, indent=2))
+                      "objective": res.best_objective,
+                      "runs": res.runs,
+                      "config_hash": _config_hash(args)}, indent=2))
     return EXIT_OK
 
 

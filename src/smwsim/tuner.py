@@ -13,6 +13,8 @@ follows from one input:
   size K (``cfg.K`` or an initial state's total) walks the chain's table
   if comb(K + n - 1, n - 1) * phi.size <= ``cfg.steps``, else runs
   ``run_jump_chain``, the per-step reference the walk is tested against.
+  Walks on one table and one seed's events that end their warmup in one
+  state measure the same drops, so only the first of them is run in full.
 - objective: nonempty ``cfg.initial_states`` (jump chain only) scores the
   mean drop fraction of runs started from each state with no warmup;
   otherwise the steady-state drop fraction.
@@ -21,6 +23,7 @@ follows from one input:
 from __future__ import annotations
 
 import functools
+import logging
 from array import array
 from dataclasses import dataclass, field
 from math import comb
@@ -69,6 +72,7 @@ class TuneResult:
     beta: float | None
     best_objective: float
     trace: list           # rows: (iteration, candidate, alpha, beta, mean, stderr)
+    runs: dict            # counts: walks_full, walks_shared, simulated
 
 
 def _clip_simplex(alpha, eps_floor):
@@ -98,6 +102,7 @@ def tune(net: Network, cfg: TuneConfig, tune_beta: bool = False) -> TuneResult:
     trace = []
     best = (np.inf, None, None)     # a nan or infinite mean never enters
     spaces = functools.cache(lambda K: StateSpace.enumerate(n, K))  # per K
+    made = dict.fromkeys(("walks_full", "walks_shared", "simulated"), 0)
 
     for it in range(n_iter):
         rep_seeds = [int(s.generate_state(1)[0]) for s in
@@ -112,9 +117,10 @@ def tune(net: Network, cfg: TuneConfig, tune_beta: bool = False) -> TuneResult:
         scored = []
         # each seed's stream, drawn once
         events = functools.cache(lambda s: _stream(net, s, cfg.steps))
+        walked = {}  # (K, source, warmup, seed) -> {state after warmup: drops}
         for c, (alpha, beta) in enumerate(cands):
-            vals = np.array(_evaluate(net, cfg, alpha, beta, rep_seeds,
-                                      events, spaces), dtype=float)
+            vals = np.array(_evaluate(net, cfg, alpha, beta, rep_seeds, events,
+                                      spaces, walked, made), dtype=float)
             mean = float(np.nanmean(vals))
             finite = vals[np.isfinite(vals)]
             stderr = float(np.std(finite, ddof=1) / np.sqrt(len(finite))) \
@@ -125,6 +131,9 @@ def tune(net: Network, cfg: TuneConfig, tune_beta: bool = False) -> TuneResult:
                 best = (mean, alpha.copy(), beta)
 
         scored.sort(key=lambda t: (t[0], t[1]))
+        logging.getLogger(__name__).info(
+            "iteration %d: best mean %.6g; walks %d full, %d shared", it,
+            scored[0][0], made["walks_full"], made["walks_shared"])
         elites = [cands[c][0] for (_, c) in scored[:n_elite]]
         elite_mean = np.mean(elites, axis=0)
         target = elite_mean * DEFAULT_CONCENTRATION * \
@@ -139,35 +148,38 @@ def tune(net: Network, cfg: TuneConfig, tune_beta: bool = False) -> TuneResult:
 
     if best[1] is None:
         raise RuntimeError("no candidate produced a finite objective")
-    return TuneResult(best[1], best[2], best[0], trace)
+    return TuneResult(best[1], best[2], best[0], trace, made)
 
 
-def _evaluate(net, cfg: TuneConfig, alpha, beta, seeds, events,
-              spaces) -> list:
+def _evaluate(net, cfg: TuneConfig, alpha, beta, seeds, events, spaces,
+              walked, made) -> list:
     """Objective of one candidate at each replication seed."""
     policy = SmwPolicy(net, alpha) if beta is None \
         else SmwPickupPolicy(net, alpha, beta)
     if cfg.timed is not None:
         pickup = net.pickup_time is not None
+        made["simulated"] += len(seeds)
         return [run_timed(net, policy, cfg.timed, pickup, s).drop_fraction
                 for s in seeds]
     runs = [(int(np.sum(q)), 0, q) for q in cfg.initial_states] or \
         [(cfg.K, int(cfg.steps * DEFAULT_JUMP_WARMUP_FRAC), None)]
     n, size, steps = net.n_supply, net.phi.size, cfg.steps
-    tables, vals = {}, []   # tables: fleet size -> (table, drop, rank)
+    tables, vals = {}, []   # fleet size -> (table, drop, rank, source bytes)
     for K, warmup, init in runs:
         if K < 0 or comb(K + n - 1, n - 1) * size > steps:  # K < 0 fails there
+            made["simulated"] += len(seeds)
             vals.append([run_jump_chain(net, policy, K, steps, warmup, s,
                                         init).drop_fraction for s in seeds])
             continue
         if K not in tables:     # deterministic SMW: an atom per (row, origin)
             space = spaces(K)
             _, source, _, tgt = transitions(net, policy, space)
-            tables[K] = ((tgt * size).ravel().tolist(),
-                         np.repeat(source == DROP, n).tolist(), space.rank)
-        table, drop, rank = tables[K]
+            tables[K] = ((tgt * size).ravel().tolist(), np.repeat(
+                source == DROP, n).tolist(), space.rank, source.tobytes())
+        table, drop, rank, source = tables[K]
         start = size * int(rank([_initial_queues(policy, n, K, init)])[0])
-        vals.append([_walk(table, drop, start, events(s), warmup)
+        vals.append([_walk(table, drop, start, events(s), warmup, made,
+                           walked.setdefault((K, source, warmup, s), {}))
                      / (steps - warmup) for s in seeds])
     return [float(np.mean(v)) for v in zip(*vals)]
 
@@ -183,13 +195,22 @@ def _stream(net, seed, steps) -> array:
     return out
 
 
-def _walk(table, drop, s, events, warmup) -> int:
-    """Measured drops of a walk from s that goes on event e to table[s + e]."""
+def _walk(table, drop, s, events, warmup, made, walked) -> int:
+    """Measured drops of a walk from s that goes on event e to table[s + e].
+
+    walked maps the states where earlier walks on this table and events
+    ended their warmup to their measured drops.  Walks in one state at one
+    step go on together, so a walk that ends its warmup there shares them."""
     for e in events[:warmup]:
         s = table[s + e]
-    drops = 0
+    if s in walked:
+        made["walks_shared"] += 1
+        return walked[s]
+    made["walks_full"] += 1
+    end, drops = s, 0
     for e in events[warmup:]:
         s += e
         drops += drop[s]
         s = table[s]
+    walked[end] = drops
     return drops

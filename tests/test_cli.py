@@ -13,6 +13,7 @@ from smwsim import save_network
 from smwsim.cli import build_parser, main
 from smwsim.instances import (example1, example1_crp_violated,
                               symmetric_ring)
+from smwsim.sim import estimate_exponent
 
 
 @pytest.fixture
@@ -132,6 +133,29 @@ def test_sweep_simulated(net_file, tmp_path):
     assert len(agg) == 1
 
 
+@pytest.mark.parametrize("mode", [["--exact"], ["--seeds", "1", "--steps",
+                                                   "2000"]])
+def test_sweep_keeps_a_cell_that_drops_everything(net_file, tmp_path, mode):
+    # K=0 drops every request (p = 1): its row stays, the slope leaves it out
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", net_file, "--K", "0,1,2,3", *mode,
+                 "--out", str(out)]) == 0
+    rows = read_csv(out)[1:]
+    cells = [r for r in rows if r[2] in ("exact", "aggregate")]
+    assert [r[1] for r in cells] == ["0", "1", "2", "3"]
+    assert float(cells[0][3]) == 1.0
+    slopes = [r for r in rows if r[1] == "slope"]
+    points = [(int(r[1]), float(r[3])) for r in cells[1:]]
+    assert len(slopes) == 1
+    assert float(slopes[0][3]) == pytest.approx(estimate_exponent(points)[0])
+    # two points inside (0, 1) are too few to fit: no slope row
+    assert main(["sweep", net_file, "--K", "0,1,2", *mode,
+                 "--out", str(out)]) == 0
+    rows = read_csv(out)[1:]
+    assert len([r for r in rows if r[2] in ("exact", "aggregate")]) == 3
+    assert not [r for r in rows if r[1] == "slope"]
+
+
 def test_fleet(tmp_path, capsys):
     path = tmp_path / "city.json"
     assert main(["generate", "symmetric_ring", "--n", "4", "--with-times",
@@ -156,6 +180,10 @@ def test_tune_smoke(net_file, tmp_path, capsys):
                  "--steps", "1000", "--K", "5", "--out", str(out)]) == 0
     summary = json.loads(capsys.readouterr().out)
     assert sum(summary["alpha"]) == pytest.approx(1.0)
+    runs = summary["runs"]
+    assert runs["walks_full"] + runs["walks_shared"] == 40
+    assert runs["simulated"] == 0
+    assert len(summary["config_hash"]) == 12
     rows = read_csv(out)
     assert len(rows) == 1 + 40
 

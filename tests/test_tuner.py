@@ -241,3 +241,80 @@ def test_event_stream_equals_one_draw(n, steps, itemsize):
     assert stream.itemsize == itemsize
     assert stream.tolist() == draw_events(
         net, np.random.default_rng(11), steps).tolist()
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_runs_count_the_walks_behind_the_scores(seed, caplog):
+    # the benchmark's config; the counts repeat exactly at each seed
+    with caplog.at_level("INFO", logger="smwsim.tuner"):
+        res = tune(example1(), TuneConfig(seed=seed, budget=40))
+    runs = res.runs
+    assert runs["walks_full"] + runs["walks_shared"] == 40
+    assert runs["walks_full"] <= 13 and runs["simulated"] == 0
+    if seed == 1:
+        assert runs["walks_full"] <= 12
+    lines = [r.getMessage() for r in caplog.records
+             if r.name == "smwsim.tuner"]
+    assert len(lines) == 2 and lines[-1].endswith(
+        f"walks {runs['walks_full']} full, {runs['walks_shared']} shared")
+
+
+def test_runs_count_simulator_runs():
+    res = tune(example1(), TuneConfig(budget=20, replications=2, steps=43,
+                                      K=10))
+    assert res.runs == {"walks_full": 0, "walks_shared": 0, "simulated": 40}
+    res = tune(symmetric_ring(4, with_times=True), TuneConfig(
+        budget=20, timed=TimedConfig(1.0, 50.0, 4)))
+    assert res.runs == {"walks_full": 0, "walks_shared": 0, "simulated": 20}
+
+
+def test_walks_in_disjoint_blocks_never_share_across_splits(monkeypatch):
+    # cars never leave their block, so walks that split K differently
+    # never meet; a walk shared across splits would move the trace
+    block = np.array([[1.0, 2.0], [3.0, 1.0]])
+    phi = np.block([[block, np.zeros((2, 2))], [np.zeros((2, 2)), block.T]])
+    edges = [(i, j) for i in range(4) for j in range(4) if i // 2 == j // 2]
+    net = build_network(4, 4, edges, phi)
+    cfg = TuneConfig(budget=60, population=20, replications=2, steps=2000,
+                     K=3, seed=9)
+    states = tuner_module.StateSpace.enumerate(4, cfg.K).states
+    walks, real = [], tuner_module._walk
+
+    def spy(table, drop, s, events, warmup, made, walked):
+        split = int(states[s // net.phi.size][:2].sum())
+        walks.append((tuple(table), split, events.tobytes()))
+        return real(table, drop, s, events, warmup, made, walked)
+    monkeypatch.setattr(tuner_module, "_walk", spy)
+    res = tune(net, cfg)
+    assert len({split for _, split, _ in walks}) > 1
+    assert res.runs["walks_shared"] > 0     # sharing did happen
+    # each table, split and event stream needs a walk of its own
+    assert res.runs["walks_full"] >= len(set(walks))
+    assert_trace_matches(res, cfg, steady(net, cfg))
+
+
+def test_transient_walks_from_one_table_and_state_run_once(monkeypatch):
+    net = example1()
+    cfg = TuneConfig(budget=40, population=20, steps=300, seed=2,
+                     initial_states=[[5, 0], [1, 4], [5, 0]])
+    measured, reads, real = {}, [], tuner_module._walk
+
+    class Reads(list):      # the measured loop reads drop once a step
+        def __getitem__(self, i):
+            reads.append(i)
+            return list.__getitem__(self, i)
+
+    def spy(table, drop, s, events, warmup, made, walked):
+        reads.clear()
+        out = real(table, Reads(drop), s, events, warmup, made, walked)
+        measured.setdefault((tuple(table), s, events.tobytes()),
+                            []).append(len(reads))
+        return out
+    monkeypatch.setattr(tuner_module, "_walk", spy)
+    res = tune(net, cfg)
+    # the first walk per table, state and stream measures; the rest share
+    assert all(v == [cfg.steps] + [0] * (len(v) - 1)
+               for v in measured.values())
+    assert sum(map(len, measured.values())) == 40 * 3 > len(measured)
+    assert res.runs["walks_full"] == len(measured)
+    assert_trace_matches(res, cfg, transient(net, cfg))
