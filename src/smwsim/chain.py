@@ -32,6 +32,10 @@ class StateCapError(ValueError):
     """State space would exceed the configured cap."""
 
 
+class DropUnderflowError(RuntimeError):
+    """The class can drop, but its drop probability underflows a double."""
+
+
 @dataclass
 class StateSpace:
     states: np.ndarray          # count x n integer matrix, lexicographic order
@@ -213,6 +217,8 @@ def stationary_drop_probability(net: Network, policy: Policy, K: int,
             f"stationary solve on a class of {len(members)} states gave a "
             f"negative or non-finite entry (residual {residual:.3g})")
     drop = float(pi @ drop_mass[members])
+    if drop < np.finfo(float).tiny and drop_mass[members].any():
+        raise DropUnderflowError(f"p = {drop:.3g} at K={K} underflows")
     return ChainSolution(pi, members, drop, nclosed, residual, space, lu_nnz)
 
 

@@ -13,8 +13,9 @@ follows from one input:
   size K (``cfg.K`` or an initial state's total) walks the chain's table
   if comb(K + n - 1, n - 1) * phi.size <= ``cfg.steps``, else runs
   ``run_jump_chain``, the per-step reference the walk is tested against.
-  Walks on one table and one seed's events that end their warmup in one
-  state measure the same drops, so only the first of them is run in full.
+  Each distinct table (K and dispatch sources) is built once an iteration
+  and composed to k events a lookup.  Walks on it and one seed's events
+  from one start, or from one state after warmup, share measured drops.
 - objective: nonempty ``cfg.initial_states`` (jump chain only) scores the
   mean drop fraction of runs started from each state with no warmup;
   otherwise the steady-state drop fraction.
@@ -72,7 +73,7 @@ class TuneResult:
     beta: float | None
     best_objective: float
     trace: list           # rows: (iteration, candidate, alpha, beta, mean, stderr)
-    runs: dict            # counts: walks_full, walks_shared, simulated
+    runs: dict            # walks_full, walks_shared, simulated, tables
 
 
 def _clip_simplex(alpha, eps_floor):
@@ -102,25 +103,20 @@ def tune(net: Network, cfg: TuneConfig, tune_beta: bool = False) -> TuneResult:
     trace = []
     best = (np.inf, None, None)     # a nan or infinite mean never enters
     spaces = functools.cache(lambda K: StateSpace.enumerate(n, K))  # per K
-    made = dict.fromkeys(("walks_full", "walks_shared", "simulated"), 0)
+    made = dict.fromkeys("walks_full walks_shared simulated tables".split(), 0)
 
     for it in range(n_iter):
         rep_seeds = [int(s.generate_state(1)[0]) for s in
                      seed_seq.spawn(cfg.replications)]
-        cands = []
-        for c in range(cfg.population):
-            alpha = _clip_simplex(rng.dirichlet(conc), cfg.eps_floor)
-            beta = float(np.exp(rng.normal(log_beta_mu, log_beta_sigma))) \
-                if tune_beta else None
-            cands.append((alpha, beta))
+        cands = [(_clip_simplex(rng.dirichlet(conc), cfg.eps_floor),
+                  float(np.exp(rng.normal(log_beta_mu, log_beta_sigma)))
+                  if tune_beta else None) for _ in range(cfg.population)]
 
-        scored = []
-        # each seed's stream, drawn once
-        events = functools.cache(lambda s: _stream(net, s, cfg.steps))
-        walked = {}  # (K, source, warmup, seed) -> {state after warmup: drops}
+        scored, codes, tables, walked = [], functools.cache(
+            functools.partial(_stream, net)), {}, {}    # for one iteration
         for c, (alpha, beta) in enumerate(cands):
-            vals = np.array(_evaluate(net, cfg, alpha, beta, rep_seeds, events,
-                                      spaces, walked, made), dtype=float)
+            vals = np.array(_evaluate(net, cfg, alpha, beta, rep_seeds, codes,
+                                      spaces, tables, walked, made), float)
             mean = float(np.nanmean(vals))
             finite = vals[np.isfinite(vals)]
             stderr = float(np.std(finite, ddof=1) / np.sqrt(len(finite))) \
@@ -131,9 +127,8 @@ def tune(net: Network, cfg: TuneConfig, tune_beta: bool = False) -> TuneResult:
                 best = (mean, alpha.copy(), beta)
 
         scored.sort(key=lambda t: (t[0], t[1]))
-        logging.getLogger(__name__).info(
-            "iteration %d: best mean %.6g; walks %d full, %d shared", it,
-            scored[0][0], made["walks_full"], made["walks_shared"])
+        logging.getLogger(__name__).info("iteration %d: best mean %.6g; %s",
+                                         it, scored[0][0], dict(made))
         elites = [cands[c][0] for (_, c) in scored[:n_elite]]
         elite_mean = np.mean(elites, axis=0)
         target = elite_mean * DEFAULT_CONCENTRATION * \
@@ -151,8 +146,8 @@ def tune(net: Network, cfg: TuneConfig, tune_beta: bool = False) -> TuneResult:
     return TuneResult(best[1], best[2], best[0], trace, made)
 
 
-def _evaluate(net, cfg: TuneConfig, alpha, beta, seeds, events, spaces,
-              walked, made) -> list:
+def _evaluate(net, cfg: TuneConfig, alpha, beta, seeds, codes, spaces,
+              tables, walked, made) -> list:
     """Objective of one candidate at each replication seed."""
     policy = SmwPolicy(net, alpha) if beta is None \
         else SmwPickupPolicy(net, alpha, beta)
@@ -164,53 +159,77 @@ def _evaluate(net, cfg: TuneConfig, alpha, beta, seeds, events, spaces,
     runs = [(int(np.sum(q)), 0, q) for q in cfg.initial_states] or \
         [(cfg.K, int(cfg.steps * DEFAULT_JUMP_WARMUP_FRAC), None)]
     n, size, steps = net.n_supply, net.phi.size, cfg.steps
-    tables, vals = {}, []   # fleet size -> (table, drop, rank, source bytes)
+    vals = []
     for K, warmup, init in runs:
         if K < 0 or comb(K + n - 1, n - 1) * size > steps:  # K < 0 fails there
             made["simulated"] += len(seeds)
             vals.append([run_jump_chain(net, policy, K, steps, warmup, s,
                                         init).drop_fraction for s in seeds])
             continue
-        if K not in tables:     # deterministic SMW: an atom per (row, origin)
-            space = spaces(K)
-            _, source, _, tgt = transitions(net, policy, space)
-            tables[K] = ((tgt * size).ravel().tolist(), np.repeat(
-                source == DROP, n).tolist(), space.rank, source.tobytes())
-        table, drop, rank, source = tables[K]
-        start = size * int(rank([_initial_queues(policy, n, K, init)])[0])
-        vals.append([_walk(table, drop, start, events(s), warmup, made,
-                           walked.setdefault((K, source, warmup, s), {}))
-                     / (steps - warmup) for s in seeds])
+        space = spaces(K)   # deterministic SMW: one source per (row, origin)
+        key = (K, b"".join(src.tobytes() for j in range(net.n_demand) for
+                           src, _ in policy.dispatch_table(space.states, j)))
+        if key not in tables:
+            made["tables"] += 1
+            tables[key] = _tables(net, policy, space, steps)
+        k, width, *walk = tables[key]      # walk: next-row and drop lists
+        start = space.rank([_initial_queues(policy, n, K, init)]).item() * width
+        vals.append([])
+        for s in seeds:     # start -> state after warmup -> measured drops
+            ends, drops = walked.setdefault((key, warmup, s), ({}, {}))
+            if start not in ends:
+                ends[start] = _follow(*walk, start, codes(s, warmup, 0, k))[0]
+            end = ends[start]
+            made["walks_shared" if end in drops else "walks_full"] += 1
+            if end not in drops:
+                drops[end] = _follow(*walk, end, codes(s, steps, warmup, k))[1]
+            vals[-1].append(drops[end] / (steps - warmup))
     return [float(np.mean(v)) for v in zip(*vals)]
 
 
-def _stream(net, seed, steps) -> array:
-    """The events run_jump_chain draws at seed, drawn block by block into
-    2-byte codes while the codes fit (numpy reads the type code alike)."""
-    rng = np.random.default_rng(seed)
-    out = array("H" if net.phi.size <= 1 << 16 else "I")
-    for lo in range(0, steps, _SAMPLE_BLOCK):
-        block = draw_events(net, rng, min(_SAMPLE_BLOCK, steps - lo))
-        out.frombytes(block.astype(out.typecode).tobytes())
-    return out
+def _tables(net, policy, space, steps):
+    """k, row width, next-row and drop lists: per row, the row reached
+    (times the width) and drops on each block of k events, in C order, then
+    (k > 1) on each single event; k is the largest with rows * size^k * k^2
+    <= steps, so the table stays well below the walks that read it."""
+    _, source, _, tgt = transitions(net, policy, space)
+    rows, size = len(space.states), net.phi.size
+    k = 1
+    while rows * size ** (k + 1) * (k + 1) ** 2 <= steps:
+        k += 1
+    nxt = tgt = tgt.reshape(rows, size)
+    drops = hit = (source == DROP).repeat(net.n_supply).reshape(rows, size) * 1
+    for _ in range(k - 1):      # a block, then one more event
+        drops = (drops[:, :, None] + hit[nxt]).reshape(rows, -1)
+        nxt = tgt[nxt].reshape(rows, -1)
+    if k > 1:                   # single events, for those left over
+        nxt, drops = np.hstack([nxt, tgt]), np.hstack([drops, hit])
+    width = nxt.shape[1]        # one int object per row offset: less memory
+    return k, width, (np.arange(rows, dtype=object) * width)[nxt].ravel()\
+        .tolist(), drops.ravel().tolist()
 
 
-def _walk(table, drop, s, events, warmup, made, walked) -> int:
-    """Measured drops of a walk from s that goes on event e to table[s + e].
+def _stream(net, seed, steps, lo=0, k=1) -> array:
+    """Codes, in ``_tables``' layout, of the events run_jump_chain draws at
+    seed from step lo to steps: an index per block of k, then size^k plus
+    each event left over.  Drawn a block at a time, in 2 bytes if they fit."""
+    rng, size = np.random.default_rng(seed), net.phi.size
+    code = "H" if size ** k + size <= 1 << 16 else "I"
+    ev = np.empty(steps, code)
+    for part in np.split(ev, range(_SAMPLE_BLOCK, steps, _SAMPLE_BLOCK)):
+        part[:] = draw_events(net, rng, len(part))
+    cut = steps - (steps - lo) % k
+    blocks = np.zeros((cut - lo) // k, code)
+    for col in ev[lo:cut].reshape(-1, k).T:     # first event most significant
+        blocks = blocks * size + col
+    return array(code, blocks.tobytes() + (ev[cut:] + size ** k).tobytes())
 
-    walked maps the states where earlier walks on this table and events
-    ended their warmup to their measured drops.  Walks in one state at one
-    step go on together, so a walk that ends its warmup there shares them."""
-    for e in events[:warmup]:
-        s = table[s + e]
-    if s in walked:
-        made["walks_shared"] += 1
-        return walked[s]
-    made["walks_full"] += 1
-    end, drops = s, 0
-    for e in events[warmup:]:
-        s += e
+
+def _follow(table, drop, s, codes) -> tuple:
+    """End and drops of a walk from s: code c goes to table[s + c]."""
+    drops = 0
+    for c in codes:
+        s += c
         drops += drop[s]
         s = table[s]
-    walked[end] = drops
-    return drops
+    return s, drops

@@ -20,7 +20,8 @@ from smwsim import (
     vanilla_policy,
 )
 from smwsim import chain
-from smwsim.chain import StateCapError, StateSpace, transitions
+from smwsim.chain import (DropUnderflowError, StateCapError, StateSpace,
+                          transitions)
 from smwsim.instances import (example1, example1_crp_violated, random_crp,
                               symmetric_ring)
 from smwsim.lp import solve_transportation
@@ -401,3 +402,32 @@ def test_stationary_solve_leaves_no_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@pytest.fixture(scope="module")
+def tail_net():
+    # gamma = 1.6045 under uniform alpha: p leaves the normal doubles past
+    # K = 440
+    return random_crp(3, seed=0)
+
+
+def test_tail_inside_the_normal_range_is_returned(tail_net):
+    sol = stationary_drop_probability(tail_net, vanilla_policy(tail_net), 440)
+    assert sol.drop_probability == pytest.approx(5.97e-307, rel=1e-3)
+    assert sol.drop_probability >= np.finfo(float).tiny
+
+
+@pytest.mark.parametrize("K", [460, 480])    # subnormal 3.5e-321, then 0.0
+def test_tail_below_the_normal_range_raises(tail_net, K):
+    with pytest.raises(DropUnderflowError, match=f"K={K}"):
+        stationary_drop_probability(tail_net, vanilla_policy(tail_net), K)
+    assert issubclass(DropUnderflowError, RuntimeError)
+
+
+def test_a_class_that_cannot_drop_returns_exactly_zero():
+    # complete 2x2 net: a car always serves, so no state carries drop mass
+    net = build_network(2, 2, [(i, j) for i in range(2) for j in range(2)],
+                        np.ones((2, 2)))
+    for K in (1, 5, 40):
+        assert stationary_drop_probability(
+            net, vanilla_policy(net), K).drop_probability == 0.0

@@ -11,7 +11,7 @@ import pytest
 import smwsim
 from smwsim import save_network
 from smwsim.cli import build_parser, main
-from smwsim.instances import (example1, example1_crp_violated,
+from smwsim.instances import (example1, example1_crp_violated, random_crp,
                               symmetric_ring)
 from smwsim.sim import estimate_exponent
 
@@ -156,6 +156,22 @@ def test_sweep_keeps_a_cell_that_drops_everything(net_file, tmp_path, mode):
     assert not [r for r in rows if r[1] == "slope"]
 
 
+def test_exact_tail_underflow_is_a_runtime_failure(tmp_path, capsys):
+    # random_crp(3, seed=0) under vanilla: p = 6.0e-307 at K=440, subnormal
+    # at 460 and 0.0 at 480
+    path = str(tmp_path / "crp3.json")
+    save_network(random_crp(3, seed=0), path)
+    assert main(["exact", path, "--K", "480"]) == 3
+    assert "underflows" in capsys.readouterr().err
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", path, "--K", "440,460", "--exact",
+                 "--out", str(out)]) == 3
+    rows = read_csv(out)[1:]
+    assert float(rows[0][3]) == pytest.approx(5.97e-307, rel=1e-3)
+    assert rows[1][1] == "460" and rows[1][5].startswith("error:")
+    assert "underflows" in rows[1][5]
+
+
 def test_fleet(tmp_path, capsys):
     path = tmp_path / "city.json"
     assert main(["generate", "symmetric_ring", "--n", "4", "--with-times",
@@ -183,6 +199,7 @@ def test_tune_smoke(net_file, tmp_path, capsys):
     runs = summary["runs"]
     assert runs["walks_full"] + runs["walks_shared"] == 40
     assert runs["simulated"] == 0
+    assert 1 <= runs["tables"] <= runs["walks_full"]
     assert len(summary["config_hash"]) == 12
     rows = read_csv(out)
     assert len(rows) == 1 + 40

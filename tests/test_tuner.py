@@ -16,7 +16,7 @@ from smwsim import (
     tune,
 )
 from smwsim.instances import example1, random_crp, symmetric_ring
-from smwsim.sim import draw_events
+from smwsim.sim import DEFAULT_JUMP_WARMUP_FRAC, draw_events
 
 
 @pytest.fixture(scope="module")
@@ -189,6 +189,17 @@ def _table_cases():
                       seed=8, initial_states=[[5, 0], [1, 4], [3, 0], [0, 3]])
     net = example1()
     yield pytest.param(net, cfg3, False, transient(net, cfg3), id="transient")
+    # blocks of k events with some left over: k = 2 at K=5 and 2000 steps,
+    # 3 at K=8 and 6017, 1 at K=5 and 300; transient: k = 1 at K=5 and 2
+    # at K=3, 301 steps
+    for steps, K in [(2003, 5), (2013, 5), (6017, 8), (300, 5)]:
+        cfg4 = TuneConfig(budget=40, population=20, steps=steps, K=K, seed=3)
+        yield pytest.param(net, cfg4, False, steady(net, cfg4),
+                           id=f"steps{steps}-K{K}")
+    cfg5 = TuneConfig(budget=20, population=20, replications=2, steps=301,
+                      seed=8, initial_states=[[5, 0], [1, 4], [3, 0], [0, 3]])
+    yield pytest.param(net, cfg5, False, transient(net, cfg5),
+                       id="transient301")
 
 
 @pytest.mark.parametrize("net, cfg, tune_beta, run", _table_cases())
@@ -198,6 +209,34 @@ def test_table_walk_equals_run_jump_chain(monkeypatch, net, cfg, tune_beta,
         raise AssertionError("a small chain ran per step")
     monkeypatch.setattr(tuner_module, "run_jump_chain", refuse)
     assert_trace_matches(tune(net, cfg, tune_beta=tune_beta), cfg, run)
+
+
+@pytest.mark.parametrize("net, cfg, tune_beta, run", _table_cases())
+def test_composed_tables_hold_no_more_entries_than_steps(monkeypatch, net, cfg,
+                                                         tune_beta, run):
+    built, real = [], tuner_module._tables
+
+    def spy(*args):
+        built.append(real(*args))
+        return built[-1]
+    monkeypatch.setattr(tuner_module, "_tables", spy)
+    res = tune(net, cfg, tune_beta=tune_beta)
+    assert len(built) == res.runs["tables"] > 0
+    assert all(len(table) == len(drop) <= cfg.steps
+               for _, _, table, drop in built)
+
+
+@pytest.mark.parametrize("K, steps, k", [
+    (10, 15000, 3), (10, 6336, 3), (10, 6335, 2), (10, 44, 1), (5, 2000, 2),
+    (5, 300, 1), (8, 6017, 3), (3, 301, 2)])
+def test_blocks_are_the_longest_whose_table_fits(K, steps, k):
+    # the largest k with states * phi.size^k * k^2 <= steps
+    net = example1()
+    space = tuner_module.StateSpace.enumerate(2, K)
+    got, width, table, drop = tuner_module._tables(
+        net, SmwPolicy(net, [0.7, 0.3]), space, steps)
+    assert got == k and width == 4 ** k + 4 * (k > 1)
+    assert len(table) == len(drop) == (K + 1) * width <= steps
 
 
 @pytest.mark.parametrize("steps, calls", [(44, 0), (43, 40)])
@@ -253,19 +292,43 @@ def test_runs_count_the_walks_behind_the_scores(seed, caplog):
     assert runs["walks_full"] <= 13 and runs["simulated"] == 0
     if seed == 1:
         assert runs["walks_full"] <= 12
+    # each iteration builds each distinct table once
+    assert 2 <= runs["tables"] <= runs["walks_full"]
     lines = [r.getMessage() for r in caplog.records
              if r.name == "smwsim.tuner"]
-    assert len(lines) == 2 and lines[-1].endswith(
-        f"walks {runs['walks_full']} full, {runs['walks_shared']} shared")
+    assert len(lines) == 2 and lines[-1].endswith(str(runs))
 
 
 def test_runs_count_simulator_runs():
     res = tune(example1(), TuneConfig(budget=20, replications=2, steps=43,
                                       K=10))
-    assert res.runs == {"walks_full": 0, "walks_shared": 0, "simulated": 40}
+    assert res.runs == {"walks_full": 0, "walks_shared": 0, "simulated": 40,
+                        "tables": 0}
     res = tune(symmetric_ring(4, with_times=True), TuneConfig(
         budget=20, timed=TimedConfig(1.0, 50.0, 4)))
-    assert res.runs == {"walks_full": 0, "walks_shared": 0, "simulated": 20}
+    assert res.runs == {"walks_full": 0, "walks_shared": 0, "simulated": 20,
+                        "tables": 0}
+
+
+def spy_walks(monkeypatch, states):
+    """Record each _follow call as (table, row of its start, seed, whether
+    it walks the measured steps, events walked)."""
+    streams, calls = {}, []
+    real_stream, real_follow = tuner_module._stream, tuner_module._follow
+
+    def stream(net, seed, steps, lo=0, k=1):
+        out = real_stream(net, seed, steps, lo, k)
+        streams[id(out)] = (seed, lo, steps - lo)
+        return out
+
+    def follow(table, drop, s, codes):
+        seed, lo, events = streams[id(codes)]
+        width = len(table) // len(states)
+        calls.append((tuple(table), s // width, seed, lo > 0, events))
+        return real_follow(table, drop, s, codes)
+    monkeypatch.setattr(tuner_module, "_stream", stream)
+    monkeypatch.setattr(tuner_module, "_follow", follow)
+    return calls
 
 
 def test_walks_in_disjoint_blocks_never_share_across_splits(monkeypatch):
@@ -278,18 +341,15 @@ def test_walks_in_disjoint_blocks_never_share_across_splits(monkeypatch):
     cfg = TuneConfig(budget=60, population=20, replications=2, steps=2000,
                      K=3, seed=9)
     states = tuner_module.StateSpace.enumerate(4, cfg.K).states
-    walks, real = [], tuner_module._walk
-
-    def spy(table, drop, s, events, warmup, made, walked):
-        split = int(states[s // net.phi.size][:2].sum())
-        walks.append((tuple(table), split, events.tobytes()))
-        return real(table, drop, s, events, warmup, made, walked)
-    monkeypatch.setattr(tuner_module, "_walk", spy)
+    calls = spy_walks(monkeypatch, states)
     res = tune(net, cfg)
-    assert len({split for _, split, _ in walks}) > 1
+    walks = {(table, int(states[row][:2].sum()), seed, measured)
+             for table, row, seed, measured, _ in calls}
+    assert len({split for _, split, _, _ in walks}) > 1
     assert res.runs["walks_shared"] > 0     # sharing did happen
-    # each table, split and event stream needs a walk of its own
-    assert res.runs["walks_full"] >= len(set(walks))
+    assert res.runs["walks_full"] == sum(c[3] for c in calls)
+    # each table, split and event stream needs a measured walk of its own
+    assert {w[:3] for w in walks if not w[3]} <= {w[:3] for w in walks if w[3]}
     assert_trace_matches(res, cfg, steady(net, cfg))
 
 
@@ -297,24 +357,29 @@ def test_transient_walks_from_one_table_and_state_run_once(monkeypatch):
     net = example1()
     cfg = TuneConfig(budget=40, population=20, steps=300, seed=2,
                      initial_states=[[5, 0], [1, 4], [5, 0]])
-    measured, reads, real = {}, [], tuner_module._walk
-
-    class Reads(list):      # the measured loop reads drop once a step
-        def __getitem__(self, i):
-            reads.append(i)
-            return list.__getitem__(self, i)
-
-    def spy(table, drop, s, events, warmup, made, walked):
-        reads.clear()
-        out = real(table, Reads(drop), s, events, warmup, made, walked)
-        measured.setdefault((tuple(table), s, events.tobytes()),
-                            []).append(len(reads))
-        return out
-    monkeypatch.setattr(tuner_module, "_walk", spy)
+    calls = spy_walks(monkeypatch, tuner_module.StateSpace.enumerate(2, 5)
+                      .states)
     res = tune(net, cfg)
-    # the first walk per table, state and stream measures; the rest share
-    assert all(v == [cfg.steps] + [0] * (len(v) - 1)
-               for v in measured.values())
-    assert sum(map(len, measured.values())) == 40 * 3 > len(measured)
-    assert res.runs["walks_full"] == len(measured)
+    read = {}
+    for table, row, seed, _, events in calls:
+        read[table, row, seed] = read.get((table, row, seed), 0) + events
+    # the first walk per table, state and stream reads every event; the
+    # rest read none
+    assert all(v == cfg.steps for v in read.values())
+    assert 40 * 3 == sum(res.runs[w] for w in ("walks_full", "walks_shared"))
+    assert res.runs["walks_full"] == len(read) < 40 * 3
     assert_trace_matches(res, cfg, transient(net, cfg))
+
+
+def test_repeated_walks_skip_their_warmup(monkeypatch):
+    # the benchmark's config: 20 of the 40 walks at seed 1 repeat the
+    # table, start and stream of an earlier walk
+    cfg = TuneConfig(seed=1, budget=40)
+    calls = spy_walks(monkeypatch, tuner_module.StateSpace.enumerate(2, 10)
+                      .states)
+    res = tune(example1(), cfg)
+    warmups = [c[:3] for c in calls if not c[3]]
+    assert len(set(warmups)) == len(warmups) == 40 - 20
+    warmup = int(cfg.steps * DEFAULT_JUMP_WARMUP_FRAC)
+    assert sum(c[4] for c in calls) == len(warmups) * warmup + \
+        res.runs["walks_full"] * (cfg.steps - warmup)
