@@ -108,7 +108,9 @@ def cmd_gamma(args):
           args.out)
     summary = {"alpha": list(alpha),
                "gamma": "inf" if res.is_infinite else res.gamma,
-               "critical_subsets": [list(s) for s in res.critical_subsets]}
+               "critical_subsets": [list(s) for s in res.critical_subsets],
+               "drainable_subsets": len(rows),   # subset rows of the LP
+               "config_hash": _config_hash(args)}
     if not res.is_infinite:
         path = most_likely_path(net, alpha)
         summary["f_star"] = path.f_star.tolist()

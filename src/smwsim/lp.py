@@ -1,12 +1,12 @@
-"""Dense linear-program solver (two-phase simplex, Bland's rule).
+"""Linear-program solver (two-phase simplex, Bland's rule).
 
 Problems here have few columns but up to a few thousand rows (the
 optimal-alpha LP has n + 1 columns and one row per drainable subset plus
-the sum-to-one row: 1,893 rows at n = 15, 4,667 at n = 16).  A dense
-tableau with Bland's anti-cycling pivot rule is sufficient and easy to
-audit.  Most pivots enter a column that is still a unit vector and so
-update only the objective row.  Maximization convention: maximize c'x
-subject to A x <= b, A_eq x = b_eq, and per-variable bounds.
+the sum-to-one row: 1,893 rows at n = 15, 4,667 at n = 16).  Bland's
+anti-cycling rule keeps it easy to audit.  The tableau stores a slack or
+artificial column only once it stops being a unit vector; most pivots
+enter a unit column and update only the objective row.  Maximization
+convention: maximize c'x subject to A x <= b, A_eq x = b_eq, and bounds.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ def _check_finite(*arrays):
 
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
-    """Solve the LP by two-phase dense simplex.
+    """Solve the LP by two-phase simplex.
 
     Standard form writes x = shift + E y with y >= 0: a variable with a
     finite lower bound is that bound plus one y column, a free variable
@@ -72,7 +72,8 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     dot product per row: a matrix-vector product sums in another order,
     which moves the last bits of b and with them the returned x.
 
-    Phase 2 runs on the phase-1 tableau: 1,894 x 3,803 (58 MB) at n = 15.
+    Phase 2 runs on the phase-1 tableau, which at n = 15 ends up storing
+    41 of its 3,803 columns.
     """
     _check_finite(lp.c, lp.a_ub, lp.b_ub, lp.a_eq, lp.b_eq)
     nvar = lp.c.size
@@ -100,114 +101,179 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     slack_rows = np.r_[np.arange(n_ub), np.arange(n_ub + a_eq.shape[0], nrow)]
     ncol = nstd + slack_rows.size
 
-    # phase 1: artificial variable per row, minimize their sum; the
-    # tableau is [A | slacks | artificials | rhs] with rhs made nonnegative
-    tab = np.zeros((nrow + 1, ncol + nrow + 1))
-    tab[:nrow, :nstd] = A
-    tab[slack_rows, nstd + np.arange(slack_rows.size)] = 1.0
-    # home[j] = r: column j starts as the unit vector e_r (an unflipped
-    # slack or an artificial) and stays it until row r is a pivot row
-    home = np.r_[[-1] * nstd, np.where(b[slack_rows] < 0, -1, slack_rows),
-                 np.arange(nrow)].tolist()
-    flip = np.flatnonzero(b < 0)
-    tab[flip, :ncol] *= -1.0
-    b[flip] *= -1.0
-    np.fill_diagonal(tab[:nrow, ncol:ncol + nrow], 1.0)
-    tab[:nrow, -1] = b
-    basis = list(range(ncol, ncol + nrow))
-    used = [False] * nrow
-    obj = tab[nrow]
-    for r in range(nrow):   # reduced costs of min sum(artificials)
-        obj[:] -= tab[r]
-    obj[ncol:ncol + nrow] = 0.0
-
-    iters, _ = _simplex_iterate(tab, basis, ncol + nrow, home, used, "phase 1")
-    if obj[-1] < -FEAS_TOL:
+    tab = _Tableau(A, b, nstd, slack_rows)
+    iters, _ = tab.iterate(ncol + nrow, "phase 1")
+    if tab.obj[-1] < -FEAS_TOL:
         return LpSolution("infeasible", None, None, iters)
 
     # drive artificials out of the basis; zero redundant rows, so they are
     # never ratio candidates; phase 2 lets no artificial enter
     for r in range(nrow):
-        if basis[r] >= ncol:
-            piv = np.flatnonzero(np.abs(tab[r, :ncol]) > PIVOT_TOL)
-            if piv.size == 0:
-                tab[r] = 0.0
-            else:
-                _pivot(tab, r, piv[0], tab[:, piv[0]].copy())
-                basis[r] = int(piv[0])
-                used[r] = True
+        if tab.basis[r] >= ncol:
+            tab.drive_out(r)
 
-    # phase 2 objective (maximize): reduced costs of -c_std
-    c_std = np.zeros(ncol)
-    c_std[:nstd] = lp.c @ E
-    obj[:] = 0.0
-    obj[:ncol] = -c_std
-    for r in range(nrow):
-        if basis[r] < ncol and c_std[basis[r]] != 0.0:
-            obj += c_std[basis[r]] * tab[r]
+    # phase 2 objective (maximize): reduced costs of -c_std; a row with a
+    # structural basic has been a pivot row, so all of it is stored
+    c_std = lp.c @ E
+    obj = tab.obj = np.zeros(tab.obj.size)
+    obj[:nstd] = -c_std
+    cols = tab.cols[:tab.width]
+    for r, j in enumerate(tab.basis):
+        if j < nstd and c_std[j] != 0.0:
+            obj[cols] += c_std[j] * tab.block[r, :tab.width]
 
-    iters2, unbounded = _simplex_iterate(tab, basis, ncol, home, used,
-                                         "phase 2")
+    iters2, unbounded = tab.iterate(ncol, "phase 2")
     if unbounded:
         return LpSolution("unbounded", None, None, iters + iters2)
 
     y = np.zeros(ncol + nrow)   # a zeroed row sets its artificial to 0
-    y[basis] = tab[:nrow, -1]
+    y[tab.basis] = tab.block[:, nstd]
     x = shift + E @ y[:nstd]
     return LpSolution("optimal", x, float(lp.c @ x), iters + iters2)
 
 
-def _pivot(tab, row, col, colv):
-    """Gauss-Jordan pivot on (row, col); colv is column col before it.
+class _Tableau:
+    """Phase-1 tableau [A | slacks | artificials | rhs], rhs made >= 0,
+    without the columns that are still unit vectors.
 
-    Only rows with a nonzero in the pivot column and columns with a
-    nonzero in the pivot row change; every other product is an exact
-    zero, so skipping it leaves those entries as they are.
+    Slack or artificial column j starts as sign[j] * e_r, r = row[j], and
+    stays so until row r is a pivot row; just before that, row r appends
+    its unit columns to ``block`` = [A | rhs | appended].  ``cols[p]`` is
+    the tableau column at block position p, ``pos`` the inverse (-1 for a
+    unit column).  The objective row ``obj`` is stored in full, and
+    ``neg`` marks its negative reduced costs.
     """
-    tab[row] /= colv[row]
-    rows = (colv != 0.0).nonzero()[0]
-    rows = rows[rows != row]
-    cols = (tab[row] != 0.0).nonzero()[0]
-    tab[rows[:, None], cols] -= np.outer(colv[rows], tab[row, cols])
 
+    def __init__(self, A, b, nstd, slack_rows):
+        nrow = A.shape[0]
+        self.nstd, self.ncol = nstd, nstd + slack_rows.size
+        ntot = self.ncol + nrow
+        flip = np.where(b < 0, -1.0, 1.0)
+        self.sign = [1.0] * nstd + flip[slack_rows].tolist() + [1.0] * nrow
+        self.row = [-1] * nstd + slack_rows.tolist() + list(range(nrow))
+        self.units = [[self.ncol + r] for r in range(nrow)]
+        for j, r in enumerate(slack_rows.tolist(), nstd):
+            self.units[r].insert(0, j)
+        self.cols = np.arange(ntot + 1)   # read only below self.width
+        self.cols[nstd] = ntot
+        self.pos = list(range(nstd)) + [-1] * (ntot - nstd)
+        self.width = nstd + 1
+        self.block = np.zeros((nrow, 2 * self.width))
+        self.block[:, :nstd] = A * flip[:, None]
+        self.block[:, nstd] = b * flip
+        self.basis = list(range(self.ncol, ntot))
+        # reduced costs of min sum(artificials): 0 - row 0 - row 1 - ...
+        self.obj = np.zeros(ntot + 1)
+        self.obj[self.cols[:nstd + 1]] = np.subtract.accumulate(
+            np.vstack([np.zeros(nstd + 1), self.block[:, :nstd + 1]]))[-1]
+        self.obj[nstd:self.ncol] = -flip[slack_rows]
 
-def _simplex_iterate(tab, basis, ncols_usable, home, used, phase):
-    """Run simplex pivots with Bland's rule; returns (iterations, unbounded).
+    def iterate(self, usable, phase):
+        """Bland pivots while one of the first ``usable`` reduced costs is
+        negative; returns (iterations, unbounded).  The LP is unbounded
+        when the entering column has no positive entry."""
+        obj = self.obj
+        self.neg = obj < -FEAS_TOL
+        neg = self.neg[:usable]
+        for it in range(MAX_ITER):
+            # Bland: entering = lowest-index column with negative reduced cost
+            enter = int(neg.argmax())
+            if not neg[enter]:
+                return it, False
+            if self.pos[enter] < 0 and self.sign[enter] > 0:
+                # still e_leave: it is the one ratio candidate, and
+                # row / 1.0 == row, so only the objective changes
+                leave, m = self.row[enter], obj[enter]
+                self._reduce(self.block[leave, :self.width], m)
+                for j in self.units[leave]:
+                    obj[j] -= m * self.sign[j]
+                    self.neg[j] = obj[j] < -FEAS_TOL
+            else:
+                colv = self._column(enter)
+                cand = (colv > PIVOT_TOL).nonzero()[0]
+                if cand.size == 0:
+                    return it, True
+                leave = _ratio_test(
+                    cand, self.block[cand, self.nstd] / colv[cand], self.basis)
+                self._pivot(leave, colv, obj[enter])
+            self.basis[leave] = enter
+        raise RuntimeError(f"simplex iteration cap exceeded in {phase}")
 
-    The objective row is the last row (minimization of its negated value,
-    i.e. we pivot while some reduced cost is negative).  The LP is
-    unbounded when the entering column has no positive entry.
-    """
-    nrow = tab.shape[0] - 1
-    obj = tab[nrow]
-    for it in range(MAX_ITER):
-        # Bland: entering = lowest-index column with negative reduced cost
-        enter = (obj[:ncols_usable] < -FEAS_TOL).nonzero()[0]
-        if enter.size == 0:
-            return it, False
-        enter = int(enter[0])
-        leave = home[enter]
-        if leave >= 0 and not used[leave]:
-            # still e_leave: it is the one ratio candidate; row / 1.0 == row
-            cols = (tab[leave] != 0.0).nonzero()[0]
-            obj[cols] -= obj[enter] * tab[leave, cols]
+    def drive_out(self, r):
+        """Pivot row r's artificial out on the lowest-index column with an
+        entry above PIVOT_TOL, or zero the row when there is none."""
+        w = self.width
+        piv = self.cols[:w][np.abs(self.block[r, :w]) > PIVOT_TOL].tolist()
+        piv = [j for j in piv if j < self.ncol] + [
+            j for j in self.units[r] if j < self.ncol and self.pos[j] < 0]
+        if piv:
+            j = self.basis[r] = min(piv)
+            self._pivot(r, self._column(j), self.obj[j])
         else:
-            # leaving: min ratio, ties by lowest basis index (Bland)
-            colv = tab[:, enter].copy()
-            cand = (colv[:nrow] > PIVOT_TOL).nonzero()[0]
-            if cand.size == 0:
-                return it, True
-            ratios = (tab[cand, -1] / colv[cand]).tolist()
-            cand = cand.tolist()
-            best, leave = ratios[0], cand[0]
-            for r, ratio in zip(cand[1:], ratios[1:]):
-                if ratio < best - PIVOT_TOL or (abs(ratio - best) <= PIVOT_TOL
-                                                and basis[r] < basis[leave]):
-                    best, leave = ratio, r
-            _pivot(tab, leave, enter, colv)
-        used[leave] = True
-        basis[leave] = enter
-    raise RuntimeError(f"simplex iteration cap exceeded in {phase}")
+            self._store(r)
+            self.block[r, :self.width] = 0.0
+
+    def _column(self, j):
+        if self.pos[j] >= 0:
+            return self.block[:, self.pos[j]].copy()
+        colv = np.zeros(self.block.shape[0])
+        colv[self.row[j]] = self.sign[j]
+        return colv
+
+    def _store(self, r):
+        """Append row r's unit columns once, doubling the block as needed."""
+        for j in self.units[r] if self.pos[self.units[r][-1]] < 0 else ():
+            w = self.width
+            if w == self.block.shape[1]:
+                grown = np.zeros((len(self.block), min(2 * w, self.cols.size)))
+                grown[:, :w] = self.block
+                self.block = grown
+            self.block[r, w] = self.sign[j]
+            self.cols[w], self.pos[j], self.width = j, w, w + 1
+
+    def _pivot(self, r, colv, m):
+        """Gauss-Jordan pivot on row r; colv and m are the entering column
+        and its reduced cost before it.  The rows from the first to the
+        last nonzero of colv change as one slice; with colv[r] set to 0, an
+        entry with a zero factor stays as it was, up to the sign of a zero.
+        """
+        self._store(r)
+        prow = self.block[r, :self.width]
+        prow /= colv[r]
+        lo, hi = colv.nonzero()[0][[0, -1]]
+        colv[r] = 0.0
+        self.block[lo:hi + 1, :self.width] -= np.outer(colv[lo:hi + 1], prow)
+        self._reduce(prow, m)
+
+    def _reduce(self, prow, m):
+        """obj -= m * prow over the stored nonzeros of pivot row prow."""
+        nz = prow.nonzero()[0]
+        j = self.cols[nz]
+        self.obj[j] = reduced = self.obj[j] - m * prow[nz]
+        self.neg[j] = reduced < -FEAS_TOL
+
+
+def _ratio_test(cand, ratios, basis):
+    """Leaving row: min ratio, ties by lowest basis index (Bland).
+
+    When no other ratio is near the least one by the scan's comparisons,
+    the scan would keep that one, so it is taken directly.
+    """
+    k = ratios.argmin()
+    best = ratios[k]   # so ratios - best >= 0 is abs(ratio - best)
+    if np.count_nonzero((ratios - PIVOT_TOL <= best)
+                        | (ratios - best <= PIVOT_TOL)) == 1:
+        return int(cand[k])
+    return _bland_scan(cand.tolist(), ratios.tolist(), basis)
+
+
+def _bland_scan(cand, ratios, basis):
+    best, leave = ratios[0], cand[0]
+    for r, ratio in zip(cand[1:], ratios[1:]):
+        if ratio < best - PIVOT_TOL or (abs(ratio - best) <= PIVOT_TOL
+                                        and basis[r] < basis[leave]):
+            best, leave = ratio, r
+    return leave
 
 
 def solve_transportation(supply, demand, cost, support=None):

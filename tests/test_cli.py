@@ -67,6 +67,8 @@ def test_gamma_uniform(net_file, tmp_path, capsys):
     rows = read_csv(out)
     assert rows[0][0] == "subset"
     assert len(rows) == 2
+    assert summary["drainable_subsets"] == 1
+    assert len(summary["config_hash"]) == 12
 
 
 def test_gamma_optimal(net_file, tmp_path, capsys):
@@ -75,6 +77,22 @@ def test_gamma_optimal(net_file, tmp_path, capsys):
     summary = json.loads(capsys.readouterr().out)
     assert summary["alpha"] == pytest.approx([0.999, 0.001], abs=1e-9)
     assert summary["gamma"] == pytest.approx(0.999 * math.log(2))
+    assert summary["drainable_subsets"] == len(read_csv(out)) - 1 == 1
+
+
+def test_gamma_counts_lp_rows_and_hashes_options(tmp_path, capsys):
+    # random_crp(6, seed=0) has 13 drainable subsets: 13 subset rows in
+    # the optimal-alpha LP, and as many rows in the table
+    path = str(tmp_path / "net.json")
+    save_network(random_crp(6, seed=0), path)
+    hashes = []
+    for extra in (["--optimal"], ["--optimal", "--eps-floor", "0.01"], []):
+        out = tmp_path / "table.csv"
+        assert main(["gamma", path, "--out", str(out)] + extra) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["drainable_subsets"] == len(read_csv(out)) - 1 == 13
+        hashes.append(summary["config_hash"])
+    assert len(set(hashes)) == 3 and all(len(h) == 12 for h in hashes)
 
 
 def test_gamma_given_alpha(net_file, tmp_path, capsys):
@@ -83,6 +101,7 @@ def test_gamma_given_alpha(net_file, tmp_path, capsys):
     summary = json.loads(capsys.readouterr().out)
     assert summary["alpha"] == [0.75, 0.25]
     assert summary["gamma"] == pytest.approx(0.75 * math.log(2))
+    assert summary["drainable_subsets"] == 1
 
 
 def test_gamma_on_violating_instance_exits_2(bad_net_file, capsys):

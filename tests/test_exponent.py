@@ -198,19 +198,39 @@ CRP15_ALPHA_HEX = [
     "0x1.ffa44d6c61055p-4", "0x1.32bf9b10fba06p-8", "0x1.2a15075c70a37p-4",
     "0x1.0624dd2f1aa03p-10", "0x1.f63c3ea5f4b64p-6",
 ]
-CRP_ALPHA_PINS = {12: (1003, CRP12_ALPHA_HEX), 15: (1948, CRP15_ALPHA_HEX)}
+# the largest alpha LP, 4,667 rows, recorded before the tableau kept only
+# its changed columns; the dense phase-1 tableau peaked at 338 MiB
+CRP16_ALPHA_HEX = [
+    "0x1.0624dd2f1a9fcp-10", "0x1.1efd747027b38p-3", "0x1.35e26a3fc9e2dp-3",
+    "0x1.26bb8463fb8dap-3", "0x1.0624dd2f1a9fcp-10",
+    "0x1.0624dd2f1a9fcp-10", "0x1.33bb4a070a6e5p-2",
+    "0x1.0624dd2f1a9fcp-10", "0x1.0624dd2f1a9fcp-10",
+    "0x1.0624dd2f1a9fcp-10", "0x1.0624dd2f1a9fcp-10", "0x1.8252a2af868c2p-3",
+    "0x1.0624dd2f1a9fcp-10", "0x1.17f3b96ffc365p-6",
+    "0x1.0624dd2f1a9fcp-10", "0x1.94b95dcca0353p-5",
+]
+CRP_ALPHA_PINS = {12: (1003, CRP12_ALPHA_HEX), 15: (1948, CRP15_ALPHA_HEX),
+                  16: (4704, CRP16_ALPHA_HEX)}
 
 
 @pytest.mark.parametrize("n", sorted(CRP_ALPHA_PINS))
 def test_optimal_alpha_random_crp_bit_for_bit(n, monkeypatch):
+    import tracemalloc
     import smwsim.exponent as exponent
     iterations = []
     solve = exponent.solve_lp
     monkeypatch.setattr(exponent, "solve_lp", lambda lp: (
         lambda sol: iterations.append(sol.iterations) or sol)(solve(lp)))
-    alpha, _ = optimal_alpha(random_crp(n, seed=0))
+    net = random_crp(n, seed=0)
+    tracemalloc.start()
+    try:
+        alpha, _ = optimal_alpha(net)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     hexes = [float(a).hex() for a in alpha]
     assert (iterations[0], hexes) == CRP_ALPHA_PINS[n]
+    assert peak < 40 * 2**20
 
 
 def exponent_calls(net):

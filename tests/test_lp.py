@@ -248,6 +248,31 @@ def test_fuzzed_lps_pinned_bit_for_bit():
     assert h.hexdigest() == FUZZED_LP_DIGEST
 
 
+def test_near_tie_leaves_by_lowest_basis_index():
+    # x enters with both artificials basic; the ratios 1 + 5e-12 (row 0)
+    # and 1 (row 1) lie within PIVOT_TOL, so row 0, whose artificial has
+    # the lower index, leaves although its ratio is the larger one
+    sol = solve_lp(LinearProgram(c=[1.0], a_ub=[[1.0], [1.0]],
+                                 b_ub=[1.0 + 5e-12, 1.0]))
+    assert sol.status == "optimal"
+    assert sol.x.tolist() == [1.0 + 5e-12] and sol.iterations == 2
+
+
+def test_fuzzed_lps_take_both_ratio_test_paths(monkeypatch):
+    # the digest above guards the direct minimum and Bland's scan only
+    # if the fuzzed LPs reach both
+    import smwsim.lp as lp_module
+    calls = {"_ratio_test": 0, "_bland_scan": 0}
+    for name in calls:
+        def spy(*args, name=name, f=getattr(lp_module, name)):
+            calls[name] += 1
+            return f(*args)
+        monkeypatch.setattr(lp_module, name, spy)
+    for lp in _fuzzed_lps():
+        solve_lp(lp)
+    assert 0 < calls["_bland_scan"] < calls["_ratio_test"]
+
+
 def test_repeated_equality_row_changes_nothing():
     # the copy is redundant: phase 1 leaves an artificial basic on a row
     # with nothing to pivot on, and solve_lp zeroes that row
