@@ -11,6 +11,7 @@ in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 import itertools
 from math import comb
 
@@ -63,13 +64,17 @@ class StateSpace:
         agree before i and are smaller at i, where m = n - 1 - i and R is
         what is left of K before i.  No term exceeds the state count."""
         states = np.asarray(states, dtype=np.int64)
-        n = states.shape[1]
-        table = np.ones((n, self.K + 1), dtype=np.int64)
-        for m in range(1, n):               # table[m, R] = C(R + m, m)
-            table[m] = np.cumsum(table[m - 1])
+        table = self._binomials
         after = (self.K - np.cumsum(states, axis=1))[:, :-1]
-        m = np.arange(n - 1, 0, -1)
+        m = np.arange(states.shape[1] - 1, 0, -1)
         return (table[m, after + states[:, :-1]] - table[m, after]).sum(axis=1)
+
+    @cached_property
+    def _binomials(self) -> np.ndarray:
+        table = np.ones((self.states.shape[1], self.K + 1), dtype=np.int64)
+        for m in range(1, len(table)):      # table[m, R] = C(R + m, m)
+            table[m] = np.cumsum(table[m - 1])
+        return table
 
 
 @dataclass

@@ -56,13 +56,16 @@ class SubsetStats:
 class ExponentResult:
     gamma: float                  # math.inf when no subset is drainable
     critical_subsets: tuple       # argmin subsets (members tuples)
-    _columns: tuple = field(repr=False)  # subset columns, mass, contribution
+    _columns: tuple = field(repr=False)  # packed masks, rates, mass, contrib
 
     @property
     def per_subset(self) -> tuple:
         """(SubsetStats, boundary mass, contribution) per drainable subset."""
-        cols, mass, contrib = self._columns
-        return tuple(zip(_stats(*cols), mass.tolist(), contrib.tolist()))
+        (*masks, lam, mu), mass, contrib = self._columns
+        # the padding rows unpack as False, so no index tuple shows them
+        masks = (np.unpackbits(a, axis=0).view(bool) for a in masks)
+        return tuple(zip(_stats(*masks, lam, mu), mass.tolist(),
+                         contrib.tolist()))
 
     @property
     def is_infinite(self) -> bool:
@@ -158,8 +161,9 @@ def _exponent(alpha, cols, log_ratio) -> ExponentResult:
     contrib = mass * log_ratio
     best = float(contrib.min(initial=math.inf))
     crit = np.flatnonzero(contrib <= best * (1 + TIE_RTOL) + 1e-300)
+    packed = (np.packbits(members, axis=0), np.packbits(boundary, axis=0))
     return ExponentResult(best, tuple(sorted(mask_indices(members[:, crit]))),
-                          (cols, mass, contrib))
+                          ((*packed, *cols[2:]), mass, contrib))
 
 
 def optimal_alpha(net: Network, eps_floor: float = DEFAULT_EPS_FLOOR):
@@ -223,11 +227,12 @@ def most_likely_path(net: Network, alpha) -> RatePath:
     is left at its typical rate.
     """
     alpha = check_alpha(alpha, net.n_supply)
-    res = _exponent(alpha, *_pooled_subsets(net))
+    cols, log_ratio = _pooled_subsets(net)
+    res = _exponent(alpha, cols, log_ratio)
     if res.is_infinite:
         raise ValueError("no drainable subset: most likely path undefined")
     jstar = res.critical_subsets[0]
-    (members, boundary, lam, mu), mass, _ = res._columns
+    (members, boundary, lam, mu), mass = cols, res._columns[1]
     inside = np.isin(np.arange(net.n_demand), jstar)
     k = np.flatnonzero((members.T == inside).all(axis=1))[0]
     bnd, lam, mu = boundary[:, k], float(lam[k]), float(mu[k])

@@ -2,11 +2,11 @@
 
 Problems here have few columns but up to a few thousand rows (the
 optimal-alpha LP has n + 1 columns and one row per drainable subset plus
-the sum-to-one row: 1,893 rows at n = 15, 4,667 at n = 16).  Bland's
-anti-cycling rule keeps it easy to audit.  The tableau stores a slack or
-artificial column only once it stops being a unit vector; most pivots
-enter a unit column and update only the objective row.  Maximization
-convention: maximize c'x subject to A x <= b, A_eq x = b_eq, and bounds.
+the sum-to-one row: 1,893 rows at n = 15, 4,667 at n = 16).  The tableau
+stores a slack or artificial column only once it stops being a unit
+vector.  Most pivots enter such a column and change only the objective
+row; Bland's rule, kept for audit, fixes runs of them ahead, and a run
+is one accumulate.  Maximize c'x s.t. A x <= b, A_eq x = b_eq, bounds.
 """
 
 from __future__ import annotations
@@ -18,6 +18,8 @@ import numpy as np
 FEAS_TOL = 1e-9
 PIVOT_TOL = 1e-11
 MAX_ITER = 20000
+RUN = 64        # most home pivots applied in one accumulate
+SCAN_MAX = 8    # ratio tests this short skip the numpy near-tie check
 
 
 @dataclass
@@ -55,12 +57,6 @@ class LpSolution:
     iterations: int
 
 
-def _check_finite(*arrays):
-    for a in arrays:
-        if a is not None and not np.all(np.isfinite(a)):
-            raise ValueError("LP data contains NaN or Inf")
-
-
 def solve_lp(lp: LinearProgram) -> LpSolution:
     """Solve the LP by two-phase simplex.
 
@@ -75,7 +71,9 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     Phase 2 runs on the phase-1 tableau, which at n = 15 ends up storing
     41 of its 3,803 columns.
     """
-    _check_finite(lp.c, lp.a_ub, lp.b_ub, lp.a_eq, lp.b_eq)
+    if not all(a is None or np.isfinite(a).all()
+               for a in (lp.c, lp.a_ub, lp.b_ub, lp.a_eq, lp.b_eq)):
+        raise ValueError("LP data contains NaN or Inf")
     nvar = lp.c.size
     a_ub = lp.a_ub if lp.a_ub is not None else np.zeros((0, nvar))
     b_ub = lp.b_ub if lp.b_ub is not None else np.zeros(0)
@@ -172,32 +170,62 @@ class _Tableau:
         """Bland pivots while one of the first ``usable`` reduced costs is
         negative; returns (iterations, unbounded).  The LP is unbounded
         when the entering column has no positive entry."""
-        obj = self.obj
-        self.neg = obj < -FEAS_TOL
-        neg = self.neg[:usable]
-        for it in range(MAX_ITER):
+        self.neg = self.obj < -FEAS_TOL
+        neg, it = self.neg[:usable], 0
+        while it < MAX_ITER:
             # Bland: entering = lowest-index column with negative reduced cost
             enter = int(neg.argmax())
             if not neg[enter]:
                 return it, False
             if self.pos[enter] < 0 and self.sign[enter] > 0:
-                # still e_leave: it is the one ratio candidate, and
-                # row / 1.0 == row, so only the objective changes
-                leave, m = self.row[enter], obj[enter]
-                self._reduce(self.block[leave, :self.width], m)
-                for j in self.units[leave]:
-                    obj[j] -= m * self.sign[j]
-                    self.neg[j] = obj[j] < -FEAS_TOL
-            else:
-                colv = self._column(enter)
-                cand = (colv > PIVOT_TOL).nonzero()[0]
-                if cand.size == 0:
-                    return it, True
-                leave = _ratio_test(
-                    cand, self.block[cand, self.nstd] / colv[cand], self.basis)
-                self._pivot(leave, colv, obj[enter])
+                it += self._home_run(enter, usable)
+                continue
+            colv = self._column(enter)
+            cand = (colv > PIVOT_TOL).nonzero()[0]
+            if cand.size == 0:
+                return it, True
+            leave = _ratio_test(
+                cand, self.block[cand, self.nstd] / colv[cand], self.basis)
+            self._pivot(leave, colv, self.obj[enter])
             self.basis[leave] = enter
+            it += 1
         raise RuntimeError(f"simplex iteration cap exceeded in {phase}")
+
+    def _home_run(self, enter, usable):
+        """Bland's run of home pivots from ``enter``; returns its length.
+
+        The run takes the next negative reduced costs while each is a home
+        column: in phase 1 a +e_r slack at -1, whose pivot lifts row r's
+        unit columns to 0 and 1 (in phase 2 they stay at 0), so no pivot
+        moves a later one's multiplier or turns a unit column negative.
+        One accumulate gives the stored reduced costs after each pivot
+        with ``_reduce``'s bits (a zero entry adds +-0); the run stops
+        where one below the next candidate turns negative.
+        """
+        obj, w, js = self.obj, self.width, []
+        for j in (self.neg[enter:usable].nonzero()[0][:RUN] + enter).tolist():
+            if self.pos[j] >= 0 or self.sign[j] < 0:
+                break
+            js.append(j)
+        rows = [self.row[j] for j in js]
+        if len(js) == 1:
+            self._reduce(self.block[rows[0], :w], obj[enter])
+        else:
+            cols, at = self.cols[:w], np.array(js)
+            steps = np.vstack([obj[cols], obj[at, None] * self.block[rows, :w]])
+            np.subtract.accumulate(steps, axis=0, out=steps)
+            turned = ((steps[1:-1] < -FEAS_TOL)
+                      & (cols < at[1:, None])).any(axis=1)
+            k = int(np.append(turned, True).argmax()) + 1
+            del rows[k:], js[k:]
+            obj[cols] = steps[k]
+            self.neg[cols] = steps[k] < -FEAS_TOL
+        for r, j, m in zip(rows, js, obj[js].tolist()):
+            for u in self.units[r]:
+                obj[u] -= m * self.sign[u]
+                self.neg[u] = obj[u] < -FEAS_TOL
+            self.basis[r] = j
+        return len(js)
 
     def drive_out(self, r):
         """Pivot row r's artificial out on the lowest-index column with an
@@ -256,14 +284,16 @@ class _Tableau:
 def _ratio_test(cand, ratios, basis):
     """Leaving row: min ratio, ties by lowest basis index (Bland).
 
-    When no other ratio is near the least one by the scan's comparisons,
-    the scan would keep that one, so it is taken directly.
+    Up to SCAN_MAX candidates go straight to Bland's scan.  Otherwise, when
+    no other ratio is near the least one by the scan's comparisons, the
+    scan would keep that one, so it is taken directly.
     """
-    k = ratios.argmin()
-    best = ratios[k]   # so ratios - best >= 0 is abs(ratio - best)
-    if np.count_nonzero((ratios - PIVOT_TOL <= best)
-                        | (ratios - best <= PIVOT_TOL)) == 1:
-        return int(cand[k])
+    if cand.size > SCAN_MAX:
+        k = ratios.argmin()
+        best = ratios[k]   # so ratios - best >= 0 is abs(ratio - best)
+        if np.count_nonzero((ratios - PIVOT_TOL <= best)
+                            | (ratios - best <= PIVOT_TOL)) == 1:
+            return int(cand[k])
     return _bland_scan(cand.tolist(), ratios.tolist(), basis)
 
 

@@ -221,6 +221,26 @@ def test_shift_map_matches_rank(n, K):
         assert move.any() == (K > 0)
 
 
+def test_rank_builds_its_binomial_table_once_per_space(monkeypatch):
+    from functools import cached_property
+    from smwsim import TuneConfig, tune
+    built, table = [], StateSpace._binomials.func
+    spy = cached_property(lambda space: built.append(space.K) or table(space))
+    spy.__set_name__(StateSpace, "_binomials")
+    monkeypatch.setattr(StateSpace, "_binomials", spy)
+    space = StateSpace.enumerate(4, 40)
+    picks = np.arange(0, len(space.states), 97)
+    assert [space.rank([space.states[i]])[0] for i in picks] == picks.tolist()
+    assert built == [40]
+    # the tuner ranks one start state per candidate, all on one space
+    ranked, rank = [], StateSpace.rank
+    monkeypatch.setattr(StateSpace, "rank", lambda space, states: (
+        ranked.append(len(states)) or rank(space, states)))
+    built.clear()
+    tune(example1(), TuneConfig(seed=1, budget=40))
+    assert (ranked, built) == ([1] * 40, [10])
+
+
 def test_chain_ranks_only_the_initial_state(monkeypatch):
     calls, rank = [], StateSpace.rank
 

@@ -233,6 +233,22 @@ def test_optimal_alpha_random_crp_bit_for_bit(n, monkeypatch):
     assert peak < 40 * 2**20
 
 
+def test_results_keep_subset_masks_bit_packed():
+    net = random_crp(15, seed=0)
+    alpha, res = optimal_alpha(net)
+    (members, boundary, lam, _), _, _ = res._columns
+    for mask, nodes in ((members, net.n_demand), (boundary, net.n_supply)):
+        assert mask.dtype == np.uint8
+        assert mask.shape == (math.ceil(nodes / 8), lam.size) == (2, 1892)
+    assert hexed(res.per_subset) == hexed(gamma_loop(net, alpha)[2])
+    complete = build_network(3, 3, [(i, j) for i in range(3)
+                                     for j in range(3)], np.ones((3, 3)) / 9)
+    alpha, res = optimal_alpha(complete)
+    assert res.is_infinite and res.per_subset == ()
+    assert [(a.dtype, a.shape) for a in res._columns[0][:2]] == \
+        [(np.uint8, (1, 0))] * 2
+
+
 def exponent_calls(net):
     alpha = uniform_alpha(net.n_supply)
     return (lambda: gamma(net, alpha), lambda: optimal_alpha(net),

@@ -8,7 +8,8 @@ import pytest
 
 from smwsim import LinearProgram, solve_lp, solve_transportation
 from smwsim.lp import InfeasibleFlowError
-from smwsim.instances import example1
+from smwsim import optimal_alpha
+from smwsim.instances import example1, random_crp
 
 
 def test_single_variable():
@@ -271,6 +272,119 @@ def test_fuzzed_lps_take_both_ratio_test_paths(monkeypatch):
     for lp in _fuzzed_lps():
         solve_lp(lp)
     assert 0 < calls["_bland_scan"] < calls["_ratio_test"]
+
+
+def test_short_ratio_tests_go_straight_to_blands_scan(monkeypatch):
+    # up to SCAN_MAX candidates skip the near-tie count; longer lists take
+    # the direct minimum when it has no near tie, and the scan otherwise
+    import smwsim.lp as lp_module
+    seen = {"short": 0, "direct": 0, "long scan": 0}
+    test, scan = lp_module._ratio_test, lp_module._bland_scan
+    scanned = []
+
+    def spy_scan(cand, *args):
+        scanned.append(len(cand))
+        return scan(cand, *args)
+
+    def spy_test(cand, *args):
+        scanned.clear()
+        leave = test(cand, *args)
+        if cand.size <= lp_module.SCAN_MAX:
+            assert scanned == [cand.size]
+            seen["short"] += 1
+        else:
+            seen["long scan" if scanned else "direct"] += 1
+        return leave
+    monkeypatch.setattr(lp_module, "_bland_scan", spy_scan)
+    monkeypatch.setattr(lp_module, "_ratio_test", spy_test)
+    for lp in _fuzzed_lps():
+        solve_lp(lp)
+    assert min(seen.values()) > 0
+
+
+def _home_run_lps():
+    """LPs with tens of <= rows on a few columns, most with b >= 0: phase
+    1 enters most slacks at home (each still e_r of its own row), in runs
+    that a structural column turning negative or an already negative
+    stored column cuts short.  A few rows need a -e_r slack, some LPs
+    have an equality row or capped columns, some are infeasible."""
+    rng = np.random.default_rng(3)
+    for _ in range(40):
+        nvar = int(rng.integers(2, 6))
+        A = rng.normal(size=(int(rng.integers(10, 60)), nvar))
+        x0 = rng.uniform(0, 1, nvar)
+        a_eq = rng.normal(size=(int(rng.integers(0, 2)), nvar))
+        yield LinearProgram(c=rng.normal(size=nvar), a_ub=A,
+                            b_ub=A @ x0 + rng.uniform(-0.05, 1, len(A)),
+                            a_eq=a_eq, b_eq=a_eq @ x0,
+                            upper=np.where(rng.random(nvar) < 0.5, 2.0,
+                                           np.inf))
+
+
+def test_home_runs_match_one_pivot_at_a_time(monkeypatch):
+    # RUN = 1 applies every home pivot on its own through _reduce
+    import smwsim.lp as lp_module
+    lps = list(_home_run_lps())
+    batched = [solve_lp(lp) for lp in lps]
+    monkeypatch.setattr(lp_module, "RUN", 1)
+    for lp, sol in zip(lps, batched):
+        one = solve_lp(lp)
+        assert (one.status, one.iterations) == (sol.status, sol.iterations)
+        assert (one.x is None and sol.x is None
+                or one.x.tobytes() == sol.x.tobytes())
+    assert {sol.status for sol in batched} == {"optimal", "infeasible"}
+
+
+def test_home_runs_take_both_stop_paths(monkeypatch):
+    # after a batched run, Bland's next column is not a home column: one
+    # that turned negative during the run (the accumulate's stop), or one
+    # that was negative before it (the end of the candidate list)
+    from smwsim.lp import _Tableau
+    ends = {"turned negative": 0, "already negative": 0}
+    run = _Tableau._home_run
+
+    def spy(tab, enter, usable):
+        before = tab.neg[:usable].copy()
+        k = run(tab, enter, usable)
+        after = tab.neg[:usable]
+        e = int(after.argmax())
+        if k > 1 and after[e] and (tab.pos[e] >= 0 or tab.sign[e] < 0):
+            assert before[e] or tab.pos[e] >= 0   # no unit column turns
+            ends["already negative" if before[e] else "turned negative"] += 1
+        return k
+    monkeypatch.setattr(_Tableau, "_home_run", spy)
+    for lp in _home_run_lps():
+        solve_lp(lp)
+    assert min(ends.values()) > 0
+
+
+def test_iteration_cap_still_binds(monkeypatch):
+    # phase 1 needs exactly `iterations` pivots on an infeasible LP, most
+    # of them in home runs: a cap of that many or fewer raises, one more
+    # lets the same answer through
+    import smwsim.lp as lp_module
+    lps = [(lp, sol.iterations) for lp in _home_run_lps()
+           for sol in [solve_lp(lp)] if sol.status == "infeasible"]
+    assert lps
+    for lp, iterations in lps:
+        for cap in (iterations // 2, iterations):
+            monkeypatch.setattr(lp_module, "MAX_ITER", cap)
+            with pytest.raises(RuntimeError, match="exceeded in phase 1"):
+                solve_lp(lp)
+        monkeypatch.setattr(lp_module, "MAX_ITER", iterations + 1)
+        assert solve_lp(lp).status == "infeasible"
+
+
+def test_alpha_lp_home_pivots_run_in_few_batches(monkeypatch):
+    # n = 15: 1,891 of the LP's 1,948 pivots enter a home column
+    from smwsim.lp import _Tableau
+    runs = []
+    run = _Tableau._home_run
+    monkeypatch.setattr(_Tableau, "_home_run", lambda tab, *args: (
+        runs.append(run(tab, *args)) or runs[-1]))
+    optimal_alpha(random_crp(15, seed=0))
+    assert sum(runs) == 1891
+    assert len(runs) * 20 <= sum(runs)
 
 
 def test_repeated_equality_row_changes_nothing():
