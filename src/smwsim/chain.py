@@ -11,7 +11,6 @@ in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 import itertools
 from math import comb
 
@@ -57,25 +56,6 @@ class StateSpace:
                       constant_values=(-1, K + n - 1))
         return cls(np.diff(bars, axis=1) - 1, K)
 
-    def rank(self, states) -> np.ndarray:
-        """Row of each state (m x n), by the combinatorial number system.
-
-        Coordinate i adds C(R + m, m) - C(R - q_i + m, m) rows, those that
-        agree before i and are smaller at i, where m = n - 1 - i and R is
-        what is left of K before i.  No term exceeds the state count."""
-        states = np.asarray(states, dtype=np.int64)
-        table = self._binomials
-        after = (self.K - np.cumsum(states, axis=1))[:, :-1]
-        m = np.arange(states.shape[1] - 1, 0, -1)
-        return (table[m, after + states[:, :-1]] - table[m, after]).sum(axis=1)
-
-    @cached_property
-    def _binomials(self) -> np.ndarray:
-        table = np.ones((self.states.shape[1], self.K + 1), dtype=np.int64)
-        for m in range(1, len(table)):      # table[m, R] = C(R + m, m)
-            table[m] = np.cumsum(table[m - 1])
-        return table
-
 
 @dataclass
 class ChainSolution:
@@ -88,16 +68,18 @@ class ChainSolution:
     lu_nnz: int                     # fill: entries SuperLU stores for L and U
 
 
-def transitions(net: Network, policy: Policy, space: StateSpace):
+def transitions(net: Network, atoms, space: StateSpace):
     """Atoms in (row, origin, atom) order: row, source (a node or DROP),
     rate phi[origin] * weight and next row (same if no move) per dest.
 
-    Adding e_d - e_s keeps lexicographic order, so the move from s to d
-    sends the k-th row with q_s > 0 to the k-th row with q_d > 0: next
-    rows come from that shift, with no per-move rank."""
+    ``atoms[j]`` is ``policy.dispatch_table(space.states, j)``, so a caller
+    that already holds the tables builds none again.  Adding e_d - e_s
+    keeps lexicographic order, so the move from s to d sends the k-th row
+    with q_s > 0 to the k-th row with q_d > 0: next rows come from that
+    shift, with no per-move search."""
     nstates = len(space.states)
-    ori, src, w = zip(*[(j, src, w) for j in range(net.n_demand)
-                        for src, w in policy.dispatch_table(space.states, j)])
+    ori, src, w = zip(*[(j, src, w) for j, table in enumerate(atoms)
+                        for src, w in table])
     # atoms in (row, origin, atom) order: a stable sort of the tables by row
     row = np.repeat(np.arange(nstates), len(w))
     source = np.stack(src, axis=1).ravel()
@@ -123,7 +105,8 @@ def build_chain(net: Network, policy: Policy, K: int,
     """
     space = StateSpace.enumerate(net.n_supply, K, cap)
     nstates = len(space.states)
-    row, source, pw, tgt = transitions(net, policy, space)
+    row, source, pw, tgt = transitions(net, [policy.dispatch_table(
+        space.states, j) for j in range(net.n_demand)], space)
     live = pw != 0.0
     drop = source == DROP
     drop_mass = np.bincount(row[drop], pw[drop].sum(axis=1), minlength=nstates)
@@ -209,10 +192,11 @@ def stationary_drop_probability(net: Network, policy: Policy, K: int,
     """
     P, drop_mass, space = build_chain(net, policy, K, cap)
     init = proportional_init(policy.rest_weights(net.n_supply), K)
-    nclosed, members = _recurrent_class(P, int(space.rank([init])[0]))
+    gap = np.abs(space.states - init).sum(axis=1)   # L1; 0 only at init
+    nclosed, members = _recurrent_class(P, int(gap.argmin()))
     # pin the class state nearest the resting point, near the bulk of pi;
     # where the mode outweighs it (priority, say), solve again pinning that
-    pin = int(np.abs(space.states[members] - init).sum(axis=1).argmin())
+    pin = int(gap[members].argmin())
     pi, lu_nnz = _stationary_on(P, members, pin, space.states)
     if not pi.max() <= REPIN_RATIO * pi[pin]:       # nan solves again too
         pi, lu_nnz = _stationary_on(P, members, int(pi.argmax()), space.states)

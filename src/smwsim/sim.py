@@ -53,8 +53,8 @@ class TimedConfig:
     warmup_frac: float = DEFAULT_TIMED_WARMUP_FRAC
 
     def __post_init__(self):
-        if self.total_rate <= 0:
-            raise ValueError("total_rate must be positive")
+        if not 0 < self.total_rate < math.inf:     # nan fails too
+            raise ValueError("total_rate must be positive and finite")
 
 
 def proportional_init(weights, K: int) -> np.ndarray:
@@ -70,16 +70,21 @@ def proportional_init(weights, K: int) -> np.ndarray:
     return base
 
 
-def _initial_queues(policy: Policy, n: int, K: int, init) -> list:
-    """Checked ``init`` as a list of ints; default: K split by rest weights."""
-    if K < 0:
-        raise ValueError(f"fleet size K={K} must be nonnegative")
-    if init is None or (isinstance(init, str) and init == "proportional"):
+def _initial_queues(policy: Policy, K: int | None, init) -> list:
+    """Checked ``init``, n nonnegative integers summing to K (K None: to
+    any total), as a list of ints; default: K split by rest weights."""
+    n = policy.net.n_supply
+    if init is None:
+        if K < 0:
+            raise ValueError(f"fleet size K={K} must be nonnegative")
         return proportional_init(policy.rest_weights(n), K).tolist()
-    q = np.array(init, dtype=np.int64)
-    if q.sum() != K or np.any(q < 0):
-        raise ValueError(f"initial queues must be nonnegative and sum to K={K}")
-    return q.tolist()
+    q = np.asarray(init)
+    if q.shape != (n,) or q.dtype.kind not in "iuf" \
+            or not np.all((np.floor(q) == q) & (q >= 0)):   # nan fails too
+        raise ValueError(f"initial queues must be {n} nonnegative integers")
+    if K is not None and q.sum() != K:
+        raise ValueError(f"initial queues must sum to K={K}, not {q.sum()}")
+    return [int(x) for x in q.tolist()]      # exact, however large
 
 
 def draw_events(net: Network, rng, size: int) -> np.ndarray:
@@ -137,7 +142,7 @@ def run_jump_chain(net: Network, policy: Policy, K: int, steps: int,
     if not 0 <= warmup < steps:
         raise ValueError("need steps > warmup >= 0")
     n = net.n_supply
-    q = _initial_queues(policy, n, K, init)
+    q = _initial_queues(policy, K, init)
 
     rng = np.random.default_rng(seed)
     pairs = [divmod(d, net.phi.shape[1]) for d in range(net.phi.size)]
@@ -196,7 +201,7 @@ def run_timed(net: Network, policy: Policy, cfg: TimedConfig,
                          "needs n_demand <= n_supply")
 
     n = net.n_supply
-    q = _initial_queues(policy, n, cfg.k_tot, init)
+    q = _initial_queues(policy, cfg.k_tot, init)
     horizon = cfg.horizon_minutes
     warmup_t = cfg.warmup_frac * horizon
     if not 0 <= warmup_t < horizon:   # also rejects a NaN warmup_frac
@@ -288,6 +293,8 @@ def fleet_requirement(net: Network, total_rate: float) -> FleetRequirement:
     times are present) the minimum mean cars en route to pickups."""
     if net.travel_time is None:
         raise ValueError("fleet sizing requires a travel time matrix")
+    if not 0 <= total_rate < math.inf:         # nan fails too
+        raise ValueError("total_rate must be nonnegative and finite")
     k_transit = total_rate * float(np.sum(net.phi * net.travel_time[
         :net.n_demand, :net.n_supply]))
     k_pickup = 0.0
@@ -310,7 +317,7 @@ def estimate_exponent(drop_curve):
             warnings.warn(f"excluding censored point K={K} with p={p}",
                           stacklevel=2)
             continue
-        if p >= 1.0:
+        if not p < 1.0:     # nan fails too
             raise ValueError("drop probabilities must lie in (0, 1)")
         pts.append((float(K), -math.log(p)))
     if len(pts) < 3:

@@ -93,6 +93,8 @@ def tune(net: Network, cfg: TuneConfig, tune_beta: bool = False) -> TuneResult:
     evaluation trace.
     """
     n = net.n_supply
+    if not 0.0 < cfg.eps_floor < 1.0 / n:     # as optimal_alpha checks it
+        raise ValueError("eps_floor must lie in (0, 1/n)")
     rng = np.random.default_rng(cfg.seed)
     seed_seq = np.random.SeedSequence(cfg.seed)
     conc = np.full(n, DEFAULT_CONCENTRATION / n)
@@ -156,24 +158,28 @@ def _evaluate(net, cfg: TuneConfig, alpha, beta, seeds, codes, spaces,
         made["simulated"] += len(seeds)
         return [run_timed(net, policy, cfg.timed, pickup, s).drop_fraction
                 for s in seeds]
-    runs = [(int(np.sum(q)), 0, q) for q in cfg.initial_states] or \
-        [(cfg.K, int(cfg.steps * DEFAULT_JUMP_WARMUP_FRAC), None)]
+    runs = [(0, _initial_queues(policy, None, q))
+            for q in cfg.initial_states] or \
+        [(int(cfg.steps * DEFAULT_JUMP_WARMUP_FRAC),
+          _initial_queues(policy, cfg.K, None))]
     n, size, steps = net.n_supply, net.phi.size, cfg.steps
     vals = []
-    for K, warmup, init in runs:
-        if K < 0 or comb(K + n - 1, n - 1) * size > steps:  # K < 0 fails there
+    for warmup, q in runs:
+        K = sum(q)
+        if comb(K + n - 1, n - 1) * size > steps:
             made["simulated"] += len(seeds)
             vals.append([run_jump_chain(net, policy, K, steps, warmup, s,
-                                        init).drop_fraction for s in seeds])
+                                        q).drop_fraction for s in seeds])
             continue
         space = spaces(K)   # deterministic SMW: one source per (row, origin)
-        key = (K, b"".join(src.tobytes() for j in range(net.n_demand) for
-                           src, _ in policy.dispatch_table(space.states, j)))
+        atoms = [policy.dispatch_table(space.states, j)
+                 for j in range(net.n_demand)]
+        key = (K, b"".join(src.tobytes() for [(src, _)] in atoms))
         if key not in tables:
             made["tables"] += 1
-            tables[key] = _tables(net, policy, space, steps)
+            tables[key] = _tables(net, atoms, space, steps)
         k, width, *walk = tables[key]      # walk: next-row and drop lists
-        start = space.rank([_initial_queues(policy, n, K, init)]).item() * width
+        start = int(np.abs(space.states - q).sum(axis=1).argmin()) * width
         vals.append([])
         for s in seeds:     # start -> state after warmup -> measured drops
             ends, drops = walked.setdefault((key, warmup, s), ({}, {}))
@@ -187,12 +193,12 @@ def _evaluate(net, cfg: TuneConfig, alpha, beta, seeds, codes, spaces,
     return [float(np.mean(v)) for v in zip(*vals)]
 
 
-def _tables(net, policy, space, steps):
+def _tables(net, atoms, space, steps):
     """k, row width, next-row and drop lists: per row, the row reached
     (times the width) and drops on each block of k events, in C order, then
     (k > 1) on each single event; k is the largest with rows * size^k * k^2
     <= steps, so the table stays well below the walks that read it."""
-    _, source, _, tgt = transitions(net, policy, space)
+    _, source, _, tgt = transitions(net, atoms, space)
     rows, size = len(space.states), net.phi.size
     k = 1
     while rows * size ** (k + 1) * (k + 1) ** 2 <= steps:

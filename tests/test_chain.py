@@ -85,7 +85,10 @@ def test_state_space_counts():
     for n, K in [(2, 5), (3, 4), (4, 6)]:
         sp = StateSpace.enumerate(n, K)
         assert sp.states.shape[0] == math.comb(K + n - 1, n - 1)
-        assert sp.rank(sp.states[-1:])[0] == sp.states.shape[0] - 1
+        rows = {tuple(q): r for r, q in enumerate(sp.states.tolist())}
+        assert list(rows) == sorted(rows)       # lexicographic, no repeat
+        assert len(rows) == sp.states.shape[0]
+        assert rows[(K,) + (0,) * (n - 1)] == sp.states.shape[0] - 1
         assert np.all(sp.states.sum(axis=1) == K)
 
 
@@ -106,7 +109,8 @@ def test_example1_k1_transitions():
     net = example1()
     P, drop, sp = build_chain(net, SmwPolicy(net, [0.5, 0.5]), 1)
     Pd = P.toarray()
-    i10, i01 = sp.rank([(1, 0), (0, 1)])
+    rows = {tuple(q): r for r, q in enumerate(sp.states.tolist())}
+    i10, i01 = rows[1, 0], rows[0, 1]
     assert Pd[i10, i10] == pytest.approx(5 / 8)
     assert Pd[i10, i01] == pytest.approx(3 / 8)
     assert Pd[i01, i01] == pytest.approx(3 / 4)
@@ -192,22 +196,17 @@ def test_crp_violating_floor():
         assert sol.drop_probability >= 1 / 8 - 1e-12
 
 
-@pytest.mark.parametrize("n, K", [(2, 300), (4, 40), (40, 2)])
-def test_rank_inverts_enumeration(n, K):
-    space = StateSpace.enumerate(n, K)
-    count = math.comb(K + n - 1, n - 1)
-    assert np.array_equal(space.rank(space.states), np.arange(count))
-
-
 @pytest.mark.parametrize("n, K", [(2, 300), (4, 0), (4, 40), (5, 12), (40, 2)])
 def test_shift_map_matches_rank(n, K):
-    """Every next row from the order-preserving shift is the rank of the
+    """Every next row from the order-preserving shift is the row of the
     explicit neighbor q - e_s + e_d; a row that does not move keeps its
     own index."""
     net = symmetric_ring(n) if n > 5 else random_crp(n, seed=1)
     space = StateSpace.enumerate(n, K)
+    rows = {tuple(q): r for r, q in enumerate(space.states.tolist())}
     for pol in (vanilla_policy(net), fluid_policy(net)):
-        row, source, pw, tgt = transitions(net, pol, space)
+        row, source, pw, tgt = transitions(net, [pol.dispatch_table(
+            space.states, j) for j in range(net.n_demand)], space)
         move = (pw != 0.0) & (source[:, None] != DROP) \
             & (source[:, None] != np.arange(n))
         at, dest = np.nonzero(move)
@@ -215,47 +214,10 @@ def test_shift_map_matches_rank(n, K):
         nxt[np.arange(len(at)), source[at]] -= 1
         nxt[np.arange(len(at)), dest] += 1
         assert nxt.min(initial=0) >= 0
-        assert np.array_equal(tgt[move], space.rank(nxt))
+        assert tgt[move].tolist() == [rows[tuple(q)] for q in nxt.tolist()]
         assert np.array_equal(tgt[~move], np.broadcast_to(
             row[:, None], tgt.shape)[~move])
         assert move.any() == (K > 0)
-
-
-def test_rank_builds_its_binomial_table_once_per_space(monkeypatch):
-    from functools import cached_property
-    from smwsim import TuneConfig, tune
-    built, table = [], StateSpace._binomials.func
-    spy = cached_property(lambda space: built.append(space.K) or table(space))
-    spy.__set_name__(StateSpace, "_binomials")
-    monkeypatch.setattr(StateSpace, "_binomials", spy)
-    space = StateSpace.enumerate(4, 40)
-    picks = np.arange(0, len(space.states), 97)
-    assert [space.rank([space.states[i]])[0] for i in picks] == picks.tolist()
-    assert built == [40]
-    # the tuner ranks one start state per candidate, all on one space
-    ranked, rank = [], StateSpace.rank
-    monkeypatch.setattr(StateSpace, "rank", lambda space, states: (
-        ranked.append(len(states)) or rank(space, states)))
-    built.clear()
-    tune(example1(), TuneConfig(seed=1, budget=40))
-    assert (ranked, built) == ([1] * 40, [10])
-
-
-def test_chain_ranks_only_the_initial_state(monkeypatch):
-    calls, rank = [], StateSpace.rank
-
-    def spy(self, states):
-        calls.append(len(states))
-        return rank(self, states)
-
-    monkeypatch.setattr(StateSpace, "rank", spy)
-    net = random_crp(4, seed=1)
-    for pol in (vanilla_policy(net), fluid_policy(net)):
-        build_chain(net, pol, 20)
-        assert calls == []
-        stationary_drop_probability(net, pol, 20)
-        assert calls == [1]
-        calls.clear()
 
 
 class _PlaneSpy:

@@ -201,6 +201,21 @@ def test_fleet(tmp_path, capsys):
     assert rep["k_fl"] >= rep["k_in_transit"]
 
 
+@pytest.mark.parametrize("args", [
+    ["sweep", "--K", "5", "--timed", "--total-rate", "inf", "--horizon", "50"],
+    ["sweep", "--K", "5", "--timed", "--total-rate", "nan", "--horizon", "50"],
+    ["fleet", "--total-rate", "-2"],
+    ["fleet", "--total-rate", "inf"],
+])
+def test_bad_total_rate_is_input_error(tmp_path, capsys, args):
+    path = tmp_path / "ring4.json"
+    assert main(["generate", "symmetric_ring", "--n", "4", "--with-times",
+                 "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert main([args[0], str(path)] + args[1:]) == 1
+    assert "total_rate" in capsys.readouterr().err
+
+
 def test_transient(net_file, tmp_path):
     out = tmp_path / "transient.csv"
     assert main(["transient", net_file, "--K", "4", "--inits", "2",

@@ -73,10 +73,12 @@ def test_solver_is_reentrant_across_threads():
 
 def test_import_does_not_load_scipy_optimize():
     # a top-level scipy.optimize import would cost every command's start-up
-    code = "import sys, smwsim; print('scipy.optimize' in sys.modules)"
+    # and compiling the CLI module would too, where no bytecode is cached
+    code = ("import sys, smwsim; print('scipy.optimize' in sys.modules, "
+            "'smwsim.cli' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"
 
 
 def test_rejects_nan():

@@ -223,6 +223,23 @@ def test_estimate_exponent_censored_points():
             estimate_exponent([(10, 0.0), (20, 0.1), (30, 0.05)])
 
 
+def test_estimate_exponent_rejects_a_nan_point():
+    with pytest.raises(ValueError, match=r"\(0, 1\)"):
+        estimate_exponent([(1, .5), (2, .25), (3, math.nan), (4, .0625)])
+
+
+@pytest.mark.parametrize("rate", [0.0, -1.0, math.inf, math.nan])
+def test_timed_config_rejects_a_rate_that_stalls_the_clock(rate):
+    with pytest.raises(ValueError, match="total_rate"):
+        TimedConfig(rate, 50.0, 5)
+
+
+@pytest.mark.parametrize("rate", [-2.0, math.inf, math.nan])
+def test_fleet_requirement_rejects_a_negative_or_nonfinite_rate(rate):
+    with pytest.raises(ValueError, match="total_rate"):
+        fleet_requirement(symmetric_ring(4, with_times=True), rate)
+
+
 def _pin_policy(net, kind, decline=0.0):
     n = net.n_supply
     alpha = np.arange(1, n + 1) / (n * (n + 1) / 2)

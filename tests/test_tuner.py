@@ -4,6 +4,7 @@ from math import comb
 import numpy as np
 import pytest
 
+import smwsim.policies as policies_module
 import smwsim.tuner as tuner_module
 from smwsim import (
     SmwPickupPolicy,
@@ -233,8 +234,9 @@ def test_blocks_are_the_longest_whose_table_fits(K, steps, k):
     # the largest k with states * phi.size^k * k^2 <= steps
     net = example1()
     space = tuner_module.StateSpace.enumerate(2, K)
-    got, width, table, drop = tuner_module._tables(
-        net, SmwPolicy(net, [0.7, 0.3]), space, steps)
+    pol = SmwPolicy(net, [0.7, 0.3])
+    atoms = [pol.dispatch_table(space.states, j) for j in range(net.n_demand)]
+    got, width, table, drop = tuner_module._tables(net, atoms, space, steps)
     assert got == k and width == 4 ** k + 4 * (k > 1)
     assert len(table) == len(drop) == (K + 1) * width <= steps
 
@@ -268,6 +270,41 @@ def test_transient_tune_rejects_a_malformed_state_as_the_simulator_does(init):
     with pytest.raises(ValueError) as tuned:
         tune(net, cfg)
     assert str(tuned.value) == str(direct.value)
+
+
+@pytest.mark.parametrize("init", [
+    [4, 6, 0], [10], [-0.5, 10.5], [math.nan, 10], "proportional"])
+def test_malformed_states_fail_alike_in_simulators_and_tuner(init):
+    net = example1(with_times=True)
+    pol = SmwPolicy(net, [0.5, 0.5])
+    errors = []
+    for run in (lambda: run_jump_chain(net, pol, 10, 2000, init=init),
+                lambda: run_timed(net, pol, TimedConfig(1.0, 100.0, 10),
+                                  init=init),
+                lambda: tune(net, TuneConfig(budget=20, steps=2000,
+                                             initial_states=[init]))):
+        with pytest.raises(ValueError, match="2 nonnegative integers") as exc:
+            run()
+        errors.append(str(exc.value))
+    assert len(set(errors)) == 1
+
+
+@pytest.mark.parametrize("eps_floor", [0.9, 0.5, 0.0, -0.1, math.nan])
+def test_tune_rejects_eps_floor_outside_0_to_1_over_n(eps_floor):
+    with pytest.raises(ValueError, match=r"eps_floor must lie in \(0, 1/n\)"):
+        tune(example1(), TuneConfig(budget=20, steps=2000,
+                                    eps_floor=eps_floor))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_tables_reuse_the_atoms_of_their_key(monkeypatch, seed):
+    # the benchmark's config: one dispatch table per origin and candidate,
+    # none again when a table is built from them
+    calls, real = [], policies_module._argmax_table
+    monkeypatch.setattr(policies_module, "_argmax_table",
+                        lambda *a: calls.append(1) or real(*a))
+    res = tune(example1(), TuneConfig(seed=seed, budget=40))
+    assert res.runs["tables"] > 0 and len(calls) == 80
 
 
 @pytest.mark.parametrize("n, steps, itemsize", [
