@@ -39,7 +39,6 @@ class DropUnderflowError(RuntimeError):
 @dataclass
 class StateSpace:
     states: np.ndarray          # count x n integer matrix, lexicographic order
-    K: int
 
     @classmethod
     def enumerate(cls, n: int, K: int, cap: int = DEFAULT_STATE_CAP):
@@ -54,7 +53,7 @@ class StateSpace:
             range(K + n - 1), n - 1)), np.int64, count * (n - 1))
         bars = np.pad(bars.reshape(count, n - 1), ((0, 0), (1, 1)),
                       constant_values=(-1, K + n - 1))
-        return cls(np.diff(bars, axis=1) - 1, K)
+        return cls(np.diff(bars, axis=1) - 1)
 
 
 @dataclass

@@ -15,8 +15,8 @@ import numpy as np
 
 from .lp import LinearProgram, solve_lp
 # not called here, but the benchmark tracer patches validate_network here
-from .network import (Network, _nontrivial_pairs, hall_slack, mask_indices,
-                      masked_sum, subset_table, validate_network)  # noqa: F401
+from .network import (Network, _nontrivial_pairs, mask_indices, masked_sum,
+                      subset_table, table_order, validate_network)  # noqa: F401
 
 TIE_RTOL = 1e-9
 SIMPLEX_TOL = 1e-9
@@ -56,16 +56,19 @@ class SubsetStats:
 class ExponentResult:
     gamma: float                  # math.inf when no subset is drainable
     critical_subsets: tuple       # argmin subsets (members tuples)
-    _columns: tuple = field(repr=False)  # packed masks, rates, mass, contrib
+    _columns: tuple = field(repr=False)  # (packed masks, rates), alpha
 
     @property
     def per_subset(self) -> tuple:
-        """(SubsetStats, boundary mass, contribution) per drainable subset."""
-        (*masks, lam, mu), mass, contrib = self._columns
+        """(SubsetStats, boundary mass, contribution) per drainable subset;
+        ``_exponent`` computes the last two again, bit for bit."""
+        (*masks, lam, mu), alpha = self._columns
         # the padding rows unpack as False, so no index tuple shows them
-        masks = (np.unpackbits(a, axis=0).view(bool) for a in masks)
-        return tuple(zip(_stats(*masks, lam, mu), mass.tolist(),
-                         contrib.tolist()))
+        cols = [np.unpackbits(a, axis=0).view(bool) for a in masks] + [lam, mu]
+        stats = _stats(*cols)
+        _, mass, contrib = _exponent(alpha, cols, np.array(
+            [st.log_ratio for st in stats]))
+        return tuple(zip(stats, mass.tolist(), contrib.tolist()))
 
     @property
     def is_infinite(self) -> bool:
@@ -103,7 +106,7 @@ def drainable_subsets(net: Network):
     A subset is drainable when some of its demand carries supply to a
     destination outside its neighborhood (mu_rate > 0).
     """
-    return _stats(*_drainable(net, *subset_table(net)))
+    return _stats(*_drainable(net, *subset_table(net)[1:]))
 
 
 def _stats(members, boundary, lam, mu) -> list:
@@ -111,17 +114,14 @@ def _stats(members, boundary, lam, mu) -> list:
                     lam.tolist(), mu.tolist()))
 
 
-def _drainable(net: Network, members, nbrs):
-    """Columns (members, boundary, lambda, mu) of the drainable subsets."""
-    # rates are nonnegative, so mu_rate > 0 exactly when a member j has
-    # demand toward a node k outside the neighborhood; such a k never
-    # serves j, so only the nontrivial pairs drain or add to mu
+def _drainable(net: Network, nbrs, drains):
+    """Columns (members, boundary, lambda, mu) of the drainable subsets of
+    a ``subset_table``, in table order."""
+    at, members = table_order(drains, net.n_demand)
+    nbrs = nbrs.take(at, axis=1)   # rows contiguous, unlike nbrs[:, at]
+    # a node k outside the neighborhood never serves a member j, so only
+    # the nontrivial pairs add to mu
     pairs, outside = _nontrivial_pairs(net), ~nbrs
-    drains = np.zeros(members.shape[1], dtype=bool)
-    for j, k in pairs:
-        drains |= members[j] & outside[k]
-    members, nbrs, outside = (a.compress(drains, 1)
-                              for a in (members, nbrs, outside))
     others, size = ~members, members.shape[1]
     mu = masked_sum(((members[j] & outside[k], net.phi[j, k])
                      for j, k in pairs), size)
@@ -135,13 +135,12 @@ def _pooled_subsets(net: Network):
     """Drainable subsets and their log ratios (``math.log``, as SubsetStats)
     from one subset table.  The Hall check raises PoolingViolationError on
     the least slack, the first in table order on ties."""
-    members, nbrs = subset_table(net)
-    slack = hall_slack(net, members, nbrs)
+    slack, *table = subset_table(net)
     if slack.size and slack.min() <= 0:
-        k = int(slack.argmin())
-        raise PoolingViolationError(mask_indices(members[:, [k]])[0],
-                                    float(slack[k]))
-    cols = _drainable(net, members, nbrs)
+        least, members = table_order(slack == slack.min(), net.n_demand)
+        raise PoolingViolationError(mask_indices(members[:, :1])[0],
+                                    float(slack[least[0]]))
+    cols = _drainable(net, *table)
     return cols, np.array([math.log(a / b) for a, b in
                            zip(cols[2].tolist(), cols[3].tolist())])
 
@@ -150,11 +149,12 @@ def gamma(net: Network, alpha) -> ExponentResult:
     """Decay exponent of SMW(alpha): min over drainable subsets of
     (resting supply mass on the boundary) * log(inflow/outflow)."""
     alpha = check_alpha(alpha, net.n_supply)
-    return _exponent(alpha, *_pooled_subsets(net))
+    return _exponent(alpha, *_pooled_subsets(net))[0]
 
 
-def _exponent(alpha, cols, log_ratio) -> ExponentResult:
-    """gamma on a pooled network's drainable subsets, alpha already checked."""
+def _exponent(alpha, cols, log_ratio):
+    """gamma on a pooled network's drainable subsets, alpha already
+    checked: the ExponentResult, boundary masses and contributions."""
     members, boundary = cols[:2]
     # each mass adds alpha a node at a time in ascending order: sum()'s bits
     mass = masked_sum(zip(boundary, alpha), log_ratio.size)
@@ -163,7 +163,7 @@ def _exponent(alpha, cols, log_ratio) -> ExponentResult:
     crit = np.flatnonzero(contrib <= best * (1 + TIE_RTOL) + 1e-300)
     packed = (np.packbits(members, axis=0), np.packbits(boundary, axis=0))
     return ExponentResult(best, tuple(sorted(mask_indices(members[:, crit]))),
-                          ((*packed, *cols[2:]), mass, contrib))
+                          ((*packed, *cols[2:]), alpha)), mass, contrib
 
 
 def optimal_alpha(net: Network, eps_floor: float = DEFAULT_EPS_FLOOR):
@@ -180,7 +180,7 @@ def optimal_alpha(net: Network, eps_floor: float = DEFAULT_EPS_FLOOR):
     cols, log_ratio = _pooled_subsets(net)
     if not log_ratio.size:
         a = uniform_alpha(n)
-        return a, _exponent(a, cols, log_ratio)
+        return a, _exponent(a, cols, log_ratio)[0]
 
     # variables: alpha_0..alpha_{n-1}, t; one row t - log_ratio * B(alpha) <= 0
     nv = n + 1
@@ -198,7 +198,7 @@ def optimal_alpha(net: Network, eps_floor: float = DEFAULT_EPS_FLOOR):
     if sol.status != "optimal":
         raise RuntimeError(f"optimal-alpha LP returned {sol.status}")
     alpha = sol.x[:n] / sol.x[:n].sum()
-    return alpha, _exponent(check_alpha(alpha, n), cols, log_ratio)
+    return alpha, _exponent(check_alpha(alpha, n), cols, log_ratio)[0]
 
 
 def kl_rate(f, phi) -> float:
@@ -228,11 +228,11 @@ def most_likely_path(net: Network, alpha) -> RatePath:
     """
     alpha = check_alpha(alpha, net.n_supply)
     cols, log_ratio = _pooled_subsets(net)
-    res = _exponent(alpha, cols, log_ratio)
+    res, mass, _ = _exponent(alpha, cols, log_ratio)
     if res.is_infinite:
         raise ValueError("no drainable subset: most likely path undefined")
     jstar = res.critical_subsets[0]
-    (members, boundary, lam, mu), mass = cols, res._columns[1]
+    members, boundary, lam, mu = cols
     inside = np.isin(np.arange(net.n_demand), jstar)
     k = np.flatnonzero((members.T == inside).all(axis=1))[0]
     bnd, lam, mu = boundary[:, k], float(lam[k]), float(mu[k])

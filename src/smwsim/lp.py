@@ -3,10 +3,11 @@
 Problems here have few columns but up to a few thousand rows (the
 optimal-alpha LP has n + 1 columns and one row per drainable subset plus
 the sum-to-one row: 1,893 rows at n = 15, 4,667 at n = 16).  The tableau
-stores a slack or artificial column only once it stops being a unit
-vector.  Most pivots enter such a column and change only the objective
-row; Bland's rule, kept for audit, fixes runs of them ahead, and a run
-is one accumulate.  Maximize c'x s.t. A x <= b, A_eq x = b_eq, bounds.
+is column-major, and stores a slack or artificial column only once it
+stops being a unit vector.  Most pivots enter such a column and change
+only the objective row; Bland's rule, kept for audit, fixes runs of them
+ahead, and a run is one accumulate.  Maximize c'x s.t. A x <= b,
+A_eq x = b_eq, bounds.
 """
 
 from __future__ import annotations
@@ -45,8 +46,9 @@ class LinearProgram:
                       else np.array(self.lower, dtype=float))
         self.upper = (np.full(nvar, np.inf) if self.upper is None
                       else np.array(self.upper, dtype=float))
-        if np.any(self.lower > self.upper):
-            raise ValueError("lower bound above upper bound")
+        lo, up = self.lower, self.upper   # a NaN bound fails every test
+        if not np.all((lo <= up) & (lo < np.inf) & (up > -np.inf)):
+            raise ValueError("need lower <= upper, lower < inf, upper > -inf")
 
 
 @dataclass
@@ -64,9 +66,9 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     finite lower bound is that bound plus one y column, a free variable
     is y+ - y-.  The rows are a_ub E y <= b_ub - a_ub shift, then
     a_eq E y = b_eq - a_eq shift, then one row E_j y <= upper_j - shift_j
-    per finitely capped variable.  Each shifted right-hand side is one
-    dot product per row: a matrix-vector product sums in another order,
-    which moves the last bits of b and with them the returned x.
+    per finitely capped variable.  The shifts are ``np.vecdot``'s per-row
+    BLAS dots; a matrix-vector product sums in another order, which moves
+    the last bits of b and with them the returned x.
 
     Phase 2 runs on the phase-1 tableau, which at n = 15 ends up storing
     41 of its 3,803 columns.
@@ -91,8 +93,8 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
 
     # each column of E holds one +-1, so a @ E copies entries exactly
     A = np.vstack([a_ub @ E, a_eq @ E, E[capped]])
-    b = np.concatenate([b_ub - [row @ shift for row in a_ub],
-                        b_eq - [row @ shift for row in a_eq],
+    b = np.concatenate([b_ub - np.vecdot(a_ub, shift),
+                        b_eq - np.vecdot(a_eq, shift),
                         (lp.upper - shift)[capped]])
     nrow = A.shape[0]
     n_ub = a_ub.shape[0]
@@ -118,28 +120,28 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     cols = tab.cols[:tab.width]
     for r, j in enumerate(tab.basis):
         if j < nstd and c_std[j] != 0.0:
-            obj[cols] += c_std[j] * tab.block[r, :tab.width]
+            obj[cols] += c_std[j] * tab.block[:tab.width, r]
 
     iters2, unbounded = tab.iterate(ncol, "phase 2")
     if unbounded:
         return LpSolution("unbounded", None, None, iters + iters2)
 
     y = np.zeros(ncol + nrow)   # a zeroed row sets its artificial to 0
-    y[tab.basis] = tab.block[:, nstd]
+    y[tab.basis] = tab.block[nstd]
     x = shift + E @ y[:nstd]
     return LpSolution("optimal", x, float(lp.c @ x), iters + iters2)
 
 
 class _Tableau:
     """Phase-1 tableau [A | slacks | artificials | rhs], rhs made >= 0,
-    without the columns that are still unit vectors.
+    column-major, without the columns that are still unit vectors.
 
     Slack or artificial column j starts as sign[j] * e_r, r = row[j], and
     stays so until row r is a pivot row; just before that, row r appends
-    its unit columns to ``block`` = [A | rhs | appended].  ``cols[p]`` is
-    the tableau column at block position p, ``pos`` the inverse (-1 for a
-    unit column).  The objective row ``obj`` is stored in full, and
-    ``neg`` marks its negative reduced costs.
+    its unit columns to [A | rhs | appended], whose column p is row p of
+    ``block``.  ``cols[p]`` is the tableau column at block position p,
+    ``pos`` the inverse (-1 for a unit column).  The objective row ``obj``
+    is stored in full, and ``neg`` marks its negative reduced costs.
     """
 
     def __init__(self, A, b, nstd, slack_rows):
@@ -156,14 +158,14 @@ class _Tableau:
         self.cols[nstd] = ntot
         self.pos = list(range(nstd)) + [-1] * (ntot - nstd)
         self.width = nstd + 1
-        self.block = np.zeros((nrow, 2 * self.width))
-        self.block[:, :nstd] = A * flip[:, None]
-        self.block[:, nstd] = b * flip
+        self.block = np.zeros((2 * self.width, nrow))
+        self.block[:nstd] = A.T * flip
+        self.block[nstd] = b * flip
         self.basis = list(range(self.ncol, ntot))
         # reduced costs of min sum(artificials): 0 - row 0 - row 1 - ...
         self.obj = np.zeros(ntot + 1)
-        self.obj[self.cols[:nstd + 1]] = np.subtract.accumulate(
-            np.vstack([np.zeros(nstd + 1), self.block[:, :nstd + 1]]))[-1]
+        self.obj[self.cols[:nstd + 1]] = np.subtract.accumulate(np.hstack(
+            [np.zeros((nstd + 1, 1)), self.block[:nstd + 1]]), axis=1)[:, -1]
         self.obj[nstd:self.ncol] = -flip[slack_rows]
 
     def iterate(self, usable, phase):
@@ -185,7 +187,7 @@ class _Tableau:
             if cand.size == 0:
                 return it, True
             leave = _ratio_test(
-                cand, self.block[cand, self.nstd] / colv[cand], self.basis)
+                cand, self.block[self.nstd, cand] / colv[cand], self.basis)
             self._pivot(leave, colv, self.obj[enter])
             self.basis[leave] = enter
             it += 1
@@ -209,10 +211,11 @@ class _Tableau:
             js.append(j)
         rows = [self.row[j] for j in js]
         if len(js) == 1:
-            self._reduce(self.block[rows[0], :w], obj[enter])
+            self._reduce(self.block[:w, rows[0]], obj[enter])
         else:
             cols, at = self.cols[:w], np.array(js)
-            steps = np.vstack([obj[cols], obj[at, None] * self.block[rows, :w]])
+            steps = np.vstack([obj[cols],
+                               obj[at, None] * self.block[:w, rows].T])
             np.subtract.accumulate(steps, axis=0, out=steps)
             turned = ((steps[1:-1] < -FEAS_TOL)
                       & (cols < at[1:, None])).any(axis=1)
@@ -231,7 +234,7 @@ class _Tableau:
         """Pivot row r's artificial out on the lowest-index column with an
         entry above PIVOT_TOL, or zero the row when there is none."""
         w = self.width
-        piv = self.cols[:w][np.abs(self.block[r, :w]) > PIVOT_TOL].tolist()
+        piv = self.cols[:w][np.abs(self.block[:w, r]) > PIVOT_TOL].tolist()
         piv = [j for j in piv if j < self.ncol] + [
             j for j in self.units[r] if j < self.ncol and self.pos[j] < 0]
         if piv:
@@ -239,12 +242,12 @@ class _Tableau:
             self._pivot(r, self._column(j), self.obj[j])
         else:
             self._store(r)
-            self.block[r, :self.width] = 0.0
+            self.block[:self.width, r] = 0.0
 
     def _column(self, j):
         if self.pos[j] >= 0:
-            return self.block[:, self.pos[j]].copy()
-        colv = np.zeros(self.block.shape[0])
+            return self.block[self.pos[j]].copy()
+        colv = np.zeros(self.block.shape[1])
         colv[self.row[j]] = self.sign[j]
         return colv
 
@@ -252,11 +255,10 @@ class _Tableau:
         """Append row r's unit columns once, doubling the block as needed."""
         for j in self.units[r] if self.pos[self.units[r][-1]] < 0 else ():
             w = self.width
-            if w == self.block.shape[1]:
-                grown = np.zeros((len(self.block), min(2 * w, self.cols.size)))
-                grown[:, :w] = self.block
-                self.block = grown
-            self.block[r, w] = self.sign[j]
+            if w == len(self.block):   # at most one row per column
+                self.block = np.vstack([self.block, np.zeros_like(
+                    self.block[:self.cols.size - w])])
+            self.block[w, r] = self.sign[j]
             self.cols[w], self.pos[j], self.width = j, w, w + 1
 
     def _pivot(self, r, colv, m):
@@ -266,11 +268,11 @@ class _Tableau:
         entry with a zero factor stays as it was, up to the sign of a zero.
         """
         self._store(r)
-        prow = self.block[r, :self.width]
+        prow = self.block[:self.width, r]
         prow /= colv[r]
         lo, hi = colv.nonzero()[0][[0, -1]]
         colv[r] = 0.0
-        self.block[lo:hi + 1, :self.width] -= np.outer(colv[lo:hi + 1], prow)
+        self.block[:self.width, lo:hi + 1] -= np.outer(prow, colv[lo:hi + 1])
         self._reduce(prow, m)
 
     def _reduce(self, prow, m):

@@ -192,27 +192,46 @@ def _nontrivial_pairs(net: Network) -> list:
 
 
 def subset_table(net: Network):
-    """Every nonempty strict demand subset as one column of two boolean masks.
+    """Hall slack (neighborhood inflow minus member demand), n x len
+    neighborhood mask and drain flag (a member has demand toward a node
+    outside the neighborhood) of each nonempty strict demand subset, at
+    index code - 1, where bit j of a code marks demand j.
 
-    Columns follow ``itertools.combinations`` order (size, then
-    lexicographic); this is the alpha LP's row order.  Returns the
-    m x (2^m - 2) member mask and the n x (2^m - 2) neighborhood mask,
-    the OR of the members' adjacency masks.  Guarded by SUBSET_CAP on m.
+    One pass over the subset lattice builds code c | 1 << j, c < 2^j, from
+    c: ``demand[c | 1 << j] = demand[c] + rate_j``, and OR for the node
+    sets (ceil(n / 64) uint64 words per code).  Members, like the inflow's
+    nodes, so add in ascending order: each sum is the sequential one, bit
+    for bit.  Guarded by SUBSET_CAP on m.
     """
     m = net.n_demand
     if m > SUBSET_CAP:
         raise SubsetCapError(f"{m} demand nodes exceed the subset "
                              f"enumeration cap ({SUBSET_CAP})")
-    # bit m-1-j of a code marks demand node j, so within one size the
-    # lexicographic order of member tuples is descending code order
-    codes = np.arange((1 << m) - 2, 0, -1)
-    members = np.stack([((codes >> (m - 1 - j)) & 1).astype(bool)
-                        for j in range(m)])
-    size = members.sum(axis=0, dtype=np.uint8)   # a radix sort for uint8
-    members = members.take(np.argsort(size, kind="stable"), axis=1)
-    adj = adjacency(net)
-    return members, np.stack([members[adj[:, i]].any(axis=0)
-                              for i in range(net.n_supply)])
+    bits = np.zeros((2, m, -(-net.n_supply // 64) * 64), dtype=bool)
+    bits[:, :, :net.n_supply] = adjacency(net), net.phi > 0
+    words = np.packbits(bits, axis=2, bitorder="little").view("<u8")
+    demand = np.zeros(1 << m)
+    sets = np.zeros((2, 1 << m, words.shape[2]), dtype=words.dtype)
+    for j, rate in enumerate(net.row_rates().tolist()):
+        h = 1 << j
+        np.add(demand[:h], rate, out=demand[h:2 * h])
+        np.bitwise_or(sets[:, :h], words[:, j, None], out=sets[:, h:2 * h])
+    nbrs, targets = sets[:, 1:-1]
+    masks = np.unpackbits(nbrs.view(np.uint8), axis=1, count=net.n_supply,
+                          bitorder="little").T.view(bool)
+    inflow = masked_sum(zip(masks, net.col_rates()), len(nbrs))
+    return inflow - demand[1:-1], masks, (targets & ~nbrs).any(axis=1)
+
+
+def table_order(select, m: int):
+    """Table indices set in ``select`` and their member masks (m x len), in
+    ``itertools.combinations`` order, the alpha LP's row order."""
+    # within one size, lexicographic is descending bit-reversed code order
+    codes = np.flatnonzero(select) + 1
+    members = ((codes >> np.arange(m)[:, None]) & 1).astype(bool)
+    order = np.argsort((members.sum(axis=0) << m)
+                       - (1 << np.arange(m)[::-1]) @ members)
+    return codes[order] - 1, members.take(order, axis=1)   # rows contiguous
 
 
 def mask_indices(masks) -> list:
@@ -238,13 +257,6 @@ def masked_sum(terms, size: int) -> np.ndarray:
     return out
 
 
-def hall_slack(net: Network, members, nbrs) -> np.ndarray:
-    """Per ``subset_table`` column: neighborhood inflow minus member demand."""
-    size = members.shape[1]
-    return (masked_sum(zip(nbrs, net.col_rates()), size)
-            - masked_sum(zip(members, net.row_rates()), size))
-
-
 def validate_network(net: Network,
                      original_mass: float = 1.0) -> ValidationReport:
     """Check the two model assumptions and compute structural constants.
@@ -255,12 +267,11 @@ def validate_network(net: Network,
     inequality is strictly reversed, its deficit is an unavoidable drop
     fraction, reported as ``epsilon_floor_drop``.
     """
-    members, nbrs = subset_table(net)
-    slack = hall_slack(net, members, nbrs)
+    slack = subset_table(net)[0]
     # with one demand node no strict subset exists: vacuously pooled
     hall_gap = float(slack.min(initial=np.inf))
-    bad = np.flatnonzero(slack <= 0)
-    violating = list(zip(mask_indices(members[:, bad]), slack[bad].tolist()))
+    bad, members = table_order(slack <= 0, net.n_demand)
+    violating = list(zip(mask_indices(members), slack[bad].tolist()))
     return ValidationReport(
         normalized=abs(original_mass - 1.0) > NORMALIZATION_TOL,
         original_mass=float(original_mass),

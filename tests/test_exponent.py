@@ -27,7 +27,7 @@ from smwsim.instances import (
     symmetric_ring,
 )
 from smwsim.network import (Network, SubsetCapError, mask_indices,
-                            subset_table)
+                            subset_table, table_order)
 
 LOG2 = math.log(2)
 
@@ -84,13 +84,38 @@ def drainable_subsets_loop(net):
     return out
 
 
+def edge_nets():
+    """Nets at the edges of the subset pass: 70 supply nodes on 3 demand
+    nodes, whose neighborhoods take two uint64 words (half of them with
+    one dominant demand node, which breaks pooling), and nets with 1 or 2
+    demand nodes, pooled and not."""
+    rng = np.random.default_rng(11)
+    nets = []
+    for t, (n, m) in enumerate([(70, 3)] * 8
+                               + [(3, 1), (4, 1), (2, 2), (3, 2), (5, 2)] * 3):
+        phi = rng.exponential(size=(m, n)) * (rng.random((m, n)) < 0.7)
+        phi[:, 0] += 0.1                       # no zero rows
+        phi[t % m] *= 1 + 30 * (t % 2)
+        edges = {(i, int(rng.integers(m))) for i in range(n)}
+        edges |= {(int(rng.integers(n)), j) for j in range(m)}
+        edges |= {(i, j) for i in range(n) for j in range(m)
+                  if rng.random() < 0.3}
+        nets.append(build_network(n, m, edges, phi))
+    return nets
+
+
 def test_drainable_subsets_equal_reference_loop():
     nets = [random_crp(n, seed=s) for n in range(3, 10) for s in range(5)]
     nets += [example1(),
              build_network(3, 3, [(i, j) for i in range(3) for j in range(3)],
                            np.arange(1.0, 10.0).reshape(3, 3))]
+    nets += edge_nets()
+    top = 0
     for net in nets:
-        assert drainable_subsets(net) == drainable_subsets_loop(net)
+        subsets = drainable_subsets(net)
+        assert subsets == drainable_subsets_loop(net)
+        top = max([top] + [st.boundary[-1] for st in subsets])
+    assert top >= 64   # some neighborhood reaches the second uint64 word
 
 
 def sparse_nets():
@@ -236,7 +261,8 @@ def test_optimal_alpha_random_crp_bit_for_bit(n, monkeypatch):
 def test_results_keep_subset_masks_bit_packed():
     net = random_crp(15, seed=0)
     alpha, res = optimal_alpha(net)
-    (members, boundary, lam, _), _, _ = res._columns
+    (members, boundary, lam, _), kept_alpha = res._columns
+    assert kept_alpha.tobytes() == alpha.tobytes()
     for mask, nodes in ((members, net.n_demand), (boundary, net.n_supply)):
         assert mask.dtype == np.uint8
         assert mask.shape == (math.ceil(nodes / 8), lam.size) == (2, 1892)
@@ -277,7 +303,7 @@ def test_pooling_check_raises_most_violated_subset():
     tie = build_network(3, 3, [(i, i) for i in range(3)],
                         [[1, 0, 0], [0, 1, 0], [1, 0, 1]])
     nets = [unpooled_random(n, s) for n in range(3, 9) for s in range(20)]
-    nets += [example1_crp_violated(), tie]
+    nets += [example1_crp_violated(), tie] + edge_nets()
     violated = 0
     for net in nets:
         report = validate_network(net)
@@ -328,12 +354,15 @@ def test_subset_table_columns_in_combinations_order():
     for m in range(2, 13):
         ring = [(j, j) for j in range(m)] + [((j + 1) % m, j) for j in range(m)]
         net = build_network(m, m, ring, np.ones((m, m)))
-        members, nbrs = subset_table(net)
+        _, nbrs, _ = subset_table(net)
+        at, members = table_order(np.ones(nbrs.shape[1], dtype=bool), m)
         combos = [J for size in range(1, m)
                   for J in itertools.combinations(range(m), size)]
+        # index code - 1, where bit j of the code marks demand node j
+        assert (at + 1).tolist() == [sum(1 << j for j in J) for J in combos]
         assert mask_indices(members) == combos
-        assert mask_indices(nbrs) == [tuple(sorted(neighborhood(net, J)))
-                                      for J in combos]
+        assert mask_indices(nbrs[:, at]) == [
+            tuple(sorted(neighborhood(net, J))) for J in combos]
 
 
 def test_example1_gamma():

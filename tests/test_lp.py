@@ -1,11 +1,14 @@
 import hashlib
+import os
 import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import smwsim
 from smwsim import LinearProgram, solve_lp, solve_transportation
 from smwsim.lp import InfeasibleFlowError
 from smwsim import optimal_alpha
@@ -76,8 +79,9 @@ def test_import_does_not_load_scipy_optimize():
     # and compiling the CLI module would too, where no bytecode is cached
     code = ("import sys, smwsim; print('scipy.optimize' in sys.modules, "
             "'smwsim.cli' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(Path(smwsim.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, timeout=120)
+                         text=True, check=True, timeout=120, env=env)
     assert out.stdout.strip() == "False False"
 
 
@@ -431,3 +435,34 @@ def test_nearly_redundant_row_leaves_the_problem():
     sol = solve_lp(lp)
     assert ref.status == 0 and sol.status == "optimal"
     assert sol.objective == pytest.approx(-ref.fun, abs=1e-9)
+
+
+def test_rejects_nan_or_wrong_sided_infinite_bounds():
+    # max x s.t. x <= 2: unchecked, a NaN lower bound returns x = [nan], a
+    # NaN cap reads as no cap (x = 2), and lower = +inf warns and reports
+    # "infeasible"
+    for bounds in ({"lower": [np.nan]}, {"upper": [np.nan]},
+                   {"lower": [np.inf]}, {"upper": [-np.inf]},
+                   {"lower": [1.0], "upper": [0.5]}):
+        with pytest.raises(ValueError, match="lower <= upper"):
+            solve_lp(LinearProgram(c=[1.0], a_ub=[[1.0]], b_ub=[2.0],
+                                   **bounds))
+    free = solve_lp(LinearProgram(c=[1.0], a_ub=[[1.0]], b_ub=[2.0],
+                                  lower=[-np.inf], upper=[np.inf]))
+    assert (free.status, free.x.tolist()) == ("optimal", [2.0])
+
+
+def test_vecdot_sums_each_row_as_its_dot_product():
+    # solve_lp shifts b with np.vecdot, and the LP pins above hold because
+    # it sums each row in the order of row @ shift (a BLAS dot), which
+    # a matrix-vector product need not do; a numpy or BLAS change that
+    # breaks this identity fails here by name
+    rng = np.random.default_rng(5)
+    for width in range(1, 41):
+        a = rng.normal(size=(30, width)) * 10.0 ** rng.integers(
+            -8, 9, size=(30, width))
+        shift = rng.normal(size=width)
+        assert np.vecdot(a, shift).tobytes() == \
+            np.array([row @ shift for row in a]).tobytes()
+    empty = np.vecdot(np.zeros((0, 3)), np.ones(3))
+    assert (empty.shape, empty.dtype) == ((0,), np.float64)
