@@ -15,8 +15,9 @@ import numpy as np
 
 from .lp import LinearProgram, solve_lp
 # not called here, but the benchmark tracer patches validate_network here
-from .network import (Network, _nontrivial_pairs, mask_indices, masked_sum,
-                      subset_table, table_order, validate_network)  # noqa: F401
+from .network import (Network, _nontrivial_pairs, adjacency, mask_indices,
+                      masked_sum, subset_table, table_order,
+                      validate_network)  # noqa: F401
 
 TIE_RTOL = 1e-9
 SIMPLEX_TOL = 1e-9
@@ -60,8 +61,8 @@ class ExponentResult:
 
     @property
     def per_subset(self) -> tuple:
-        """(SubsetStats, boundary mass, contribution) per drainable subset;
-        ``_exponent`` computes the last two again, bit for bit."""
+        """(SubsetStats, boundary mass, contribution) per closed drainable
+        subset; ``_exponent`` computes the last two again, bit for bit."""
         (*masks, lam, mu), alpha = self._columns
         # the padding rows unpack as False, so no index tuple shows them
         cols = [np.unpackbits(a, axis=0).view(bool) for a in masks] + [lam, mu]
@@ -106,7 +107,9 @@ def drainable_subsets(net: Network):
     A subset is drainable when some of its demand carries supply to a
     destination outside its neighborhood (mu_rate > 0).
     """
-    return _stats(*_drainable(net, *subset_table(net)[1:]))
+    _, nbrs, drains = subset_table(net)
+    at, members = table_order(drains, net.n_demand)
+    return _stats(*_drainable(net, members, nbrs.take(at, axis=1)))
 
 
 def _stats(members, boundary, lam, mu) -> list:
@@ -114,11 +117,9 @@ def _stats(members, boundary, lam, mu) -> list:
                     lam.tolist(), mu.tolist()))
 
 
-def _drainable(net: Network, nbrs, drains):
-    """Columns (members, boundary, lambda, mu) of the drainable subsets of
-    a ``subset_table``, in table order."""
-    at, members = table_order(drains, net.n_demand)
-    nbrs = nbrs.take(at, axis=1)   # rows contiguous, unlike nbrs[:, at]
+def _drainable(net: Network, members, nbrs):
+    """Columns (members, boundary, lambda, mu) of drainable subsets given
+    by their member and neighborhood masks."""
     # a node k outside the neighborhood never serves a member j, so only
     # the nontrivial pairs add to mu
     pairs, outside = _nontrivial_pairs(net), ~nbrs
@@ -132,15 +133,22 @@ def _drainable(net: Network, nbrs, drains):
 
 
 def _pooled_subsets(net: Network):
-    """Drainable subsets and their log ratios (``math.log``, as SubsetStats)
-    from one subset table.  The Hall check raises PoolingViolationError on
-    the least slack, the first in table order on ties."""
-    slack, *table = subset_table(net)
+    """Closed drainable subsets, in table order, and their log ratios
+    (``math.log``, as SubsetStats) from one subset table.  The Hall check
+    raises PoolingViolationError on the least slack over all subsets, the
+    first in table order on ties."""
+    slack, nbrs, drains = subset_table(net)
     if slack.size and slack.min() <= 0:
         least, members = table_order(slack == slack.min(), net.n_demand)
         raise PoolingViolationError(mask_indices(members[:, :1])[0],
                                     float(slack[least[0]]))
-    cols = _drainable(net, *table)
+    at, members = table_order(drains, net.n_demand)
+    nbrs = nbrs.take(at, axis=1)   # rows contiguous, unlike nbrs[:, at]
+    # J's closure {j : N(j) within N(J)} drains too, with the same boundary,
+    # less lambda and more mu: its row implies J's, so only closed J count
+    closed = (adjacency(net) @ ~nbrs | members).all(axis=0)
+    cols = _drainable(net, members.compress(closed, axis=1),
+                      nbrs.compress(closed, axis=1))
     return cols, np.array([math.log(a / b) for a, b in
                            zip(cols[2].tolist(), cols[3].tolist())])
 

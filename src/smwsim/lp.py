@@ -1,10 +1,10 @@
 """Linear-program solver (two-phase simplex, Bland's rule).
 
-Problems here have few columns but up to a few thousand rows (the
-optimal-alpha LP has n + 1 columns and one row per drainable subset plus
-the sum-to-one row: 1,893 rows at n = 15, 4,667 at n = 16).  The tableau
-is column-major, and stores a slack or artificial column only once it
-stops being a unit vector.  Most pivots enter such a column and change
+Problems here have few columns but up to a few hundred rows (the
+optimal-alpha LP has n + 1 columns and one row per closed drainable
+subset plus the sum-to-one row: 142 rows at n = 15, 127 at n = 16).  The
+tableau is column-major, and stores a slack or artificial column only once
+it stops being a unit vector.  Most pivots enter such a column and change
 only the objective row; Bland's rule, kept for audit, fixes runs of them
 ahead, and a run is one accumulate.  Maximize c'x s.t. A x <= b,
 A_eq x = b_eq, bounds.
@@ -36,11 +36,13 @@ class LinearProgram:
     def __post_init__(self):
         self.c = np.atleast_1d(np.array(self.c, dtype=float))
         nvar = self.c.size
+        # C order: a strided row's dot rounds otherwise, so x's bits would
+        # depend on the layout of the matrices, not only on their values
         if self.a_ub is not None:
-            self.a_ub = np.atleast_2d(np.array(self.a_ub, dtype=float))
+            self.a_ub = np.atleast_2d(np.array(self.a_ub, float, order="C"))
             self.b_ub = np.atleast_1d(np.array(self.b_ub, dtype=float))
         if self.a_eq is not None:
-            self.a_eq = np.atleast_2d(np.array(self.a_eq, dtype=float))
+            self.a_eq = np.atleast_2d(np.array(self.a_eq, float, order="C"))
             self.b_eq = np.atleast_1d(np.array(self.b_eq, dtype=float))
         self.lower = (np.zeros(nvar) if self.lower is None
                       else np.array(self.lower, dtype=float))
@@ -71,7 +73,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     the last bits of b and with them the returned x.
 
     Phase 2 runs on the phase-1 tableau, which at n = 15 ends up storing
-    41 of its 3,803 columns.
+    41 of its 301 columns.
     """
     if not all(a is None or np.isfinite(a).all()
                for a in (lp.c, lp.a_ub, lp.b_ub, lp.a_eq, lp.b_eq)):

@@ -81,8 +81,8 @@ def test_gamma_optimal(net_file, tmp_path, capsys):
 
 
 def test_gamma_counts_lp_rows_and_hashes_options(tmp_path, capsys):
-    # random_crp(6, seed=0) has 13 drainable subsets: 13 subset rows in
-    # the optimal-alpha LP, and as many rows in the table
+    # random_crp(6, seed=0) has 13 drainable subsets, 7 of them closed: 7
+    # subset rows in the optimal-alpha LP, and as many rows in the table
     path = str(tmp_path / "net.json")
     save_network(random_crp(6, seed=0), path)
     hashes = []
@@ -90,7 +90,7 @@ def test_gamma_counts_lp_rows_and_hashes_options(tmp_path, capsys):
         out = tmp_path / "table.csv"
         assert main(["gamma", path, "--out", str(out)] + extra) == 0
         summary = json.loads(capsys.readouterr().out)
-        assert summary["drainable_subsets"] == len(read_csv(out)) - 1 == 13
+        assert summary["drainable_subsets"] == len(read_csv(out)) - 1 == 7
         hashes.append(summary["config_hash"])
     assert len(set(hashes)) == 3 and all(len(h) == 12 for h in hashes)
 

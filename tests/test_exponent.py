@@ -207,35 +207,36 @@ def test_optimal_alpha_ring10_bit_for_bit():
 
 
 # optimal_alpha(random_crp(n, seed=0)) and its simplex iteration count for
-# the benchmark's base instances, recorded before the unit-column pivots
+# the benchmark's base instances, recorded once the LP held only the
+# closed drainable subsets (59, 141 and 126 rows)
 CRP12_ALPHA_HEX = [
-    "0x1.1b3d847c379f8p-2", "0x1.7426d4fe54d3ap-3", "0x1.08795ef76a40ep-4",
-    "0x1.3b40b67a84ce2p-4", "0x1.6197fb49a0827p-6", "0x1.bd319f9316ac5p-9",
-    "0x1.0624dd2f1a9fcp-10", "0x1.e11094f71375ap-5",
-    "0x1.0624dd2f1a9fcp-10", "0x1.3ff202a0c3244p-2",
-    "0x1.0624dd2f1a9fcp-10", "0x1.0624dd2f1a9fcp-10",
+    "0x1.0624dd2f1a9fdp-10", "0x1.71b2969c5dc0ap-3", "0x1.08795ef76a40ap-4",
+    "0x1.94769e9c1ea9dp-4", "0x1.0624dd2f1a9fdp-10",
+    "0x1.0624dd2f1a9fdp-10", "0x1.0624dd2f1a9fdp-10",
+    "0x1.5793916ee67cfp-2", "0x1.2022071552065p-9", "0x1.3ff202a0c3245p-2",
+    "0x1.0624dd2f1a9fdp-10", "0x1.0624dd2f1a9fdp-10",
 ]
 CRP15_ALPHA_HEX = [
-    "0x1.e9abd61aa4d3ep-3", "0x1.5eaa442ba32e1p-4", "0x1.247f2d82e9b52p-3",
-    "0x1.0624dd2f1aa03p-10", "0x1.0624dd2f1aa03p-10",
-    "0x1.0624dd2f1aa03p-10", "0x1.0624dd2f1aa03p-10",
-    "0x1.705792a645ee5p-4", "0x1.0624dd2f1aa03p-10", "0x1.a0d027899860fp-3",
-    "0x1.ffa44d6c61055p-4", "0x1.32bf9b10fba06p-8", "0x1.2a15075c70a37p-4",
-    "0x1.0624dd2f1aa03p-10", "0x1.f63c3ea5f4b64p-6",
+    "0x1.e9abd61aa4d1bp-3", "0x1.5eaa442ba32e1p-4", "0x1.247f2d82e9b43p-3",
+    "0x1.0624dd2f1a9ffp-10", "0x1.0624dd2f1a9ffp-10",
+    "0x1.0624dd2f1a9ffp-10", "0x1.0624dd2f1a9ffp-10",
+    "0x1.705792a645eedp-4", "0x1.0624dd2f1a9ffp-10", "0x1.a0d0278998625p-3",
+    "0x1.ffa44d6c61096p-4", "0x1.32bf9b10fbd08p-8", "0x1.2a15075c709fep-4",
+    "0x1.0624dd2f1a9ffp-10", "0x1.f63c3ea5f4b91p-6",
 ]
-# the largest alpha LP, 4,667 rows, recorded before the tableau kept only
-# its changed columns; the dense phase-1 tableau peaked at 338 MiB
+# the largest alpha LP: 4,667 rows over all drainable subsets, whose dense
+# phase-1 tableau peaked at 338 MiB, and 127 over the closed ones
 CRP16_ALPHA_HEX = [
-    "0x1.0624dd2f1a9fcp-10", "0x1.1efd747027b38p-3", "0x1.35e26a3fc9e2dp-3",
-    "0x1.26bb8463fb8dap-3", "0x1.0624dd2f1a9fcp-10",
-    "0x1.0624dd2f1a9fcp-10", "0x1.33bb4a070a6e5p-2",
+    "0x1.0624dd2f1a9fcp-10", "0x1.1efd747027b52p-3", "0x1.35e26a3fc9e28p-3",
+    "0x1.26bb8463fb8e6p-3", "0x1.0624dd2f1a9fcp-10",
+    "0x1.0624dd2f1a9fcp-10", "0x1.33bb4a070a6dap-2",
     "0x1.0624dd2f1a9fcp-10", "0x1.0624dd2f1a9fcp-10",
-    "0x1.0624dd2f1a9fcp-10", "0x1.0624dd2f1a9fcp-10", "0x1.8252a2af868c2p-3",
-    "0x1.0624dd2f1a9fcp-10", "0x1.17f3b96ffc365p-6",
-    "0x1.0624dd2f1a9fcp-10", "0x1.94b95dcca0353p-5",
+    "0x1.0624dd2f1a9fcp-10", "0x1.0624dd2f1a9fcp-10", "0x1.8252a2af868a9p-3",
+    "0x1.0624dd2f1a9fcp-10", "0x1.17f3b96ffc3c7p-6",
+    "0x1.0624dd2f1a9fcp-10", "0x1.94b95dcca035fp-5",
 ]
-CRP_ALPHA_PINS = {12: (1003, CRP12_ALPHA_HEX), 15: (1948, CRP15_ALPHA_HEX),
-                  16: (4704, CRP16_ALPHA_HEX)}
+CRP_ALPHA_PINS = {12: (65, CRP12_ALPHA_HEX), 15: (188, CRP15_ALPHA_HEX),
+                  16: (165, CRP16_ALPHA_HEX)}
 
 
 @pytest.mark.parametrize("n", sorted(CRP_ALPHA_PINS))
@@ -255,7 +256,7 @@ def test_optimal_alpha_random_crp_bit_for_bit(n, monkeypatch):
         tracemalloc.stop()
     hexes = [float(a).hex() for a in alpha]
     assert (iterations[0], hexes) == CRP_ALPHA_PINS[n]
-    assert peak < 40 * 2**20
+    assert peak < 8 * 2**20   # 4.1 MiB at n = 16
 
 
 def test_results_keep_subset_masks_bit_packed():
@@ -265,7 +266,7 @@ def test_results_keep_subset_masks_bit_packed():
     assert kept_alpha.tobytes() == alpha.tobytes()
     for mask, nodes in ((members, net.n_demand), (boundary, net.n_supply)):
         assert mask.dtype == np.uint8
-        assert mask.shape == (math.ceil(nodes / 8), lam.size) == (2, 1892)
+        assert mask.shape == (math.ceil(nodes / 8), lam.size) == (2, 141)
     assert hexed(res.per_subset) == hexed(gamma_loop(net, alpha)[2])
     complete = build_network(3, 3, [(i, j) for i in range(3)
                                      for j in range(3)], np.ones((3, 3)) / 9)
@@ -322,15 +323,21 @@ def test_pooling_check_raises_most_violated_subset():
     assert (exc.value.subset, exc.value.slack) == ((2,), -0.25)
 
 
-def gamma_loop(net, alpha):
-    """(gamma, critical subsets, per-subset triples) from the reference
-    loop, each boundary mass a sequential sum()."""
-    per = [(st, b, b * st.log_ratio) for st in drainable_subsets_loop(net)
+def gamma_loop(net, alpha, subsets=None):
+    """(gamma, critical subsets) over every drainable subset, and the
+    per-subset triples of the closed ones (no demand node outside the
+    subset is served only on its boundary), from the reference loop (or
+    the given subsets), each boundary mass a sequential sum()."""
+    per = [(st, b, b * st.log_ratio)
+           for st in subsets or drainable_subsets_loop(net)
            for b in [float(sum(alpha[i] for i in st.boundary))]]
     best = min(c for (_, _, c) in per)
     crit = tuple(sorted(st.members for (st, _, c) in per
                         if c <= best * (1 + 1e-9) + 1e-300))
-    return best, crit, per
+    served = [set(net.supply_neighbors(j)) for j in range(net.n_demand)]
+    return best, crit, [t for t in per if not any(
+        served[j] <= set(t[0].boundary)
+        for j in range(net.n_demand) if j not in t[0].members)]
 
 
 def hexed(per):
@@ -348,6 +355,83 @@ def test_gamma_columns_equal_reference_loop():
             assert res.gamma.hex() == best.hex()
             assert res.critical_subsets == crit
             assert hexed(res.per_subset) == hexed(per)
+
+
+def panel_nets():
+    return [random_crp(n, seed=s) for n in range(3, 17) for s in range(3)] \
+        + [symmetric_ring(10), example1()]
+
+
+def test_closed_rows_keep_gamma_and_path_bit_for_bit():
+    # the reference reads every drainable subset: drainable_subsets(), which
+    # test_drainable_subsets_equal_reference_loop ties to the plain loop
+    rng = np.random.default_rng(21)
+    for net in panel_nets():
+        subsets, n = drainable_subsets(net), net.n_supply
+        for alpha in [uniform_alpha(n), optimal_alpha(net)[0],
+                      *rng.dirichlet(np.ones(n), size=3)]:
+            res = gamma(net, alpha)
+            best, crit, per = gamma_loop(net, alpha, subsets)
+            assert (res.gamma.hex(), res.critical_subsets) == \
+                (best.hex(), crit)
+            assert hexed(res.per_subset) == hexed(per)
+            st = next(st for st in subsets if st.members == crit[0])
+            mass = float(sum(alpha[i] for i in st.boundary))
+            inside = np.isin(np.arange(net.n_demand), st.members)
+            bnd = np.isin(np.arange(n), st.boundary)
+            f = net.phi.copy()
+            f[np.ix_(inside, ~bnd)] *= st.lambda_rate / st.mu_rate
+            f[np.ix_(~inside, bnd)] /= st.lambda_rate / st.mu_rate
+            path = most_likely_path(net, alpha)
+            assert path.critical_subset == st.members
+            assert path.f_star.tobytes() == f.tobytes()
+            assert path.drain_time.hex() == \
+                (mass / (st.lambda_rate - st.mu_rate)).hex()
+            assert path.kl_rate.hex() == kl_rate(f, net.phi).hex()
+
+
+def test_optimal_alpha_matches_highs_over_all_drainable_rows():
+    from scipy.optimize import linprog
+    for net in panel_nets():
+        subsets, n = drainable_subsets(net), net.n_supply
+        a_ub = np.zeros((len(subsets), n + 1))
+        a_ub[:, -1] = 1.0
+        for r, st in enumerate(subsets):
+            a_ub[r, list(st.boundary)] = -st.log_ratio
+        ref = linprog(np.r_[np.zeros(n), -1.0], A_ub=a_ub,
+                      b_ub=np.zeros(len(subsets)), A_eq=[[1.0] * n + [0.0]],
+                      b_eq=[1.0], bounds=[(1e-3, None)] * n + [(None, None)],
+                      method="highs")
+        assert ref.status == 0
+        assert optimal_alpha(net, eps_floor=1e-3)[1].gamma == \
+            pytest.approx(-ref.fun, rel=0, abs=1e-12)
+
+
+def test_rows_are_the_closed_drainable_subsets():
+    # brute force: J is closed when every demand node served only on
+    # N(J) is in J; a drainable J's closure is a row with J's boundary,
+    # no more lambda and no less mu, one of them strictly when J is open
+    nets = [random_crp(n, seed=s) for n in range(3, 9) for s in range(5)]
+    nets += [net for net in sparse_nets() if validate_network(net).crp_holds]
+    nets += [example1(), symmetric_ring(10)]
+    for net in nets:
+        rows = [st for st, _, _ in
+                gamma(net, uniform_alpha(net.n_supply)).per_subset]
+        by_members = {st.members: st for st in rows}
+        closed = []
+        for st in drainable_subsets_loop(net):
+            hull = tuple(j for j in range(net.n_demand)
+                         if neighborhood(net, [j])
+                         <= neighborhood(net, st.members))
+            if hull == st.members:
+                closed.append(st)
+                continue
+            top = by_members[hull]
+            assert top.boundary == st.boundary
+            assert top.lambda_rate <= st.lambda_rate
+            assert top.mu_rate >= st.mu_rate
+            assert top.log_ratio < st.log_ratio
+        assert rows == closed
 
 
 def test_subset_table_columns_in_combinations_order():
