@@ -23,7 +23,6 @@ from .exponent import (
     DEFAULT_EPS_FLOOR,
     PoolingViolationError,
     gamma,
-    most_likely_path,
     optimal_alpha,
     uniform_alpha,
 )
@@ -112,7 +111,7 @@ def cmd_gamma(args):
                "drainable_subsets": len(rows),   # subset rows of the LP
                "config_hash": _config_hash(args)}
     if not res.is_infinite:
-        path = most_likely_path(net, alpha)
+        path = res.rate_path(net)
         summary["f_star"] = path.f_star.tolist()
         summary["drain_time"] = path.drain_time
         summary["kl_rate"] = path.kl_rate

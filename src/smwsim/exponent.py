@@ -16,12 +16,13 @@ import numpy as np
 from .lp import LinearProgram, solve_lp
 # not called here, but the benchmark tracer patches validate_network here
 from .network import (Network, _nontrivial_pairs, adjacency, mask_indices,
-                      masked_sum, subset_table, table_order,
+                      masked_sum, subset_lattice, subset_table, table_order,
                       validate_network)  # noqa: F401
 
 TIE_RTOL = 1e-9
 SIMPLEX_TOL = 1e-9
 DEFAULT_EPS_FLOOR = 1e-3
+PAIR_BLOCK = 1024  # columns per (pairs x columns) block of _pair_sums
 
 
 class PoolingViolationError(ValueError):
@@ -75,6 +76,26 @@ class ExponentResult:
     def is_infinite(self) -> bool:
         return math.isinf(self.gamma)
 
+    def rate_path(self, net: Network) -> RatePath:
+        """Exponentially twisted rate matrix draining the lexicographically
+        smallest critical subset, from this result's columns and its net:
+        demand from inside the subset to outside its neighborhood is inflated
+        by the inflow/outflow ratio, the reverse flows are deflated, the rest
+        keeps its typical rate."""
+        if self.is_infinite:
+            raise ValueError("no drainable subset: most likely path undefined")
+        (members, boundary, lam, mu), alpha = self._columns
+        jstar = self.critical_subsets[0]
+        inside = np.isin(np.arange(net.n_demand), jstar)
+        k = np.flatnonzero((members.T == np.packbits(inside)).all(axis=1))[0]
+        bnd = np.unpackbits(boundary[:, k], count=net.n_supply).view(bool)
+        lam, mu = float(lam[k]), float(mu[k])
+        f = net.phi.copy()
+        f[np.ix_(inside, ~bnd)] *= lam / mu
+        f[np.ix_(~inside, bnd)] /= lam / mu
+        mass = float(masked_sum(zip(bnd, alpha), 1)[0])   # as _exponent adds it
+        return RatePath(f, jstar, mass / (lam - mu), kl_rate(f, net.phi))
+
 
 @dataclass(frozen=True)
 class RatePath:
@@ -121,15 +142,26 @@ def _drainable(net: Network, members, nbrs):
     """Columns (members, boundary, lambda, mu) of drainable subsets given
     by their member and neighborhood masks."""
     # a node k outside the neighborhood never serves a member j, so only
-    # the nontrivial pairs add to mu
-    pairs, outside = _nontrivial_pairs(net), ~nbrs
-    others, size = ~members, members.shape[1]
-    mu = masked_sum(((members[j] & outside[k], net.phi[j, k])
-                     for j, k in pairs), size)
-    lam = masked_sum(((others[j] & nbrs[k], net.phi[j, k])
-                      for j in range(net.n_demand)
-                      for k in range(net.n_supply)), size)
+    # the nontrivial pairs add to mu; pairs without rate add only zeros
+    lam = _pair_sums(net.phi, np.nonzero(net.phi), ~members, nbrs)
+    mu = _pair_sums(net.phi, _nontrivial_pairs(net), members, ~nbrs)
     return members, nbrs, lam, mu
+
+
+def _pair_sums(phi, pairs, rows, cols):
+    """Per column, the sum of phi[j, k] over the (j, k) pairs, in order,
+    where rows[j] and cols[k] are both set.  ``sum(axis=0)`` adds the rows
+    of a C-ordered (pairs x columns) block one at a time: the sequential
+    sum, bit for bit.  A spare zero column keeps numpy from summing a lone
+    column pairwise.  Blocks of PAIR_BLOCK columns bound the memory."""
+    j, k = pairs
+    out = np.empty(rows.shape[1])
+    for at in range(0, out.size, PAIR_BLOCK):
+        block = rows[j, at:at + PAIR_BLOCK] & cols[k, at:at + PAIR_BLOCK]
+        terms = np.zeros((j.size, block.shape[1] + 1))
+        np.multiply(block, phi[j, k, None], out=terms[:, :-1])
+        out[at:at + PAIR_BLOCK] = terms.sum(axis=0)[:-1]
+    return out
 
 
 def _pooled_subsets(net: Network):
@@ -227,27 +259,8 @@ def kl_rate(f, phi) -> float:
 
 
 def most_likely_path(net: Network, alpha) -> RatePath:
-    """Exponentially twisted rate matrix that drains a critical subset.
-
-    The critical subset is the lexicographically smallest argmin; demand
-    from inside it to outside its neighborhood is inflated by the
-    inflow/outflow ratio, the reverse flows are deflated, everything else
-    is left at its typical rate.
-    """
-    alpha = check_alpha(alpha, net.n_supply)
-    cols, log_ratio = _pooled_subsets(net)
-    res, mass, _ = _exponent(alpha, cols, log_ratio)
-    if res.is_infinite:
-        raise ValueError("no drainable subset: most likely path undefined")
-    jstar = res.critical_subsets[0]
-    members, boundary, lam, mu = cols
-    inside = np.isin(np.arange(net.n_demand), jstar)
-    k = np.flatnonzero((members.T == inside).all(axis=1))[0]
-    bnd, lam, mu = boundary[:, k], float(lam[k]), float(mu[k])
-    f = net.phi.copy()
-    f[np.ix_(inside, ~bnd)] *= lam / mu
-    f[np.ix_(~inside, bnd)] /= lam / mu
-    return RatePath(f, jstar, float(mass[k]) / (lam - mu), kl_rate(f, net.phi))
+    """``gamma(net, alpha).rate_path(net)``: see ExponentResult.rate_path."""
+    return gamma(net, alpha).rate_path(net)
 
 
 def lyapunov(alpha, x) -> float:
@@ -270,34 +283,24 @@ def min_drift_speed(net: Network, alpha, f) -> float:
     Over all fractional assignment rules d (one distribution over the
     compatible supply nodes per demand node), the attainable state change
     in unit time is Delta_i = inflow_i - assigned outflow_i; the speed is
-    min over d of max_i(-Delta_i / alpha_i).  Solved as one LP.
+    min over d of max_i(-Delta_i / alpha_i).  By Hall's theorem with
+    capacities inflow_i + t alpha_i, that is the max over demand subsets J
+    of (f(J) - inflow(N(J))) / alpha(N(J)), f(J) the row mass of J.  More
+    than SUBSET_CAP demand nodes raise SubsetCapError.
     """
     alpha = check_alpha(alpha, net.n_supply)
     f = np.array(f, dtype=float)
     if np.any(f < 0) or abs(f.sum() - 1.0) > 1e-9:
         raise ValueError("f must be a nonnegative matrix summing to 1")
-    n, m = net.n_supply, net.n_demand
-    ei, ej = np.array(sorted(net.edges)).T
-    nv = ei.size + 1               # d variables then t
-    t_col = nv - 1
-    row_mass = f.sum(axis=1)       # total rate per demand node
-    inflow = f.sum(axis=0)         # supply inflow per node
-    d = np.arange(ei.size)
-
-    # sum_i d_{i j} = 1 per demand node
-    a_eq = np.zeros((m, nv))
-    a_eq[ej, d] = 1.0
-
-    # t >= -Delta_i/alpha_i  <=>  (sum_j d_ij rowmass_j - inflow_i)/alpha_i - t <= 0
-    a_ub = np.zeros((n, nv))
-    a_ub[:, t_col] = -1.0
-    a_ub[ei, d] = row_mass[ej] / alpha[ei]
-    lower = np.zeros(nv)
-    lower[t_col] = -np.inf
-    c = np.zeros(nv)
-    c[t_col] = -1.0                # maximize -t = minimize t
-    sol = solve_lp(LinearProgram(c=c, a_ub=a_ub, b_ub=inflow / alpha,
-                                 a_eq=a_eq, b_eq=np.ones(m), lower=lower))
-    if sol.status != "optimal":
-        raise RuntimeError(f"min-drift LP returned {sol.status}")
-    return float(sol.x[t_col])
+    mass, (nbrs,) = subset_lattice(f.sum(axis=1).tolist(), [adjacency(net)])
+    # one J per neighborhood: the closure {j : N(j) within N(J)}, with no
+    # less mass; no demand node joins a closed J without growing N(J)
+    closed = np.arange(mass.size) > 0   # every code but the empty set
+    for j in range(net.n_demand):
+        sets = nbrs.reshape(-1, 2, 1 << j, nbrs.shape[1])
+        closed.reshape(-1, 2, 1 << j)[:, 0] &= \
+            (sets[:, 0] != sets[:, 1]).any(axis=2)
+    masks = np.unpackbits(nbrs[closed].view(np.uint8), axis=1,
+                          count=net.n_supply, bitorder="little")
+    return float(((mass[closed] - masks @ f.sum(axis=0))
+                  / (masks @ alpha)).max())

@@ -182,40 +182,44 @@ def adjacency(net: Network) -> np.ndarray:
     return adj
 
 
-def _nontrivial_pairs(net: Network) -> list:
-    """[j, k] pairs, row-major, where demand j has rate toward a
-    destination k that does not serve j.  With two or more demand nodes a
-    net has a drainable subset exactly when such a pair exists: {j}
-    drains through it, and a draining J drains through some j in J and
-    k outside N(J), which contains N(j)."""
-    return np.argwhere((net.phi > 0) & ~adjacency(net)).tolist()
+def _nontrivial_pairs(net: Network):
+    """Index arrays (j, k), row-major, of the pairs where demand j has
+    rate toward a destination k that does not serve j.  With two or more
+    demand nodes a net has a drainable subset exactly when such a pair
+    exists: {j} drains through it, and a draining J drains through some j
+    in J and k outside N(J), which contains N(j)."""
+    return np.nonzero((net.phi > 0) & ~adjacency(net))
+
+
+def subset_lattice(rates, masks):
+    """Sum of ``rates`` and OR of each m x n boolean mask's rows (as uint64
+    words) over every demand subset code 0 .. 2^m - 1, bit j marking demand
+    j.  One lattice pass builds code c | 1 << j, c < 2^j, from c, so members
+    add in ascending order: the sequential sum, bit for bit.  Guarded by
+    SUBSET_CAP on m."""
+    m, n = len(rates), masks[0].shape[1]
+    if m > SUBSET_CAP:
+        raise SubsetCapError(f"{m} demand nodes exceed the subset "
+                             f"enumeration cap ({SUBSET_CAP})")
+    bits = np.zeros((len(masks), m, -(-n // 64) * 64), dtype=bool)
+    bits[:, :, :n] = masks
+    words = np.packbits(bits, axis=2, bitorder="little").view("<u8")
+    sums = np.zeros(1 << m)
+    sets = np.zeros((len(masks), 1 << m, words.shape[2]), dtype=words.dtype)
+    for j, rate in enumerate(rates):
+        h = 1 << j
+        np.add(sums[:h], rate, out=sums[h:2 * h])
+        np.bitwise_or(sets[:, :h], words[:, j, None], out=sets[:, h:2 * h])
+    return sums, sets
 
 
 def subset_table(net: Network):
     """Hall slack (neighborhood inflow minus member demand), n x len
     neighborhood mask and drain flag (a member has demand toward a node
     outside the neighborhood) of each nonempty strict demand subset, at
-    index code - 1, where bit j of a code marks demand j.
-
-    One pass over the subset lattice builds code c | 1 << j, c < 2^j, from
-    c: ``demand[c | 1 << j] = demand[c] + rate_j``, and OR for the node
-    sets (ceil(n / 64) uint64 words per code).  Members, like the inflow's
-    nodes, so add in ascending order: each sum is the sequential one, bit
-    for bit.  Guarded by SUBSET_CAP on m.
-    """
-    m = net.n_demand
-    if m > SUBSET_CAP:
-        raise SubsetCapError(f"{m} demand nodes exceed the subset "
-                             f"enumeration cap ({SUBSET_CAP})")
-    bits = np.zeros((2, m, -(-net.n_supply // 64) * 64), dtype=bool)
-    bits[:, :, :net.n_supply] = adjacency(net), net.phi > 0
-    words = np.packbits(bits, axis=2, bitorder="little").view("<u8")
-    demand = np.zeros(1 << m)
-    sets = np.zeros((2, 1 << m, words.shape[2]), dtype=words.dtype)
-    for j, rate in enumerate(net.row_rates().tolist()):
-        h = 1 << j
-        np.add(demand[:h], rate, out=demand[h:2 * h])
-        np.bitwise_or(sets[:, :h], words[:, j, None], out=sets[:, h:2 * h])
+    index code - 1; the inflow adds its nodes in ascending order too."""
+    demand, sets = subset_lattice(net.row_rates().tolist(),
+                                  (adjacency(net), net.phi > 0))
     nbrs, targets = sets[:, 1:-1]
     masks = np.unpackbits(nbrs.view(np.uint8), axis=1, count=net.n_supply,
                           bitorder="little").T.view(bool)
@@ -275,7 +279,7 @@ def validate_network(net: Network,
     return ValidationReport(
         normalized=abs(original_mass - 1.0) > NORMALIZATION_TOL,
         original_mass=float(original_mass),
-        nontrivial=bool(_nontrivial_pairs(net)),
+        nontrivial=bool(_nontrivial_pairs(net)[0].size),
         crp_holds=hall_gap > 0,
         hall_gap=hall_gap,
         lambda_min=float(net.col_rates().min()),

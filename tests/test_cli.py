@@ -95,6 +95,28 @@ def test_gamma_counts_lp_rows_and_hashes_options(tmp_path, capsys):
     assert len(set(hashes)) == 3 and all(len(h) == 12 for h in hashes)
 
 
+def test_gamma_optimal_builds_one_subset_table(tmp_path, capsys,
+                                              monkeypatch):
+    import smwsim.exponent as exponent
+    import smwsim.network as network
+    path = str(tmp_path / "net.json")
+    save_network(random_crp(6, seed=0), path)
+    builds = []
+    table = network.subset_table
+    for module in (exponent, network):   # wherever a build is looked up
+        monkeypatch.setattr(module, "subset_table",
+                            lambda net: builds.append(net) or table(net))
+    out = str(tmp_path / "table.csv")
+    assert main(["gamma", path, "--optimal", "--out", out]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert len(builds) == 1
+    # the path from the result's columns is most_likely_path's, bit for bit
+    ref = smwsim.most_likely_path(smwsim.load_network(path), summary["alpha"])
+    assert summary["f_star"] == ref.f_star.tolist()
+    assert (summary["drain_time"], summary["kl_rate"]) == \
+        (ref.drain_time, ref.kl_rate)
+
+
 def test_gamma_given_alpha(net_file, tmp_path, capsys):
     out = str(tmp_path / "table.csv")
     assert main(["gamma", net_file, "--alpha", "0.75,0.25", "--out", out]) == 0

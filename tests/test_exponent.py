@@ -26,8 +26,11 @@ from smwsim.instances import (
     random_crp,
     symmetric_ring,
 )
-from smwsim.network import (Network, SubsetCapError, mask_indices,
-                            subset_table, table_order)
+from smwsim.exponent import _drainable
+from smwsim.lp import LinearProgram, solve_lp
+from smwsim.network import (SUBSET_CAP, Network, SubsetCapError, adjacency,
+                            mask_indices, masked_sum, subset_table,
+                            table_order)
 
 LOG2 = math.log(2)
 
@@ -608,3 +611,142 @@ def test_kl_and_speed_identities_on_random_instances():
                 res.gamma, abs=1e-9)
             v = min_drift_speed(net, alpha, path.f_star)
             assert path.kl_rate / v == pytest.approx(res.gamma, abs=1e-6)
+
+
+def test_rate_path_reads_the_result_columns():
+    # optimal_alpha's own result gives the path that gamma gives at alpha*
+    for net in [random_crp(n, seed=s) for n in (3, 6, 9) for s in range(3)] \
+            + [example1(), symmetric_ring(10)]:
+        alpha, res = optimal_alpha(net)
+        path, ref = res.rate_path(net), most_likely_path(net, alpha)
+        assert path.critical_subset == ref.critical_subset
+        assert path.f_star.tobytes() == ref.f_star.tobytes()
+        assert (path.drain_time.hex(), path.kl_rate.hex()) == \
+            (ref.drain_time.hex(), ref.kl_rate.hex())
+    complete = build_network(3, 3, [(i, j) for i in range(3)
+                                    for j in range(3)], np.ones((3, 3)))
+    with pytest.raises(ValueError, match="most likely path undefined"):
+        gamma(complete, uniform_alpha(3)).rate_path(complete)
+    with pytest.raises(ValueError, match="most likely path undefined"):
+        most_likely_path(complete, uniform_alpha(3))
+
+
+def drift_lp(net, alpha, f):
+    """The min-drift speed as an LP: one distribution d over N(j) per
+    demand node j; minimize t subject to (outflow_i - inflow_i) / alpha_i
+    <= t, outflow_i the mass that d assigns to supply node i."""
+    ei, ej = np.array(sorted(net.edges)).T
+    nv = ei.size + 1               # d variables then t
+    d = np.arange(ei.size)
+    a_eq = np.zeros((net.n_demand, nv))
+    a_eq[ej, d] = 1.0
+    a_ub = np.zeros((net.n_supply, nv))
+    a_ub[:, -1] = -1.0
+    a_ub[ei, d] = f.sum(axis=1)[ej] / alpha[ei]
+    lower = np.zeros(nv)
+    lower[-1] = -np.inf
+    c = np.zeros(nv)
+    c[-1] = -1.0                   # maximize -t = minimize t
+    sol = solve_lp(LinearProgram(c=c, a_ub=a_ub, b_ub=f.sum(axis=0) / alpha,
+                                 a_eq=a_eq, b_eq=np.ones(net.n_demand),
+                                 lower=lower))
+    assert sol.status == "optimal"
+    return float(sol.x[-1])
+
+
+def drift_brute(net, alpha, f):
+    """max over every nonempty demand subset J of
+    (f(J) - inflow(N(J))) / alpha(N(J)), as plain loops."""
+    m, n = net.n_demand, net.n_supply
+    best = -math.inf
+    for size in range(1, m + 1):
+        for J in itertools.combinations(range(m), size):
+            nbrs = neighborhood(net, J)
+            mass = sum(f[j][k] for j in J for k in range(n))
+            inflow = sum(f[j][i] for j in range(m) for i in nbrs)
+            best = max(best, (mass - inflow) / sum(alpha[i] for i in nbrs))
+    return best
+
+
+def drift_panel():
+    """(net, alpha, f): uniform, optimal and Dirichlet alpha; f = phi, the
+    most likely path, a random f (mass off phi's support where phi has
+    zeros) and a random f with one all-zero row."""
+    rng = np.random.default_rng(22)
+    nets = [build_network(1, 1, [(0, 0)], [[1.0]])]   # random_crp needs n >= 2
+    nets += [random_crp(n, seed=s) for n in range(2, 11) for s in range(5)]
+    nets += [example1(), symmetric_ring(10)]
+    for net in nets:
+        n, m = net.n_supply, net.n_demand
+        for alpha in (uniform_alpha(n), optimal_alpha(net)[0],
+                      rng.dirichlet(np.ones(n))):
+            spread = rng.exponential(size=(m, n))
+            holed = rng.exponential(size=(m, n))
+            holed[rng.integers(m)] = 0.0
+            fs = [net.phi, spread / spread.sum()]
+            if m > 1:
+                fs.append(holed / holed.sum())
+            if not gamma(net, alpha).is_infinite:
+                fs.append(most_likely_path(net, alpha).f_star)
+            for f in fs:
+                yield net, alpha, f
+
+
+def test_min_drift_speed_matches_lp_and_brute_force():
+    gaps = []
+    for net, alpha, f in drift_panel():
+        v = min_drift_speed(net, alpha, f)
+        gaps.append(abs(v - drift_lp(net, alpha, f)))
+        if net.n_demand <= 8:
+            gaps.append(abs(v - drift_brute(net, alpha, f)))
+    assert len(gaps) > 1000 and max(gaps) <= 1e-12
+
+
+def test_min_drift_speed_enumerates_below_the_cap():
+    n = SUBSET_CAP + 1
+    net = build_network(n, n, [(i, j) for i in range(n) for j in range(n)],
+                        np.ones((n, n)))
+    with pytest.raises(SubsetCapError):
+        min_drift_speed(net, uniform_alpha(n), net.phi)
+
+
+def drainable_loop(net, members, nbrs):
+    """lambda and mu with one sequential masked add per pair: every (j, k)
+    pair row-major for lambda, the nontrivial ones for mu."""
+    size, m, n = members.shape[1], net.n_demand, net.n_supply
+    pairs = np.argwhere((net.phi > 0) & ~adjacency(net)).tolist()
+    mu = masked_sum(((members[j] & ~nbrs[k], net.phi[j, k])
+                     for j, k in pairs), size)
+    lam = masked_sum(((~members[j] & nbrs[k], net.phi[j, k])
+                      for j in range(m) for k in range(n)), size)
+    return lam, mu
+
+
+def relabelled(net, seed):
+    perm = np.random.default_rng(seed).permutation(net.n_supply)
+    phi = np.empty_like(net.phi)
+    phi[np.ix_(perm, perm)] = net.phi
+    return build_network(net.n_supply, net.n_demand,
+                         [(perm[i], perm[j]) for (i, j) in net.edges], phi)
+
+
+def test_drainable_rates_equal_sequential_masked_sums():
+    nets = [random_crp(n, seed=s) for n in range(2, 17) for s in range(3)]
+    nets += [symmetric_ring(10), example1()]
+    nets += [relabelled(random_crp(n, seed=0), seed)
+             for n in (12, 14, 15) for seed in (1, 31)]
+    complete = build_network(4, 4, [(i, j) for i in range(4)
+                                    for j in range(4)], np.ones((4, 4)))
+    for net in nets + [complete]:
+        _, nbrs, drains = subset_table(net)
+        # every strict subset on the complete net, which drains none
+        at, members = table_order(drains if net is not complete
+                                  else np.ones_like(drains), net.n_demand)
+        nbrs = nbrs.take(at, axis=1)
+        assert members.shape[1] > 0
+        # a lone column too: numpy sums one column of many rows pairwise
+        for cols in (slice(None), slice(0, 1)):
+            got = _drainable(net, members[:, cols], nbrs[:, cols])[2:]
+            ref = drainable_loop(net, members[:, cols], nbrs[:, cols])
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in ref]
+    assert not drainable_subsets(complete)
