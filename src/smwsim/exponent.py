@@ -14,10 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lp import LinearProgram, solve_lp
-# not called here, but the benchmark tracer patches validate_network here
-from .network import (Network, _nontrivial_pairs, adjacency, mask_indices,
-                      masked_sum, subset_lattice, subset_table, table_order,
-                      validate_network)  # noqa: F401
+from .network import (Network, _nontrivial_pairs, hall_subsets, mask_indices,
+                      masked_sum, subset_table, table_order, validate_network)
 
 TIE_RTOL = 1e-9
 SIMPLEX_TOL = 1e-9
@@ -166,21 +164,16 @@ def _pair_sums(phi, pairs, rows, cols):
 
 def _pooled_subsets(net: Network):
     """Closed drainable subsets, in table order, and their log ratios
-    (``math.log``, as SubsetStats) from one subset table.  The Hall check
-    raises PoolingViolationError on the least slack over all subsets, the
-    first in table order on ties."""
-    slack, nbrs, drains = subset_table(net)
-    if slack.size and slack.min() <= 0:
-        least, members = table_order(slack == slack.min(), net.n_demand)
-        raise PoolingViolationError(mask_indices(members[:, :1])[0],
-                                    float(slack[least[0]]))
-    at, members = table_order(drains, net.n_demand)
-    nbrs = nbrs.take(at, axis=1)   # rows contiguous, unlike nbrs[:, at]
-    # J's closure {j : N(j) within N(J)} drains too, with the same boundary,
-    # less lambda and more mu: its row implies J's, so only closed J count
-    closed = (adjacency(net) @ ~nbrs | members).all(axis=0)
-    cols = _drainable(net, members.compress(closed, axis=1),
-                      nbrs.compress(closed, axis=1))
+    (``math.log``, as SubsetStats).  J's closure drains too, with J's
+    boundary, less lambda and more mu: its row implies J's.  A failed Hall
+    check raises PoolingViolationError on validate_network's least slack
+    violating subset, the first in table order on ties."""
+    slack, members, nbrs = hall_subsets(net, net.phi)
+    if slack.min(initial=math.inf) <= 0:
+        raise PoolingViolationError(*min(
+            validate_network(net).violating_subsets, key=lambda v: v[1]))
+    cols = _drainable(net, members, nbrs)
+    cols = [a.compress(cols[3] > 0, axis=-1) for a in cols]   # mu > 0
     return cols, np.array([math.log(a / b) for a, b in
                            zip(cols[2].tolist(), cols[3].tolist())])
 
@@ -285,22 +278,14 @@ def min_drift_speed(net: Network, alpha, f) -> float:
     in unit time is Delta_i = inflow_i - assigned outflow_i; the speed is
     min over d of max_i(-Delta_i / alpha_i).  By Hall's theorem with
     capacities inflow_i + t alpha_i, that is the max over demand subsets J
-    of (f(J) - inflow(N(J))) / alpha(N(J)), f(J) the row mass of J.  More
-    than SUBSET_CAP demand nodes raise SubsetCapError.
+    of (f(J) - inflow(N(J))) / alpha(N(J)), f(J) the row mass of J, read
+    on hall_subsets and J = all.  More than CLOSED_CAP closed demand
+    subsets raise SubsetCapError.
     """
     alpha = check_alpha(alpha, net.n_supply)
     f = np.array(f, dtype=float)
     if np.any(f < 0) or abs(f.sum() - 1.0) > 1e-9:
         raise ValueError("f must be a nonnegative matrix summing to 1")
-    mass, (nbrs,) = subset_lattice(f.sum(axis=1).tolist(), [adjacency(net)])
-    # one J per neighborhood: the closure {j : N(j) within N(J)}, with no
-    # less mass; no demand node joins a closed J without growing N(J)
-    closed = np.arange(mass.size) > 0   # every code but the empty set
-    for j in range(net.n_demand):
-        sets = nbrs.reshape(-1, 2, 1 << j, nbrs.shape[1])
-        closed.reshape(-1, 2, 1 << j)[:, 0] &= \
-            (sets[:, 0] != sets[:, 1]).any(axis=2)
-    masks = np.unpackbits(nbrs[closed].view(np.uint8), axis=1,
-                          count=net.n_supply, bitorder="little")
-    return float(((mass[closed] - masks @ f.sum(axis=0))
-                  / (masks @ alpha)).max())
+    slack, _, nbrs = hall_subsets(net, f)   # J = all has speed 0
+    return float((-slack / masked_sum(zip(nbrs, alpha), slack.size))
+                 .max(initial=0.0))

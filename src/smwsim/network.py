@@ -16,6 +16,7 @@ import numpy as np
 
 NORMALIZATION_TOL = 1e-12
 SUBSET_CAP = 20  # most demand nodes whose subsets are enumerated
+CLOSED_CAP = 16384  # most closed subsets: LP pivots about one per row
 
 
 class NetworkError(ValueError):
@@ -23,7 +24,7 @@ class NetworkError(ValueError):
 
 
 class SubsetCapError(NetworkError):
-    """Raised when exact subset enumeration would exceed SUBSET_CAP."""
+    """Raised when exact subset enumeration would exceed a cap."""
 
 
 @dataclass(frozen=True)
@@ -191,40 +192,71 @@ def _nontrivial_pairs(net: Network):
     return np.nonzero((net.phi > 0) & ~adjacency(net))
 
 
-def subset_lattice(rates, masks):
-    """Sum of ``rates`` and OR of each m x n boolean mask's rows (as uint64
-    words) over every demand subset code 0 .. 2^m - 1, bit j marking demand
-    j.  One lattice pass builds code c | 1 << j, c < 2^j, from c, so members
-    add in ascending order: the sequential sum, bit for bit.  Guarded by
-    SUBSET_CAP on m."""
-    m, n = len(rates), masks[0].shape[1]
-    if m > SUBSET_CAP:
-        raise SubsetCapError(f"{m} demand nodes exceed the subset "
-                             f"enumeration cap ({SUBSET_CAP})")
-    bits = np.zeros((len(masks), m, -(-n // 64) * 64), dtype=bool)
-    bits[:, :, :n] = masks
-    words = np.packbits(bits, axis=2, bitorder="little").view("<u8")
-    sums = np.zeros(1 << m)
-    sets = np.zeros((len(masks), 1 << m, words.shape[2]), dtype=words.dtype)
-    for j, rate in enumerate(rates):
-        h = 1 << j
-        np.add(sums[:h], rate, out=sums[h:2 * h])
-        np.bitwise_or(sets[:, :h], words[:, j, None], out=sets[:, h:2 * h])
-    return sums, sets
-
-
 def subset_table(net: Network):
     """Hall slack (neighborhood inflow minus member demand), n x len
     neighborhood mask and drain flag (a member has demand toward a node
     outside the neighborhood) of each nonempty strict demand subset, at
-    index code - 1; the inflow adds its nodes in ascending order too."""
-    demand, sets = subset_lattice(net.row_rates().tolist(),
-                                  (adjacency(net), net.phi > 0))
+    index code - 1, bit j marking demand j, up to SUBSET_CAP demand nodes.
+    Code c | 1 << j, c < 2^j, adds j to c: sums run in node order."""
+    m, n = net.n_demand, net.n_supply
+    if m > SUBSET_CAP:
+        raise SubsetCapError(f"{m} demand nodes exceed the subset "
+                             f"enumeration cap ({SUBSET_CAP})")
+    bits = np.zeros((2, m, -(-n // 64) * 64), dtype=bool)
+    bits[:, :, :n] = adjacency(net), net.phi > 0
+    words = np.packbits(bits, axis=2, bitorder="little").view("<u8")
+    demand = np.zeros(1 << m)
+    sets = np.zeros((2, 1 << m, words.shape[2]), dtype=words.dtype)
+    for j, rate in enumerate(net.row_rates().tolist()):
+        h = 1 << j
+        np.add(demand[:h], rate, out=demand[h:2 * h])
+        np.bitwise_or(sets[:, :h], words[:, j, None], out=sets[:, h:2 * h])
     nbrs, targets = sets[:, 1:-1]
-    masks = np.unpackbits(nbrs.view(np.uint8), axis=1, count=net.n_supply,
+    masks = np.unpackbits(nbrs.view(np.uint8), axis=1, count=n,
                           bitorder="little").T.view(bool)
     inflow = masked_sum(zip(masks, net.col_rates()), len(nbrs))
     return inflow - demand[1:-1], masks, (targets & ~nbrs).any(axis=1)
+
+
+def closed_subsets(net: Network):
+    """Member and neighborhood masks (m x c, n x c), in table order, of the
+    c nonempty closed demand subsets J = {j : N(j) within N(J)}, the last
+    one J = all: the distinct unions of the N(j), grown breadth first as
+    bitsets.  More than CLOSED_CAP of them raise SubsetCapError."""
+    n, adj = net.n_supply, adjacency(net)
+    served = {int.from_bytes(row.tobytes(), "little")
+              for row in np.packbits(adj, axis=1, bitorder="little")}
+    unions, seen = [0], {0}
+    for union in unions:   # grows as it is read: breadth first
+        grown = {union | s for s in served} - seen
+        seen |= grown
+        unions += grown
+        if len(seen) > CLOSED_CAP + 1:
+            raise SubsetCapError(f"{len(seen) - 1} closed demand subsets "
+                                 f"exceed the enumeration cap ({CLOSED_CAP})")
+    raw = b"".join(u.to_bytes(-(-n // 8), "little") for u in unions[1:])
+    nbrs = np.unpackbits(np.frombuffer(raw, np.uint8).reshape(len(seen) - 1,
+                         -1), axis=1, count=n, bitorder="little").T.view(bool)
+    members = ~(adj @ ~nbrs)
+    order = np.lexsort([*~members[::-1], members.sum(axis=0)])
+    return members.take(order, axis=1), nbrs.take(order, axis=1)
+
+
+def hall_subsets(net: Network, f):
+    """Hall slack of rates f (on phi, subset_table's bits), member and
+    neighborhood masks of the subsets where the least slack lies: the
+    strict closed ones in table order, then each {j}^c whose neighborhood
+    is N(all).  A closure keeps J's inflow bits and sums no less f (float
+    addition is monotone); a strict J with N(J) = N(all) lies in a {j}^c."""
+    members, nbrs = closed_subsets(net)
+    adj = adjacency(net)
+    outer = adj.sum(axis=0)[:, None] > adj.T   # N({j}^c), n x m
+    full = np.flatnonzero((outer == nbrs[:, -1:]).all(axis=0))
+    members = np.hstack([members[:, :-1], np.arange(len(adj))[:, None] != full])
+    nbrs = np.hstack([nbrs[:, :-1], outer[:, full]])
+    return (masked_sum(zip(nbrs, f.sum(axis=0)), nbrs.shape[1])
+            - masked_sum(zip(members, f.sum(axis=1)), nbrs.shape[1]),
+            members, nbrs)
 
 
 def table_order(select, m: int):
@@ -269,12 +301,18 @@ def validate_network(net: Network,
     the supply inflow to the neighborhood of J minus the demand rate of J.
     Pooling holds iff the gap is strictly positive.  When some subset's
     inequality is strictly reversed, its deficit is an unavoidable drop
-    fraction, reported as ``epsilon_floor_drop``.
+    fraction, reported as ``epsilon_floor_drop``.  Every violating subset
+    is listed, in table order, up to SUBSET_CAP demand nodes; above, the
+    hall_subsets ones.
     """
-    slack = subset_table(net)[0]
+    slack, members, _ = hall_subsets(net, net.phi)
     # with one demand node no strict subset exists: vacuously pooled
     hall_gap = float(slack.min(initial=np.inf))
-    bad, members = table_order(slack <= 0, net.n_demand)
+    bad = np.flatnonzero(slack <= 0)
+    members = members.take(bad, axis=1)
+    if bad.size and net.n_demand <= SUBSET_CAP:   # every violating subset
+        slack = subset_table(net)[0]
+        bad, members = table_order(slack <= 0, net.n_demand)
     violating = list(zip(mask_indices(members), slack[bad].tolist()))
     return ValidationReport(
         normalized=abs(original_mass - 1.0) > NORMALIZATION_TOL,

@@ -102,10 +102,11 @@ def test_gamma_optimal_builds_one_subset_table(tmp_path, capsys,
     path = str(tmp_path / "net.json")
     save_network(random_crp(6, seed=0), path)
     builds = []
-    table = network.subset_table
-    for module in (exponent, network):   # wherever a build is looked up
-        monkeypatch.setattr(module, "subset_table",
-                            lambda net: builds.append(net) or table(net))
+    closed = network.closed_subsets
+    monkeypatch.setattr(network, "closed_subsets",
+                        lambda net: builds.append(net) or closed(net))
+    for module in (exponent, network):   # and no subset lattice anywhere
+        monkeypatch.setattr(module, "subset_table", None)
     out = str(tmp_path / "table.csv")
     assert main(["gamma", path, "--optimal", "--out", out]) == 0
     summary = json.loads(capsys.readouterr().out)
@@ -115,6 +116,20 @@ def test_gamma_optimal_builds_one_subset_table(tmp_path, capsys,
     assert summary["f_star"] == ref.f_star.tolist()
     assert (summary["drain_time"], summary["kl_rate"]) == \
         (ref.drain_time, ref.kl_rate)
+
+
+def test_gamma_optimal_past_twenty_zones(tmp_path, capsys):
+    path = str(tmp_path / "net.json")
+    assert main(["generate", "random_crp", "--n", "30", "--out", path]) == 0
+    assert main(["gamma", path, "--optimal", "--out",
+                 str(tmp_path / "table.csv")]) == 0
+    summary = json.loads(capsys.readouterr().out.split("\n", 1)[1])
+    assert summary["drainable_subsets"] == 1227
+    # the 30-zone ring has 1.86M closed subsets: the cap stops it
+    assert main(["generate", "symmetric_ring", "--n", "30", "--with-times",
+                 "--out", path]) == 0
+    assert main(["gamma", path, "--optimal"]) == 1
+    assert "closed demand subsets exceed" in capsys.readouterr().err
 
 
 def test_gamma_given_alpha(net_file, tmp_path, capsys):

@@ -1,5 +1,6 @@
 import itertools
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -28,9 +29,9 @@ from smwsim.instances import (
 )
 from smwsim.exponent import _drainable
 from smwsim.lp import LinearProgram, solve_lp
-from smwsim.network import (SUBSET_CAP, Network, SubsetCapError, adjacency,
-                            mask_indices, masked_sum, subset_table,
-                            table_order)
+from smwsim.network import (Network, SubsetCapError, adjacency,
+                            closed_subsets, mask_indices, masked_sum,
+                            subset_table, table_order)
 
 LOG2 = math.log(2)
 
@@ -286,15 +287,19 @@ def exponent_calls(net):
 
 
 def test_one_subset_table_per_call(monkeypatch):
+    # one closed-subset enumeration, and no subset lattice, per pooled call
     import smwsim.exponent as exponent
     import smwsim.network as network
     builds = []
-    table = network.subset_table
-    for module in (exponent, network):   # wherever a build is looked up
-        monkeypatch.setattr(module, "subset_table",
-                            lambda net: builds.append(net) or table(net))
+    closed = network.closed_subsets
+    monkeypatch.setattr(network, "closed_subsets",
+                        lambda net: builds.append(net) or closed(net))
+    for module in (exponent, network):   # and no subset lattice anywhere
+        monkeypatch.setattr(module, "subset_table", None)
     for net in (example1(), symmetric_ring(10)):
-        for call in exponent_calls(net):
+        drift = partial(min_drift_speed, net, uniform_alpha(net.n_supply),
+                        net.phi)
+        for call in exponent_calls(net) + (drift,):
             builds.clear()
             call()
             assert len(builds) == 1
@@ -393,21 +398,38 @@ def test_closed_rows_keep_gamma_and_path_bit_for_bit():
             assert path.kl_rate.hex() == kl_rate(f, net.phi).hex()
 
 
-def test_optimal_alpha_matches_highs_over_all_drainable_rows():
+def highs_gamma(net, subsets):
+    """gamma* over the given rows from scipy's HiGHS, eps_floor 1e-3."""
     from scipy.optimize import linprog
+    n = net.n_supply
+    a_ub = np.zeros((len(subsets), n + 1))
+    a_ub[:, -1] = 1.0
+    for r, st in enumerate(subsets):
+        a_ub[r, list(st.boundary)] = -st.log_ratio
+    ref = linprog(np.r_[np.zeros(n), -1.0], A_ub=a_ub,
+                  b_ub=np.zeros(len(subsets)), A_eq=[[1.0] * n + [0.0]],
+                  b_eq=[1.0], bounds=[(1e-3, None)] * n + [(None, None)],
+                  method="highs")
+    assert ref.status == 0
+    return -ref.fun
+
+
+def test_optimal_alpha_matches_highs_over_all_drainable_rows():
     for net in panel_nets():
-        subsets, n = drainable_subsets(net), net.n_supply
-        a_ub = np.zeros((len(subsets), n + 1))
-        a_ub[:, -1] = 1.0
-        for r, st in enumerate(subsets):
-            a_ub[r, list(st.boundary)] = -st.log_ratio
-        ref = linprog(np.r_[np.zeros(n), -1.0], A_ub=a_ub,
-                      b_ub=np.zeros(len(subsets)), A_eq=[[1.0] * n + [0.0]],
-                      b_eq=[1.0], bounds=[(1e-3, None)] * n + [(None, None)],
-                      method="highs")
-        assert ref.status == 0
-        assert optimal_alpha(net, eps_floor=1e-3)[1].gamma == \
-            pytest.approx(-ref.fun, rel=0, abs=1e-12)
+        assert optimal_alpha(net, eps_floor=1e-3)[1].gamma == pytest.approx(
+            highs_gamma(net, drainable_subsets(net)), rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [30, 40])
+def test_optimal_alpha_past_twenty_nodes_matches_highs(n):
+    # 1,227 to 5,150 closed drainable rows, over 2^30 or 2^40 subsets
+    for seed in range(3):
+        net = random_crp(n, seed=seed)
+        res = optimal_alpha(net, eps_floor=1e-3)[1]
+        rows = [st for st, _, _ in res.per_subset]
+        assert len(rows) > 1000
+        assert res.gamma == pytest.approx(highs_gamma(net, rows),
+                                          rel=0, abs=1e-9)
 
 
 def test_rows_are_the_closed_drainable_subsets():
@@ -450,6 +472,114 @@ def test_subset_table_columns_in_combinations_order():
         assert mask_indices(members) == combos
         assert mask_indices(nbrs[:, at]) == [
             tuple(sorted(neighborhood(net, J))) for J in combos]
+
+
+def closed_panel():
+    """The nets of the subset panels with at most 12 demand nodes, pooled
+    and not."""
+    from test_network import unpooled_random
+    nets = panel_nets() + edge_nets()
+    nets += [unpooled_random(n, s) for n in range(3, 13) for s in range(3)]
+    return [net for net in nets if net.n_demand <= 12]
+
+
+def test_closed_subsets_are_the_lattice_closed_codes():
+    for net in closed_panel():
+        m = net.n_demand
+        served = [sum(1 << i for i in net.supply_neighbors(j))
+                  for j in range(m)]
+        nbrs = [0] * (1 << m)
+        for code in range(1, 1 << m):
+            low = code & -code
+            nbrs[code] = nbrs[code ^ low] | served[low.bit_length() - 1]
+        closed = [all(code >> j & 1 or served[j] & ~nbrs[code]
+                      for j in range(m)) for code in range(1, 1 << m)]
+        # the strict codes in table order, then every demand node
+        at, members = table_order(np.array(closed[:-1]), m)
+        got, got_nbrs = closed_subsets(net)
+        assert mask_indices(got) == mask_indices(members) + [tuple(range(m))]
+        assert mask_indices(got_nbrs) == [tuple(sorted(neighborhood(net, J)))
+                                          for J in mask_indices(got)]
+
+
+def blocks(sizes, seed=0, heavy=1.0):
+    """Fully connected square blocks of the given sizes; the rows of the
+    first block carry ``heavy`` times their drawn demand."""
+    starts = np.cumsum([0] + list(sizes)).tolist()
+    n = starts[-1]
+    phi = np.random.default_rng(seed).exponential(size=(n, n))
+    phi[:sizes[0]] *= heavy
+    return build_network(n, n, [(i, j) for a, b in zip(starts, starts[1:])
+                                for i in range(a, b) for j in range(a, b)],
+                         phi)
+
+
+def test_block_nets_have_one_closed_set_per_union_of_blocks():
+    rng = np.random.default_rng(23)
+    for k in range(1, 9):
+        sizes = rng.integers(1, 5, size=k).tolist()
+        members, nbrs = closed_subsets(blocks(sizes, seed=k))
+        assert members.shape[1] == 2 ** k - 1
+        assert (members == nbrs).all()
+
+
+def test_closed_subset_cap_counts_closed_sets(monkeypatch):
+    import smwsim.network as network
+    net = blocks([2, 3, 1])   # 7 nonempty closed subsets
+    monkeypatch.setattr(network, "CLOSED_CAP", 7)
+    assert closed_subsets(net)[0].shape[1] == 7
+    monkeypatch.setattr(network, "CLOSED_CAP", 6)
+    with pytest.raises(SubsetCapError, match="7 closed demand subsets"):
+        closed_subsets(net)
+
+
+def test_hall_gap_equals_the_lattice_bit_for_bit():
+    nets = closed_panel() + [net for net in panel_nets() if net.n_demand > 12]
+    for net in nets:
+        slack = subset_table(net)[0]
+        rep = validate_network(net)
+        assert rep.hall_gap.hex() == float(slack.min(initial=np.inf)).hex()
+        assert rep.crp_holds == bool(slack.min(initial=1.0) > 0)
+    assert any(not validate_network(net).crp_holds for net in nets)
+
+
+def test_complement_check_catches_a_full_neighborhood_violation():
+    # demand 1 has no rate, so {0} = {1}^c reaches every supply node with
+    # slack 1 - 1 = 0; its closure is every demand node, and the one strict
+    # closed subset, {1}, has slack 1/2
+    net = Network(2, 2, frozenset({(0, 0), (1, 0), (1, 1)}),
+                  np.array([[0.5, 0.5], [0.0, 0.0]]))
+    assert mask_indices(closed_subsets(net)[0]) == [(1,), (0, 1)]
+    rep = validate_network(net)
+    assert (rep.hall_gap, rep.crp_holds) == (0.0, False)
+    assert rep.violating_subsets == [((0,), 0.0)]
+    for call in exponent_calls(net):
+        with pytest.raises(PoolingViolationError) as exc:
+            call()
+        assert (exc.value.subset, exc.value.slack) == ((0,), 0.0)
+
+
+def test_violations_past_the_lattice_are_the_closed_ones():
+    # three blocks of seven with block 0's demand raised: pooling fails on
+    # unions of blocks, each slack a sequential sum in node order
+    net = blocks([7, 7, 7], seed=5, heavy=4.0)
+    row, col = net.row_rates().tolist(), net.col_rates().tolist()
+    expected = []
+    for size in (1, 2):
+        for union in itertools.combinations(range(3), size):
+            J = tuple(j for b in union for j in range(7 * b, 7 * b + 7))
+            slack = sum(col[i] for i in J) - sum(row[j] for j in J)
+            if slack <= 0:
+                expected.append((J, slack))
+    assert expected
+    rep = validate_network(net)
+    assert not rep.crp_holds
+    assert [(J, s.hex()) for J, s in rep.violating_subsets] == \
+        [(J, s.hex()) for J, s in expected]
+    least = min(expected, key=lambda t: t[1])
+    with pytest.raises(PoolingViolationError) as exc:
+        optimal_alpha(net)
+    assert (exc.value.subset, exc.value.slack) == least
 
 
 def test_example1_gamma():
@@ -702,12 +832,17 @@ def test_min_drift_speed_matches_lp_and_brute_force():
     assert len(gaps) > 1000 and max(gaps) <= 1e-12
 
 
-def test_min_drift_speed_enumerates_below_the_cap():
-    n = SUBSET_CAP + 1
-    net = build_network(n, n, [(i, j) for i in range(n) for j in range(n)],
-                        np.ones((n, n)))
-    with pytest.raises(SubsetCapError):
-        min_drift_speed(net, uniform_alpha(n), net.phi)
+def test_min_drift_speed_enumerates_closed_sets_below_the_cap():
+    # a complete net has one nonempty closed subset, whatever its size
+    for n in (21, 22):
+        net = build_network(n, n, [(i, j) for i in range(n)
+                                   for j in range(n)], np.ones((n, n)))
+        assert closed_subsets(net)[0].shape == (n, 1)
+        assert abs(min_drift_speed(net, uniform_alpha(n), net.phi)) < 1e-15
+        assert gamma(net, uniform_alpha(n)).is_infinite
+    with pytest.raises(SubsetCapError, match="closed demand subsets exceed"):
+        min_drift_speed(symmetric_ring(30), uniform_alpha(30),
+                        symmetric_ring(30).phi)
 
 
 def drainable_loop(net, members, nbrs):

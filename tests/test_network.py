@@ -11,7 +11,8 @@ from smwsim import (
     validate_network,
 )
 from smwsim.network import NetworkError, SubsetCapError
-from smwsim.instances import example1, example1_crp_violated, random_crp
+from smwsim.instances import (example1, example1_crp_violated, random_crp,
+                              symmetric_ring)
 
 
 def validate_loop(net):
@@ -127,13 +128,17 @@ def test_rejects_out_of_range_edge():
         build_network(2, 2, [(0, 0), (2, 1)], [[0.5, 0.0], [0.25, 0.25]])
 
 
-def test_subset_cap():
+def test_closed_subset_cap():
+    # no subset lattice while pooling holds: a complete net validates at
+    # any size, and the cap counts closed demand subsets
     n = 22
-    phi = np.full((n, n), 1.0)
-    edges = [(i, j) for i in range(n) for j in range(n)]
-    net = build_network(n, n, edges, phi)
-    with pytest.raises(SubsetCapError):
-        validate_network(net)
+    net = build_network(n, n, [(i, j) for i in range(n) for j in range(n)],
+                        np.full((n, n), 1.0))
+    rep = validate_network(net)
+    assert rep.crp_holds and rep.violating_subsets == []
+    assert rep.hall_gap == pytest.approx(1 / n, abs=1e-12)
+    with pytest.raises(SubsetCapError, match="closed demand subsets"):
+        validate_network(symmetric_ring(30))
 
 
 def test_symmetrize_demand():
