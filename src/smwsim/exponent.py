@@ -91,7 +91,7 @@ class ExponentResult:
         f = net.phi.copy()
         f[np.ix_(inside, ~bnd)] *= lam / mu
         f[np.ix_(~inside, bnd)] /= lam / mu
-        mass = float(masked_sum(zip(bnd, alpha), 1)[0])   # as _exponent adds it
+        mass = float(masked_sum(bnd[:, None], alpha)[0])   # as _exponent adds it
         return RatePath(f, jstar, mass / (lam - mu), kl_rate(f, net.phi))
 
 
@@ -148,17 +148,14 @@ def _drainable(net: Network, members, nbrs):
 
 def _pair_sums(phi, pairs, rows, cols):
     """Per column, the sum of phi[j, k] over the (j, k) pairs, in order,
-    where rows[j] and cols[k] are both set.  ``sum(axis=0)`` adds the rows
-    of a C-ordered (pairs x columns) block one at a time: the sequential
-    sum, bit for bit.  A spare zero column keeps numpy from summing a lone
-    column pairwise.  Blocks of PAIR_BLOCK columns bound the memory."""
+    where rows[j] and cols[k] are both set: ``masked_sum`` on the pair
+    masks, formed PAIR_BLOCK columns at a time to bound the memory."""
     j, k = pairs
     out = np.empty(rows.shape[1])
     for at in range(0, out.size, PAIR_BLOCK):
-        block = rows[j, at:at + PAIR_BLOCK] & cols[k, at:at + PAIR_BLOCK]
-        terms = np.zeros((j.size, block.shape[1] + 1))
-        np.multiply(block, phi[j, k, None], out=terms[:, :-1])
-        out[at:at + PAIR_BLOCK] = terms.sum(axis=0)[:-1]
+        out[at:at + PAIR_BLOCK] = masked_sum(
+            rows[j, at:at + PAIR_BLOCK] & cols[k, at:at + PAIR_BLOCK],
+            phi[j, k])
     return out
 
 
@@ -190,7 +187,7 @@ def _exponent(alpha, cols, log_ratio):
     checked: the ExponentResult, boundary masses and contributions."""
     members, boundary = cols[:2]
     # each mass adds alpha a node at a time in ascending order: sum()'s bits
-    mass = masked_sum(zip(boundary, alpha), log_ratio.size)
+    mass = masked_sum(boundary, alpha)
     contrib = mass * log_ratio
     best = float(contrib.min(initial=math.inf))
     crit = np.flatnonzero(contrib <= best * (1 + TIE_RTOL) + 1e-300)
@@ -287,5 +284,4 @@ def min_drift_speed(net: Network, alpha, f) -> float:
     if np.any(f < 0) or abs(f.sum() - 1.0) > 1e-9:
         raise ValueError("f must be a nonnegative matrix summing to 1")
     slack, _, nbrs = hall_subsets(net, f)   # J = all has speed 0
-    return float((-slack / masked_sum(zip(nbrs, alpha), slack.size))
-                 .max(initial=0.0))
+    return float((-slack / masked_sum(nbrs, alpha)).max(initial=0.0))

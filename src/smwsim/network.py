@@ -17,6 +17,7 @@ import numpy as np
 NORMALIZATION_TOL = 1e-12
 SUBSET_CAP = 20  # most demand nodes whose subsets are enumerated
 CLOSED_CAP = 16384  # most closed subsets: LP pivots about one per row
+SUM_BLOCK = 1 << 15  # most entries per float block of masked_sum
 
 
 class NetworkError(ValueError):
@@ -214,29 +215,28 @@ def subset_table(net: Network):
     nbrs, targets = sets[:, 1:-1]
     masks = np.unpackbits(nbrs.view(np.uint8), axis=1, count=n,
                           bitorder="little").T.view(bool)
-    inflow = masked_sum(zip(masks, net.col_rates()), len(nbrs))
+    inflow = masked_sum(masks, net.col_rates())
     return inflow - demand[1:-1], masks, (targets & ~nbrs).any(axis=1)
 
 
 def closed_subsets(net: Network):
     """Member and neighborhood masks (m x c, n x c), in table order, of the
     c nonempty closed demand subsets J = {j : N(j) within N(J)}, the last
-    one J = all: the distinct unions of the N(j), grown breadth first as
-    bitsets.  More than CLOSED_CAP of them raise SubsetCapError."""
+    one J = all: the distinct unions of the N(j), as bitsets, joined one
+    N(j) at a time.  Every step's family lies in the final one, so more
+    than CLOSED_CAP of them raise SubsetCapError."""
     n, adj = net.n_supply, adjacency(net)
-    served = {int.from_bytes(row.tobytes(), "little")
-              for row in np.packbits(adj, axis=1, bitorder="little")}
-    unions, seen = [0], {0}
-    for union in unions:   # grows as it is read: breadth first
-        grown = {union | s for s in served} - seen
-        seen |= grown
-        unions += grown
+    seen = {0}
+    for s in {int.from_bytes(row.tobytes(), "little")
+              for row in np.packbits(adj, axis=1, bitorder="little")}:
+        seen |= {u | s for u in seen}
         if len(seen) > CLOSED_CAP + 1:
             raise SubsetCapError(f"{len(seen) - 1} closed demand subsets "
                                  f"exceed the enumeration cap ({CLOSED_CAP})")
-    raw = b"".join(u.to_bytes(-(-n // 8), "little") for u in unions[1:])
-    nbrs = np.unpackbits(np.frombuffer(raw, np.uint8).reshape(len(seen) - 1,
-                         -1), axis=1, count=n, bitorder="little").T.view(bool)
+    seen.remove(0)
+    raw = b"".join(u.to_bytes(-(-n // 8), "little") for u in seen)
+    nbrs = np.unpackbits(np.frombuffer(raw, np.uint8).reshape(len(seen), -1),
+                         axis=1, count=n, bitorder="little").T.view(bool)
     members = ~(adj @ ~nbrs)
     order = np.lexsort([*~members[::-1], members.sum(axis=0)])
     return members.take(order, axis=1), nbrs.take(order, axis=1)
@@ -254,9 +254,8 @@ def hall_subsets(net: Network, f):
     full = np.flatnonzero((outer == nbrs[:, -1:]).all(axis=0))
     members = np.hstack([members[:, :-1], np.arange(len(adj))[:, None] != full])
     nbrs = np.hstack([nbrs[:, :-1], outer[:, full]])
-    return (masked_sum(zip(nbrs, f.sum(axis=0)), nbrs.shape[1])
-            - masked_sum(zip(members, f.sum(axis=1)), nbrs.shape[1]),
-            members, nbrs)
+    return (masked_sum(nbrs, f.sum(axis=0))
+            - masked_sum(members, f.sum(axis=1)), members, nbrs)
 
 
 def table_order(select, m: int):
@@ -281,15 +280,19 @@ def mask_indices(masks) -> list:
             (tuple(flat[a:b]) for a, b in zip([0] + ends, ends))]
 
 
-def masked_sum(terms, size: int) -> np.ndarray:
-    """Sum of ``mask * value`` over (mask, value) terms, added in order.
-
-    Each value is added only where its mask is set, so each entry equals
-    the sequential Python sum over its set terms bit for bit.
-    """
-    out = np.zeros(size)
-    for mask, value in terms:
-        np.add(out, value, out=out, where=mask)
+def masked_sum(masks, values) -> np.ndarray:
+    """Per column of ``masks`` (terms x columns, extra rows ignored), the
+    sum of values[t] over its set rows t: the values go into a zeroed
+    C-ordered block whose ``sum(axis=0)`` adds the rows one at a time, so
+    each nonnegative sum (x + 0.0 == x) is sequential, bit for bit.  A spare
+    zero column keeps numpy from summing a lone column pairwise."""
+    out = np.empty(masks.shape[1])
+    step = SUM_BLOCK // (len(values) + 1) + 1
+    for at in range(0, out.size, step):
+        block = masks[:len(values), at:at + step]
+        terms = np.zeros((len(values), block.shape[1] + 1))
+        np.copyto(terms[:, :-1], values[:, None], where=block)
+        out[at:at + step] = terms.sum(axis=0)[:-1]
     return out
 
 

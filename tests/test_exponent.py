@@ -29,9 +29,9 @@ from smwsim.instances import (
 )
 from smwsim.exponent import _drainable
 from smwsim.lp import LinearProgram, solve_lp
-from smwsim.network import (Network, SubsetCapError, adjacency,
-                            closed_subsets, mask_indices, masked_sum,
-                            subset_table, table_order)
+from smwsim.network import (SUM_BLOCK, Network, SubsetCapError, adjacency,
+                            closed_subsets, hall_subsets, mask_indices,
+                            masked_sum, subset_table, table_order)
 
 LOG2 = math.log(2)
 
@@ -845,16 +845,54 @@ def test_min_drift_speed_enumerates_closed_sets_below_the_cap():
                         symmetric_ring(30).phi)
 
 
+def sequential_sum(terms, size):
+    """Per column, each (mask, value) term's value added where its mask is
+    set, one np.add per term, in order: the sequential sum."""
+    out = np.zeros(size)
+    for mask, value in terms:
+        np.add(out, value, out=out, where=mask)
+    return out
+
+
 def drainable_loop(net, members, nbrs):
     """lambda and mu with one sequential masked add per pair: every (j, k)
     pair row-major for lambda, the nontrivial ones for mu."""
     size, m, n = members.shape[1], net.n_demand, net.n_supply
     pairs = np.argwhere((net.phi > 0) & ~adjacency(net)).tolist()
-    mu = masked_sum(((members[j] & ~nbrs[k], net.phi[j, k])
-                     for j, k in pairs), size)
-    lam = masked_sum(((~members[j] & nbrs[k], net.phi[j, k])
-                      for j in range(m) for k in range(n)), size)
+    mu = sequential_sum(((members[j] & ~nbrs[k], net.phi[j, k])
+                         for j, k in pairs), size)
+    lam = sequential_sum(((~members[j] & nbrs[k], net.phi[j, k])
+                          for j in range(m) for k in range(n)), size)
     return lam, mu
+
+
+def test_masked_sum_equals_the_sequential_adds():
+    def same(masks, values):
+        ref = sequential_sum(zip(masks, values), masks.shape[1])
+        assert masked_sum(masks, values).tobytes() == ref.tobytes()
+
+    nets = [random_crp(n, seed=s) for n in range(3, 17) for s in range(3)]
+    for net in nets + [symmetric_ring(10), example1()]:
+        alpha, res = optimal_alpha(net)
+        _, members, nbrs = hall_subsets(net, net.phi)
+        for masks, values in ((nbrs, alpha), (nbrs, net.col_rates()),
+                              (members, net.row_rates())):
+            same(masks, values)
+            same(masks[:, :1], values)   # a lone column
+        if not res.is_infinite:
+            # the zero-padded unpacked rows per_subset passes, and the
+            # one column rate_path passes
+            padded = np.unpackbits(res._columns[0][1], axis=0).view(bool)
+            same(padded, alpha)
+            same(padded[:net.n_supply, -1:], alpha)
+    for n in (12, 13):   # the lattice spans more than one block
+        net = random_crp(n, seed=0)
+        masks = subset_table(net)[1]
+        assert masks.shape[1] > SUM_BLOCK // (n + 1) + 1
+        same(masks, net.col_rates())
+    rng = np.random.default_rng(0)
+    for terms in (0, 1, 9, 40):
+        same(rng.random((terms, 3)) < 0.5, rng.random(terms))
 
 
 def relabelled(net, seed):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -137,8 +138,17 @@ def test_closed_subset_cap():
     rep = validate_network(net)
     assert rep.crp_holds and rep.violating_subsets == []
     assert rep.hall_gap == pytest.approx(1 / n, abs=1e-12)
-    with pytest.raises(SubsetCapError, match="closed demand subsets"):
-        validate_network(symmetric_ring(30))
+    # one union step can double the family before the cap is checked
+    ring = symmetric_ring(30)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SubsetCapError,
+                           match=r"^\d+ closed demand subsets exceed"):
+            validate_network(ring)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20   # 1.6 MiB
 
 
 def test_symmetrize_demand():
