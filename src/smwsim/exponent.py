@@ -15,7 +15,7 @@ import numpy as np
 
 from .lp import LinearProgram, solve_lp
 from .network import (Network, _nontrivial_pairs, hall_subsets, mask_indices,
-                      masked_sum, subset_table, table_order, validate_network)
+                      masked_sum, validate_network)
 
 TIE_RTOL = 1e-9
 SIMPLEX_TOL = 1e-9
@@ -121,14 +121,10 @@ def uniform_alpha(n: int) -> np.ndarray:
 
 
 def drainable_subsets(net: Network):
-    """All nonempty strict demand subsets with positive drain rate.
-
-    A subset is drainable when some of its demand carries supply to a
-    destination outside its neighborhood (mu_rate > 0).
-    """
-    _, nbrs, drains = subset_table(net)
-    at, members = table_order(drains, net.n_demand)
-    return _stats(*_drainable(net, members, nbrs.take(at, axis=1)))
+    """Closed demand subsets that drain (mu_rate > 0: some member demand
+    goes outside the neighborhood), in hall_subsets order, pooled or not:
+    the alpha LP's subset rows, the only ones that can be critical."""
+    return _stats(*_drainable(net, *hall_subsets(net, net.phi)[1:]))
 
 
 def _stats(members, boundary, lam, mu) -> list:
@@ -137,13 +133,13 @@ def _stats(members, boundary, lam, mu) -> list:
 
 
 def _drainable(net: Network, members, nbrs):
-    """Columns (members, boundary, lambda, mu) of drainable subsets given
-    by their member and neighborhood masks."""
+    """Columns (members, boundary, lambda, mu) of the drainable subsets
+    (mu > 0) among those given by their member and neighborhood masks."""
     # a node k outside the neighborhood never serves a member j, so only
     # the nontrivial pairs add to mu; pairs without rate add only zeros
     lam = _pair_sums(net.phi, np.nonzero(net.phi), ~members, nbrs)
     mu = _pair_sums(net.phi, _nontrivial_pairs(net), members, ~nbrs)
-    return members, nbrs, lam, mu
+    return [a.compress(mu > 0, axis=-1) for a in (members, nbrs, lam, mu)]
 
 
 def _pair_sums(phi, pairs, rows, cols):
@@ -160,17 +156,16 @@ def _pair_sums(phi, pairs, rows, cols):
 
 
 def _pooled_subsets(net: Network):
-    """Closed drainable subsets, in table order, and their log ratios
-    (``math.log``, as SubsetStats).  J's closure drains too, with J's
-    boundary, less lambda and more mu: its row implies J's.  A failed Hall
-    check raises PoolingViolationError on validate_network's least slack
-    violating subset, the first in table order on ties."""
+    """Closed drainable subsets, in hall_subsets order, and their log
+    ratios (``math.log``, as SubsetStats).  J's closure drains too, with
+    J's boundary, less lambda and more mu: its row implies J's.  A failed
+    Hall check raises PoolingViolationError on validate_network's least
+    slack violating subset, the first in hall_subsets order on ties."""
     slack, members, nbrs = hall_subsets(net, net.phi)
     if slack.min(initial=math.inf) <= 0:
         raise PoolingViolationError(*min(
             validate_network(net).violating_subsets, key=lambda v: v[1]))
     cols = _drainable(net, members, nbrs)
-    cols = [a.compress(cols[3] > 0, axis=-1) for a in cols]   # mu > 0
     return cols, np.array([math.log(a / b) for a, b in
                            zip(cols[2].tolist(), cols[3].tolist())])
 

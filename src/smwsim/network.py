@@ -11,11 +11,11 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, asdict
+from functools import cached_property
 
 import numpy as np
 
 NORMALIZATION_TOL = 1e-12
-SUBSET_CAP = 20  # most demand nodes whose subsets are enumerated
 CLOSED_CAP = 16384  # most closed subsets: LP pivots about one per row
 SUM_BLOCK = 1 << 15  # most entries per float block of masked_sum
 
@@ -44,6 +44,15 @@ class Network:
                 t.setflags(write=False)
 
     # --- structural helpers -------------------------------------------------
+
+    @cached_property
+    def adjacency(self) -> np.ndarray:
+        """Read-only m x n mask, (j, i) set when supply i serves demand j."""
+        adj = np.zeros((self.n_demand, self.n_supply), dtype=bool)
+        for (i, j) in self.edges:
+            adj[j, i] = True
+        adj.setflags(write=False)
+        return adj
 
     def supply_neighbors(self, demand_node: int) -> tuple:
         """Compatible supply nodes of one demand node, ascending."""
@@ -176,56 +185,22 @@ def neighborhood(net: Network, demand_subset) -> frozenset:
     return frozenset(i for (i, j) in net.edges if j in sub)
 
 
-def adjacency(net: Network) -> np.ndarray:
-    """m x n boolean mask: entry (j, i) is set when supply i serves demand j."""
-    adj = np.zeros((net.n_demand, net.n_supply), dtype=bool)
-    for (i, j) in net.edges:
-        adj[j, i] = True
-    return adj
-
-
 def _nontrivial_pairs(net: Network):
     """Index arrays (j, k), row-major, of the pairs where demand j has
     rate toward a destination k that does not serve j.  With two or more
     demand nodes a net has a drainable subset exactly when such a pair
     exists: {j} drains through it, and a draining J drains through some j
     in J and k outside N(J), which contains N(j)."""
-    return np.nonzero((net.phi > 0) & ~adjacency(net))
-
-
-def subset_table(net: Network):
-    """Hall slack (neighborhood inflow minus member demand), n x len
-    neighborhood mask and drain flag (a member has demand toward a node
-    outside the neighborhood) of each nonempty strict demand subset, at
-    index code - 1, bit j marking demand j, up to SUBSET_CAP demand nodes.
-    Code c | 1 << j, c < 2^j, adds j to c: sums run in node order."""
-    m, n = net.n_demand, net.n_supply
-    if m > SUBSET_CAP:
-        raise SubsetCapError(f"{m} demand nodes exceed the subset "
-                             f"enumeration cap ({SUBSET_CAP})")
-    bits = np.zeros((2, m, -(-n // 64) * 64), dtype=bool)
-    bits[:, :, :n] = adjacency(net), net.phi > 0
-    words = np.packbits(bits, axis=2, bitorder="little").view("<u8")
-    demand = np.zeros(1 << m)
-    sets = np.zeros((2, 1 << m, words.shape[2]), dtype=words.dtype)
-    for j, rate in enumerate(net.row_rates().tolist()):
-        h = 1 << j
-        np.add(demand[:h], rate, out=demand[h:2 * h])
-        np.bitwise_or(sets[:, :h], words[:, j, None], out=sets[:, h:2 * h])
-    nbrs, targets = sets[:, 1:-1]
-    masks = np.unpackbits(nbrs.view(np.uint8), axis=1, count=n,
-                          bitorder="little").T.view(bool)
-    inflow = masked_sum(masks, net.col_rates())
-    return inflow - demand[1:-1], masks, (targets & ~nbrs).any(axis=1)
+    return np.nonzero((net.phi > 0) & ~net.adjacency)
 
 
 def closed_subsets(net: Network):
-    """Member and neighborhood masks (m x c, n x c), in table order, of the
-    c nonempty closed demand subsets J = {j : N(j) within N(J)}, the last
-    one J = all: the distinct unions of the N(j), as bitsets, joined one
-    N(j) at a time.  Every step's family lies in the final one, so more
-    than CLOSED_CAP of them raise SubsetCapError."""
-    n, adj = net.n_supply, adjacency(net)
+    """Member and neighborhood masks (m x c, n x c), by size and then
+    lexicographic, of the c nonempty closed demand subsets J = {j : N(j)
+    within N(J)}, the last one J = all: the distinct unions of the N(j), as
+    bitsets, joined one N(j) at a time.  Every step's family lies in the
+    final one, so more than CLOSED_CAP of them raise SubsetCapError."""
+    n, adj = net.n_supply, net.adjacency
     seen = {0}
     for s in {int.from_bytes(row.tobytes(), "little")
               for row in np.packbits(adj, axis=1, bitorder="little")}:
@@ -243,30 +218,20 @@ def closed_subsets(net: Network):
 
 
 def hall_subsets(net: Network, f):
-    """Hall slack of rates f (on phi, subset_table's bits), member and
-    neighborhood masks of the subsets where the least slack lies: the
-    strict closed ones in table order, then each {j}^c whose neighborhood
-    is N(all).  A closure keeps J's inflow bits and sums no less f (float
-    addition is monotone); a strict J with N(J) = N(all) lies in a {j}^c."""
+    """Hall slack of rates f (sums in node order), member and neighborhood
+    masks of the subsets where the least slack of all strict ones lies: the
+    strict closed ones in closed_subsets order, then each {j}^c with
+    neighborhood N(all), by j.  A closure keeps J's inflow bits and sums
+    no less f (float addition is monotone); a strict J with N(J) = N(all)
+    lies in a {j}^c."""
     members, nbrs = closed_subsets(net)
-    adj = adjacency(net)
+    adj = net.adjacency
     outer = adj.sum(axis=0)[:, None] > adj.T   # N({j}^c), n x m
     full = np.flatnonzero((outer == nbrs[:, -1:]).all(axis=0))
     members = np.hstack([members[:, :-1], np.arange(len(adj))[:, None] != full])
     nbrs = np.hstack([nbrs[:, :-1], outer[:, full]])
     return (masked_sum(nbrs, f.sum(axis=0))
             - masked_sum(members, f.sum(axis=1)), members, nbrs)
-
-
-def table_order(select, m: int):
-    """Table indices set in ``select`` and their member masks (m x len), in
-    ``itertools.combinations`` order, the alpha LP's row order."""
-    # within one size, lexicographic is descending bit-reversed code order
-    codes = np.flatnonzero(select) + 1
-    members = ((codes >> np.arange(m)[:, None]) & 1).astype(bool)
-    order = np.argsort((members.sum(axis=0) << m)
-                       - (1 << np.arange(m)[::-1]) @ members)
-    return codes[order] - 1, members.take(order, axis=1)   # rows contiguous
 
 
 def mask_indices(masks) -> list:
@@ -304,19 +269,15 @@ def validate_network(net: Network,
     the supply inflow to the neighborhood of J minus the demand rate of J.
     Pooling holds iff the gap is strictly positive.  When some subset's
     inequality is strictly reversed, its deficit is an unavoidable drop
-    fraction, reported as ``epsilon_floor_drop``.  Every violating subset
-    is listed, in table order, up to SUBSET_CAP demand nodes; above, the
-    hall_subsets ones.
+    fraction, reported as ``epsilon_floor_drop``.  The violating
+    hall_subsets columns are listed, closed subsets first, in their order.
     """
     slack, members, _ = hall_subsets(net, net.phi)
     # with one demand node no strict subset exists: vacuously pooled
     hall_gap = float(slack.min(initial=np.inf))
-    bad = np.flatnonzero(slack <= 0)
-    members = members.take(bad, axis=1)
-    if bad.size and net.n_demand <= SUBSET_CAP:   # every violating subset
-        slack = subset_table(net)[0]
-        bad, members = table_order(slack <= 0, net.n_demand)
-    violating = list(zip(mask_indices(members), slack[bad].tolist()))
+    bad = slack <= 0
+    violating = list(zip(mask_indices(members.compress(bad, axis=1)),
+                         slack[bad].tolist()))
     return ValidationReport(
         normalized=abs(original_mass - 1.0) > NORMALIZATION_TOL,
         original_mass=float(original_mass),

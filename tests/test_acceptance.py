@@ -15,7 +15,6 @@ from smwsim import (
     PriorityPolicy,
     SmwPolicy,
     TuneConfig,
-    drainable_subsets,
     estimate_exponent,
     exact_exponent_curve,
     fleet_requirement,
@@ -35,6 +34,7 @@ from smwsim import (
 from smwsim.sim import TimedConfig
 from smwsim.instances import example1, example1_crp_violated, random_crp, \
     symmetric_ring
+from subset_lattice import every_drainable_subset
 
 LOG2 = math.log(2)
 
@@ -109,7 +109,7 @@ def test_criterion_04_lp_alpha_local_optimality():
         for seed in range(50):
             net = random_crp(4, seed=seed)
             alpha, res = optimal_alpha(net, eps_floor=1e-3)
-            stats = drainable_subsets(net)
+            stats = every_drainable_subset(net)   # closed or not
             B = np.array([[1.0 if i in st.boundary else 0.0 for i in range(4)]
                           for st in stats])
             logr = np.array([st.log_ratio for st in stats])

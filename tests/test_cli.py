@@ -48,6 +48,21 @@ def test_validate_assumption_violation(bad_net_file, capsys):
     assert report["epsilon_floor_drop"] == pytest.approx(1 / 8)
 
 
+def test_validate_lists_closed_violators_on_twenty_nodes(tmp_path, capsys):
+    # 15 closed violators listed, of the 3,783 violating subsets of 2^20
+    from test_exponent import blocks
+    from test_network import hall_listing
+    net = blocks([4] * 5, heavy=4.0)
+    path = str(tmp_path / "net.json")
+    save_network(net, path)
+    assert main(["validate", path]) == 2
+    report = json.loads(capsys.readouterr().out)
+    listed = [tuple(v["subset"]) for v in report["violating_subsets"]]
+    assert len(listed) == 15 and listed == hall_listing(net, listed, tuple)
+    assert report["epsilon_floor_drop"] == \
+        -min(v["slack"] for v in report["violating_subsets"])
+
+
 def test_missing_file_is_input_error(capsys):
     assert main(["validate", "/nonexistent/net.json"]) == 1
 
@@ -97,7 +112,6 @@ def test_gamma_counts_lp_rows_and_hashes_options(tmp_path, capsys):
 
 def test_gamma_optimal_builds_one_subset_table(tmp_path, capsys,
                                               monkeypatch):
-    import smwsim.exponent as exponent
     import smwsim.network as network
     path = str(tmp_path / "net.json")
     save_network(random_crp(6, seed=0), path)
@@ -105,8 +119,6 @@ def test_gamma_optimal_builds_one_subset_table(tmp_path, capsys,
     closed = network.closed_subsets
     monkeypatch.setattr(network, "closed_subsets",
                         lambda net: builds.append(net) or closed(net))
-    for module in (exponent, network):   # and no subset lattice anywhere
-        monkeypatch.setattr(module, "subset_table", None)
     out = str(tmp_path / "table.csv")
     assert main(["gamma", path, "--optimal", "--out", out]) == 0
     summary = json.loads(capsys.readouterr().out)

@@ -29,9 +29,10 @@ from smwsim.instances import (
 )
 from smwsim.exponent import _drainable
 from smwsim.lp import LinearProgram, solve_lp
-from smwsim.network import (SUM_BLOCK, Network, SubsetCapError, adjacency,
+from smwsim.network import (SUM_BLOCK, Network, SubsetCapError,
                             closed_subsets, hall_subsets, mask_indices,
-                            masked_sum, subset_table, table_order)
+                            masked_sum)
+from subset_lattice import every_drainable_subset, subset_table, table_order
 
 LOG2 = math.log(2)
 
@@ -109,17 +110,25 @@ def edge_nets():
 
 
 def test_drainable_subsets_equal_reference_loop():
+    # drainable_subsets() lists the closed ones (and complements {j}^c
+    # that reach N(all), which drain only on a raw net); the lattice
+    # reference lists every one
+    from test_network import hall_listing
     nets = [random_crp(n, seed=s) for n in range(3, 10) for s in range(5)]
     nets += [example1(),
              build_network(3, 3, [(i, j) for i in range(3) for j in range(3)],
                            np.arange(1.0, 10.0).reshape(3, 3))]
     nets += edge_nets()
-    top = 0
+    top, dropped = 0, 0
     for net in nets:
+        every = drainable_subsets_loop(net)
+        assert every_drainable_subset(net) == every
         subsets = drainable_subsets(net)
-        assert subsets == drainable_subsets_loop(net)
+        assert subsets == hall_listing(net, every, lambda st: st.members)
+        dropped += len(every) - len(subsets)
         top = max([top] + [st.boundary[-1] for st in subsets])
     assert top >= 64   # some neighborhood reaches the second uint64 word
+    assert dropped > 100
 
 
 def sparse_nets():
@@ -182,12 +191,13 @@ def test_random_crp_accepts_on_the_validation_report(monkeypatch):
     assert calls == []
 
 
-def test_drainable_subsets_cap():
-    n = 22
-    net = build_network(n, n, [(i, j) for i in range(n) for j in range(n)],
-                        np.full((n, n), 1.0))
-    with pytest.raises(SubsetCapError):
-        drainable_subsets(net)
+@pytest.mark.parametrize("n", [30, 40])
+def test_drainable_subsets_past_twenty_nodes_are_the_gamma_rows(n):
+    for seed in range(2):
+        net = random_crp(n, seed=seed)
+        rows = gamma(net, uniform_alpha(n)).per_subset
+        assert drainable_subsets(net) == [st for st, _, _ in rows]
+        assert len(rows) > 1000
 
 
 # optimal_alpha(symmetric_ring(10)) bit for bit.  The LP is degenerate
@@ -287,15 +297,12 @@ def exponent_calls(net):
 
 
 def test_one_subset_table_per_call(monkeypatch):
-    # one closed-subset enumeration, and no subset lattice, per pooled call
-    import smwsim.exponent as exponent
+    # one closed-subset enumeration per pooled call
     import smwsim.network as network
     builds = []
     closed = network.closed_subsets
     monkeypatch.setattr(network, "closed_subsets",
                         lambda net: builds.append(net) or closed(net))
-    for module in (exponent, network):   # and no subset lattice anywhere
-        monkeypatch.setattr(module, "subset_table", None)
     for net in (example1(), symmetric_ring(10)):
         drift = partial(min_drift_speed, net, uniform_alpha(net.n_supply),
                         net.phi)
@@ -371,11 +378,11 @@ def panel_nets():
 
 
 def test_closed_rows_keep_gamma_and_path_bit_for_bit():
-    # the reference reads every drainable subset: drainable_subsets(), which
+    # the reference reads every drainable subset from the lattice, which
     # test_drainable_subsets_equal_reference_loop ties to the plain loop
     rng = np.random.default_rng(21)
     for net in panel_nets():
-        subsets, n = drainable_subsets(net), net.n_supply
+        subsets, n = every_drainable_subset(net), net.n_supply
         for alpha in [uniform_alpha(n), optimal_alpha(net)[0],
                       *rng.dirichlet(np.ones(n), size=3)]:
             res = gamma(net, alpha)
@@ -417,7 +424,8 @@ def highs_gamma(net, subsets):
 def test_optimal_alpha_matches_highs_over_all_drainable_rows():
     for net in panel_nets():
         assert optimal_alpha(net, eps_floor=1e-3)[1].gamma == pytest.approx(
-            highs_gamma(net, drainable_subsets(net)), rel=0, abs=1e-12)
+            highs_gamma(net, every_drainable_subset(net)), rel=0,
+            abs=1e-12)
 
 
 @pytest.mark.parametrize("n", [30, 40])
@@ -521,6 +529,28 @@ def test_block_nets_have_one_closed_set_per_union_of_blocks():
         members, nbrs = closed_subsets(blocks(sizes, seed=k))
         assert members.shape[1] == 2 ** k - 1
         assert (members == nbrs).all()
+
+
+def test_unpooled_twenty_node_net_validates_in_little_memory():
+    # five blocks of four, the first overloaded: 3,783 of the 2^20 strict
+    # subsets violate pooling, 15 of the 30 strict closed ones among them
+    import tracemalloc
+    from test_network import hall_listing
+    net = blocks([4] * 5, heavy=4.0)
+    tracemalloc.start()
+    try:
+        rep = validate_network(net)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20   # 0.06 MiB; the 2^20 lattice took 69 MiB
+    listed = [J for J, _ in rep.violating_subsets]
+    assert len(listed) == 15 and listed == hall_listing(net, listed, tuple)
+    least = min(rep.violating_subsets, key=lambda v: v[1])
+    assert least[0] == (0, 1, 2, 3)
+    with pytest.raises(PoolingViolationError) as exc:
+        gamma(net, uniform_alpha(20))
+    assert (exc.value.subset, exc.value.slack) == least
 
 
 def test_closed_subset_cap_counts_closed_sets(monkeypatch):
@@ -858,7 +888,7 @@ def drainable_loop(net, members, nbrs):
     """lambda and mu with one sequential masked add per pair: every (j, k)
     pair row-major for lambda, the nontrivial ones for mu."""
     size, m, n = members.shape[1], net.n_demand, net.n_supply
-    pairs = np.argwhere((net.phi > 0) & ~adjacency(net)).tolist()
+    pairs = np.argwhere((net.phi > 0) & ~net.adjacency).tolist()
     mu = sequential_sum(((members[j] & ~nbrs[k], net.phi[j, k])
                          for j, k in pairs), size)
     lam = sequential_sum(((~members[j] & nbrs[k], net.phi[j, k])
@@ -912,7 +942,8 @@ def test_drainable_rates_equal_sequential_masked_sums():
                                     for j in range(4)], np.ones((4, 4)))
     for net in nets + [complete]:
         _, nbrs, drains = subset_table(net)
-        # every strict subset on the complete net, which drains none
+        # every strict subset on the complete net, which drains none, so
+        # _drainable keeps none of its columns
         at, members = table_order(drains if net is not complete
                                   else np.ones_like(drains), net.n_demand)
         nbrs = nbrs.take(at, axis=1)
@@ -920,6 +951,7 @@ def test_drainable_rates_equal_sequential_masked_sums():
         # a lone column too: numpy sums one column of many rows pairwise
         for cols in (slice(None), slice(0, 1)):
             got = _drainable(net, members[:, cols], nbrs[:, cols])[2:]
-            ref = drainable_loop(net, members[:, cols], nbrs[:, cols])
+            lam, mu = drainable_loop(net, members[:, cols], nbrs[:, cols])
+            ref = lam[mu > 0], mu[mu > 0]
             assert [a.tobytes() for a in got] == [a.tobytes() for a in ref]
     assert not drainable_subsets(complete)

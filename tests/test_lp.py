@@ -472,9 +472,9 @@ def test_matrix_layout_leaves_the_bits_unchanged():
     # a strided row's dot rounds differently from a contiguous one, so an
     # F-ordered a_ub with the values of a C-ordered one once moved x's last
     # bits (the alpha LP of random_crp(9, seed=2) over all drainable rows)
-    from smwsim import drainable_subsets
+    from subset_lattice import every_drainable_subset
     for n, seed in [(n, s) for n in (8, 9, 10) for s in range(3)]:
-        subsets = drainable_subsets(random_crp(n, seed=seed))
+        subsets = every_drainable_subset(random_crp(n, seed=seed))
         a_ub = np.zeros((len(subsets), n + 1))
         a_ub[:, -1] = 1.0
         for r, st in enumerate(subsets):
