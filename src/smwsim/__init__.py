@@ -11,7 +11,6 @@ from .network import (
     build_network,
     load_network,
     save_network,
-    neighborhood,
     symmetrize_demand,
     validate_network,
 )

@@ -179,12 +179,6 @@ def save_network(net: Network, path) -> None:
         fh.write("\n")
 
 
-def neighborhood(net: Network, demand_subset) -> frozenset:
-    """Union of compatible supply nodes over a set of demand nodes."""
-    sub = set(demand_subset)
-    return frozenset(i for (i, j) in net.edges if j in sub)
-
-
 def _nontrivial_pairs(net: Network):
     """Index arrays (j, k), row-major, of the pairs where demand j has
     rate toward a destination k that does not serve j.  With two or more

@@ -70,9 +70,9 @@ def proportional_init(weights, K: int) -> np.ndarray:
     return base
 
 
-def _initial_queues(policy: Policy, K: int | None, init) -> list:
-    """Checked ``init``, n nonnegative integers summing to K (K None: to
-    any total), as a list of ints; default: K split by rest weights."""
+def _initial_queues(policy: Policy, K: int, init) -> list:
+    """Checked ``init``, n nonnegative integers summing to K, as a list of
+    ints; default: K split by rest weights."""
     n = policy.net.n_supply
     if init is None:
         if K < 0:
@@ -82,9 +82,18 @@ def _initial_queues(policy: Policy, K: int | None, init) -> list:
     if q.shape != (n,) or q.dtype.kind not in "iuf" \
             or not np.all((np.floor(q) == q) & (q >= 0)):   # nan fails too
         raise ValueError(f"initial queues must be {n} nonnegative integers")
-    if K is not None and q.sum() != K:
+    if q.sum() != K:
         raise ValueError(f"initial queues must sum to K={K}, not {q.sum()}")
     return [int(x) for x in q.tolist()]      # exact, however large
+
+
+def _check_zones(net: Network, mode: str) -> None:
+    """Travel times exist, and demand node j is supply zone j."""
+    if net.travel_time is None:
+        raise ValueError(f"{mode} requires a travel time matrix")
+    if net.n_demand > net.n_supply:
+        raise ValueError("timed mode maps demand nodes onto supply zones; "
+                         "needs n_demand <= n_supply")
 
 
 def draw_events(net: Network, rng, size: int) -> np.ndarray:
@@ -192,13 +201,9 @@ def run_timed(net: Network, policy: Policy, cfg: TimedConfig,
     is discarded.
     """
     t0 = time.perf_counter()
-    if net.travel_time is None:
-        raise ValueError("timed mode requires a travel time matrix")
+    _check_zones(net, "timed mode")
     if with_pickup and net.pickup_time is None:
         raise ValueError("with_pickup requires a pickup time matrix")
-    if net.n_demand > net.n_supply:
-        raise ValueError("timed mode maps demand nodes onto supply zones; "
-                         "needs n_demand <= n_supply")
 
     n = net.n_supply
     q = _initial_queues(policy, cfg.k_tot, init)
@@ -291,8 +296,7 @@ class FleetRequirement:
 def fleet_requirement(net: Network, total_rate: float) -> FleetRequirement:
     """Little's-law fleet sizing: mean cars in transit plus (when pickup
     times are present) the minimum mean cars en route to pickups."""
-    if net.travel_time is None:
-        raise ValueError("fleet sizing requires a travel time matrix")
+    _check_zones(net, "fleet sizing")
     if not 0 <= total_rate < math.inf:         # nan fails too
         raise ValueError("total_rate must be nonnegative and finite")
     k_transit = total_rate * float(np.sum(net.phi * net.travel_time[

@@ -8,17 +8,16 @@ follows from one input:
 - policy: ``tune_beta`` also draws a log-normal pickup penalty beta and
   scores pickup-aware SMW, ``SmwPickupPolicy(alpha, beta)``, which needs
   a net with pickup times; otherwise ``SmwPolicy(alpha)``.
-- simulator: ``cfg.timed`` set runs ``run_timed`` under it, adding pickup
-  delay exactly when the net has pickup times.  A jump-chain run at fleet
-  size K (``cfg.K`` or an initial state's total) walks the chain's table
-  if comb(K + n - 1, n - 1) * phi.size <= ``cfg.steps``, else runs
+- simulator, chosen once per call: ``cfg.timed`` set runs ``run_timed``
+  under it, adding pickup delay exactly when the net has pickup times.
+  Otherwise a jump-chain run at fleet size ``cfg.K`` walks the chain's
+  table if comb(K + n - 1, n - 1) * phi.size <= ``cfg.steps``, else runs
   ``run_jump_chain``, the per-step reference the walk is tested against.
-  Each distinct table (K and dispatch sources) is built once an iteration
-  and composed to k events a lookup.  Walks on it and one seed's events
-  from one start, or from one state after warmup, share measured drops.
-- objective: nonempty ``cfg.initial_states`` (jump chain only) scores the
-  mean drop fraction of runs started from each state with no warmup;
-  otherwise the steady-state drop fraction.
+  Each distinct table (dispatch sources) is built once an iteration and
+  composed to k events a lookup.  Walks on it and one seed's events from
+  one start, or from one state after warmup, share measured drops.
+
+The objective is the steady-state drop fraction, one run per seed.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from __future__ import annotations
 import functools
 import logging
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 
 import numpy as np
@@ -50,7 +49,6 @@ class TuneConfig:
     steps: int = 15000                 # jump chain
     K: int = 10                        # jump chain fleet size
     timed: TimedConfig | None = None   # set: timed simulator
-    initial_states: list = field(default_factory=list)  # set: transient
     seed: int = 0
     population: int = 20
     eps_floor: float = 1e-3
@@ -62,9 +60,6 @@ class TuneConfig:
             raise ValueError("budget must cover at least one population")
         if self.replications < 1:
             raise ValueError("need at least one replication per candidate")
-        if self.timed is not None and self.initial_states:
-            raise ValueError("initial_states set the jump-chain transient "
-                             "objective; they cannot go with timed")
 
 
 @dataclass
@@ -104,7 +99,10 @@ def tune(net: Network, cfg: TuneConfig, tune_beta: bool = False) -> TuneResult:
     n_elite = max(1, int(round(ELITE_FRAC * cfg.population)))
     trace = []
     best = (np.inf, None, None)     # a nan or infinite mean never enters
-    spaces = functools.cache(lambda K: StateSpace.enumerate(n, K))  # per K
+    space = None    # set: jump-chain runs walk this state space's table
+    if cfg.timed is None and cfg.K >= 0 and \
+            comb(cfg.K + n - 1, n - 1) * net.phi.size <= cfg.steps:
+        space = StateSpace.enumerate(n, cfg.K)  # else run_jump_chain checks K
     made = dict.fromkeys("walks_full walks_shared simulated tables".split(), 0)
 
     for it in range(n_iter):
@@ -118,7 +116,7 @@ def tune(net: Network, cfg: TuneConfig, tune_beta: bool = False) -> TuneResult:
             functools.partial(_stream, net)), {}, {}    # for one iteration
         for c, (alpha, beta) in enumerate(cands):
             vals = np.array(_evaluate(net, cfg, alpha, beta, rep_seeds, codes,
-                                      spaces, tables, walked, made), float)
+                                      space, tables, walked, made), float)
             mean = float(np.nanmean(vals))
             finite = vals[np.isfinite(vals)]
             stderr = float(np.std(finite, ddof=1) / np.sqrt(len(finite))) \
@@ -148,7 +146,7 @@ def tune(net: Network, cfg: TuneConfig, tune_beta: bool = False) -> TuneResult:
     return TuneResult(best[1], best[2], best[0], trace, made)
 
 
-def _evaluate(net, cfg: TuneConfig, alpha, beta, seeds, codes, spaces,
+def _evaluate(net, cfg: TuneConfig, alpha, beta, seeds, codes, space,
               tables, walked, made) -> list:
     """Objective of one candidate at each replication seed."""
     policy = SmwPolicy(net, alpha) if beta is None \
@@ -158,39 +156,33 @@ def _evaluate(net, cfg: TuneConfig, alpha, beta, seeds, codes, spaces,
         made["simulated"] += len(seeds)
         return [run_timed(net, policy, cfg.timed, pickup, s).drop_fraction
                 for s in seeds]
-    runs = [(0, _initial_queues(policy, None, q))
-            for q in cfg.initial_states] or \
-        [(int(cfg.steps * DEFAULT_JUMP_WARMUP_FRAC),
-          _initial_queues(policy, cfg.K, None))]
-    n, size, steps = net.n_supply, net.phi.size, cfg.steps
+    steps = cfg.steps
+    if space is None:
+        made["simulated"] += len(seeds)
+        return [run_jump_chain(net, policy, cfg.K, steps, seed=s).drop_fraction
+                for s in seeds]
+    # deterministic SMW: one source per (row, origin)
+    atoms = [policy.dispatch_table(space.states, j)
+             for j in range(net.n_demand)]
+    key = b"".join(src.tobytes() for [(src, _)] in atoms)
+    if key not in tables:
+        made["tables"] += 1
+        tables[key] = _tables(net, atoms, space, steps)
+    k, width, *walk = tables[key]      # walk: next-row and drop lists
+    q = _initial_queues(policy, cfg.K, None)
+    start = int(np.abs(space.states - q).sum(axis=1).argmin()) * width
+    warmup = int(steps * DEFAULT_JUMP_WARMUP_FRAC)
     vals = []
-    for warmup, q in runs:
-        K = sum(q)
-        if comb(K + n - 1, n - 1) * size > steps:
-            made["simulated"] += len(seeds)
-            vals.append([run_jump_chain(net, policy, K, steps, warmup, s,
-                                        q).drop_fraction for s in seeds])
-            continue
-        space = spaces(K)   # deterministic SMW: one source per (row, origin)
-        atoms = [policy.dispatch_table(space.states, j)
-                 for j in range(net.n_demand)]
-        key = (K, b"".join(src.tobytes() for [(src, _)] in atoms))
-        if key not in tables:
-            made["tables"] += 1
-            tables[key] = _tables(net, atoms, space, steps)
-        k, width, *walk = tables[key]      # walk: next-row and drop lists
-        start = int(np.abs(space.states - q).sum(axis=1).argmin()) * width
-        vals.append([])
-        for s in seeds:     # start -> state after warmup -> measured drops
-            ends, drops = walked.setdefault((key, warmup, s), ({}, {}))
-            if start not in ends:
-                ends[start] = _follow(*walk, start, codes(s, warmup, 0, k))[0]
-            end = ends[start]
-            made["walks_shared" if end in drops else "walks_full"] += 1
-            if end not in drops:
-                drops[end] = _follow(*walk, end, codes(s, steps, warmup, k))[1]
-            vals[-1].append(drops[end] / (steps - warmup))
-    return [float(np.mean(v)) for v in zip(*vals)]
+    for s in seeds:     # start -> state after warmup -> measured drops
+        ends, drops = walked.setdefault((key, s), ({}, {}))
+        if start not in ends:
+            ends[start] = _follow(*walk, start, codes(s, warmup, 0, k))[0]
+        end = ends[start]
+        made["walks_shared" if end in drops else "walks_full"] += 1
+        if end not in drops:
+            drops[end] = _follow(*walk, end, codes(s, steps, warmup, k))[1]
+        vals.append(drops[end] / (steps - warmup))
+    return vals
 
 
 def _tables(net, atoms, space, steps):

@@ -2,8 +2,8 @@
 
 smwsim enumerates only the closed demand subsets (network.closed_subsets).
 This module lists every nonempty strict subset, so the tests can check
-that the closed ones lose nothing.  It holds 2^m columns: use it for
-small nets only.
+that the closed ones lose nothing, and the neighborhood of any one subset
+as a plain set.  It holds 2^m columns: use it for small nets only.
 """
 
 import numpy as np
@@ -12,6 +12,12 @@ from smwsim.exponent import _drainable, _stats
 from smwsim.network import masked_sum
 
 LATTICE_CAP = 20  # most demand nodes, at 2^m columns
+
+
+def neighborhood(net, demand_subset) -> frozenset:
+    """Union of compatible supply nodes over a set of demand nodes."""
+    sub = set(demand_subset)
+    return frozenset(i for (i, j) in net.edges if j in sub)
 
 
 def subset_table(net):

@@ -6,10 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import smwsim
-from smwsim import save_network
+from smwsim import build_network, save_network
 from smwsim.cli import build_parser, main
 from smwsim.instances import (example1, example1_crp_violated, random_crp,
                               symmetric_ring)
@@ -248,6 +249,16 @@ def test_fleet(tmp_path, capsys):
     assert main(["fleet", str(path), "--total-rate", "2.0"]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["k_fl"] >= rep["k_in_transit"]
+
+
+def test_fleet_needs_a_zone_per_demand_node(tmp_path, capsys):
+    path = tmp_path / "wide.json"
+    save_network(build_network(
+        2, 3, [(i, j) for i in range(2) for j in range(3)], np.ones((3, 2)),
+        travel_time=[[0.0, 5.0], [5.0, 0.0]]), path)
+    assert main(["fleet", str(path), "--total-rate", "2.0"]) == 1
+    assert "timed mode maps demand nodes onto supply zones; needs " \
+        "n_demand <= n_supply" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("args", [

@@ -15,7 +15,6 @@ from smwsim import (
     lyapunov,
     min_drift_speed,
     most_likely_path,
-    neighborhood,
     optimal_alpha,
     uniform_alpha,
     validate_network,
@@ -32,7 +31,8 @@ from smwsim.lp import LinearProgram, solve_lp
 from smwsim.network import (SUM_BLOCK, Network, SubsetCapError,
                             closed_subsets, hall_subsets, mask_indices,
                             masked_sum)
-from subset_lattice import every_drainable_subset, subset_table, table_order
+from subset_lattice import (every_drainable_subset, neighborhood, subset_table,
+                            table_order)
 
 LOG2 = math.log(2)
 
@@ -297,7 +297,7 @@ def exponent_calls(net):
 
 
 def test_one_subset_table_per_call(monkeypatch):
-    # one closed-subset enumeration per pooled call
+    # one closed-subset enumeration per call, pooled or raising
     import smwsim.network as network
     builds = []
     closed = network.closed_subsets
@@ -310,6 +310,11 @@ def test_one_subset_table_per_call(monkeypatch):
             builds.clear()
             call()
             assert len(builds) == 1
+    for call in exponent_calls(example1_crp_violated())[:2]:    # gamma, alpha*
+        builds.clear()
+        with pytest.raises(PoolingViolationError):
+            call()
+        assert len(builds) == 1
 
 
 def test_pooling_check_raises_most_violated_subset():
@@ -405,8 +410,8 @@ def test_closed_rows_keep_gamma_and_path_bit_for_bit():
             assert path.kl_rate.hex() == kl_rate(f, net.phi).hex()
 
 
-def highs_gamma(net, subsets):
-    """gamma* over the given rows from scipy's HiGHS, eps_floor 1e-3."""
+def highs_alpha_lp(net, subsets):
+    """scipy's HiGHS on the alpha LP over the given rows, eps_floor 1e-3."""
     from scipy.optimize import linprog
     n = net.n_supply
     a_ub = np.zeros((len(subsets), n + 1))
@@ -418,7 +423,27 @@ def highs_gamma(net, subsets):
                   b_eq=[1.0], bounds=[(1e-3, None)] * n + [(None, None)],
                   method="highs")
     assert ref.status == 0
-    return -ref.fun
+    return ref
+
+
+def highs_gamma(net, subsets):
+    """gamma* over the given rows from scipy's HiGHS, eps_floor 1e-3."""
+    return -highs_alpha_lp(net, subsets).fun
+
+
+def certify(net, alpha, y, eps_floor=1e-3):
+    """Relative gap (U(y) - gamma(alpha)) / gamma(alpha) of the duality
+    certificate: weights y >= 0 summing to 1 on drainable_subsets(net) give
+    w_i = sum_J y_J log(lambda_J / mu_J) [i in B_J], and every alpha with
+    entries >= eps_floor has t <= w . alpha <= U(y) = eps_floor sum(w) +
+    (1 - n eps_floor) max(w).  So gamma(alpha) <= gamma* <= U(y), and a
+    zero gap proves alpha optimal, whatever solver or rows produced it."""
+    w = np.zeros(net.n_supply)
+    for weight, st in zip(y, drainable_subsets(net), strict=True):
+        w[list(st.boundary)] += weight * st.log_ratio
+    bound = eps_floor * w.sum() + (1 - net.n_supply * eps_floor) * w.max()
+    g = gamma(net, alpha).gamma
+    return (bound - g) / g
 
 
 def test_optimal_alpha_matches_highs_over_all_drainable_rows():
@@ -438,6 +463,18 @@ def test_optimal_alpha_past_twenty_nodes_matches_highs(n):
         assert len(rows) > 1000
         assert res.gamma == pytest.approx(highs_gamma(net, rows),
                                           rel=0, abs=1e-9)
+
+
+def test_optimal_alpha_is_certified_by_lp_duality():
+    # y from HiGHS' duals; the package's alpha is another solver's vertex
+    nets = [example1(), symmetric_ring(10)] + [
+        random_crp(n, seed=s) for n in (3, 4, 8, 12, 16, 30, 40)
+        for s in range(3)]
+    for net in nets:
+        duals = highs_alpha_lp(net, drainable_subsets(net)).ineqlin.marginals
+        y = np.maximum(-duals, 0.0)
+        alpha = optimal_alpha(net, eps_floor=1e-3)[0]
+        assert abs(certify(net, alpha, y / y.sum())) <= 1e-12
 
 
 def test_rows_are_the_closed_drainable_subsets():

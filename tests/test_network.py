@@ -7,13 +7,13 @@ import pytest
 
 from smwsim import (
     build_network,
-    neighborhood,
     symmetrize_demand,
     validate_network,
 )
 from smwsim.network import NetworkError, SubsetCapError
 from smwsim.instances import (example1, example1_crp_violated, random_crp,
                               symmetric_ring)
+from subset_lattice import neighborhood
 
 
 def validate_loop(net):

@@ -184,6 +184,20 @@ def test_fleet_requirement_values():
     assert fleet_requirement(zero, 1.0).k_in_transit == 0.0
 
 
+def test_more_demand_than_supply_nodes_fail_alike_in_timed_and_fleet():
+    # demand node j is supply zone j; a third demand node has no zone
+    net = build_network(2, 3, [(i, j) for i in range(2) for j in range(3)],
+                        np.ones((3, 2)), travel_time=[[0.0, 5.0], [5.0, 0.0]])
+    errors = []
+    for run in (lambda: fleet_requirement(net, 1.0),
+                lambda: run_timed(net, vanilla_policy(net),
+                                  TimedConfig(1.0, 100.0, 4))):
+        with pytest.raises(ValueError, match="n_demand <= n_supply") as exc:
+            run()
+        errors.append(str(exc.value))
+    assert len(set(errors)) == 1
+
+
 def test_fleet_requirement_matches_bruteforce():
     city = symmetric_ring(6, with_times=True)
     fr = fleet_requirement(city, 2.0)

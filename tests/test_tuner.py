@@ -72,8 +72,6 @@ def test_tune_budget_validation():
         TuneConfig(replications=0)
     with pytest.raises(ValueError, match="population"):
         TuneConfig(population=0)
-    with pytest.raises(ValueError, match="timed"):
-        TuneConfig(timed=TimedConfig(1.0, 100.0, 4), initial_states=[[2, 2]])
 
 
 def replication_seeds(cfg):
@@ -148,28 +146,10 @@ def test_timed_tune_runs_timed_with_pickup():
         seed=s).drop_fraction)
 
 
-def test_transient_tune_averages_runs_from_each_state():
-    net = example1()
-    states = [[5, 0], [1, 4], [0, 5]]
-    cfg = TuneConfig(budget=20, population=20, steps=300, seed=2,
-                     initial_states=states)
-    res = tune(net, cfg)
-    assert_trace_matches(res, cfg, lambda a, b, s: float(np.mean([
-        run_jump_chain(net, SmwPolicy(net, a), 5, cfg.steps, warmup=0,
-                       seed=s, init=init).drop_fraction for init in states])))
-
-
 def steady(net, cfg, policy=lambda net, a, b: SmwPolicy(net, a)):
     """Direct steady-state run_jump_chain, the reference of the table walk."""
     return lambda a, b, s: run_jump_chain(
         net, policy(net, a, b), cfg.K, cfg.steps, seed=s).drop_fraction
-
-
-def transient(net, cfg):
-    return lambda a, b, s: float(np.mean([
-        run_jump_chain(net, SmwPolicy(net, a), int(np.sum(init)), cfg.steps,
-                       warmup=0, seed=s, init=init).drop_fraction
-        for init in cfg.initial_states]))
 
 
 def _table_cases():
@@ -185,22 +165,13 @@ def _table_cases():
     net = example1(with_times=True)
     yield pytest.param(net, cfg2, True, steady(
         net, cfg2, lambda net, a, b: SmwPickupPolicy(net, a, b)), id="beta")
-    # totals 5 and 3: two tables per candidate
-    cfg3 = TuneConfig(budget=20, population=20, replications=2, steps=400,
-                      seed=8, initial_states=[[5, 0], [1, 4], [3, 0], [0, 3]])
     net = example1()
-    yield pytest.param(net, cfg3, False, transient(net, cfg3), id="transient")
     # blocks of k events with some left over: k = 2 at K=5 and 2000 steps,
-    # 3 at K=8 and 6017, 1 at K=5 and 300; transient: k = 1 at K=5 and 2
-    # at K=3, 301 steps
+    # 3 at K=8 and 6017, 1 at K=5 and 300
     for steps, K in [(2003, 5), (2013, 5), (6017, 8), (300, 5)]:
         cfg4 = TuneConfig(budget=40, population=20, steps=steps, K=K, seed=3)
         yield pytest.param(net, cfg4, False, steady(net, cfg4),
                            id=f"steps{steps}-K{K}")
-    cfg5 = TuneConfig(budget=20, population=20, replications=2, steps=301,
-                      seed=8, initial_states=[[5, 0], [1, 4], [3, 0], [0, 3]])
-    yield pytest.param(net, cfg5, False, transient(net, cfg5),
-                       id="transient301")
 
 
 @pytest.mark.parametrize("net, cfg, tune_beta, run", _table_cases())
@@ -246,30 +217,22 @@ def test_table_walk_needs_no_more_entries_than_steps(monkeypatch, steps,
                                                      calls):
     net = example1()
     assert comb(10 + 1, 1) * net.phi.size == 44     # K=10: 11 states x 4
-    made = []
+    made, enumerated = [], []
+    real = tuner_module.StateSpace.enumerate
 
     def counting(*args, **kwargs):
         made.append(args)
         return run_jump_chain(*args, **kwargs)
     monkeypatch.setattr(tuner_module, "run_jump_chain", counting)
+    monkeypatch.setattr(tuner_module.StateSpace, "enumerate",
+                        lambda *args: enumerated.append(args) or real(*args))
     cfg = TuneConfig(budget=20, population=20, replications=2, steps=steps,
                      K=10, seed=6)
     res = tune(net, cfg)
     assert len(made) == calls       # once per (candidate, seed) at 43
+    # walk or not is decided once per call, on one state space at most
+    assert enumerated == ([] if calls else [(2, 10)])
     assert_trace_matches(res, cfg, steady(net, cfg))
-
-
-@pytest.mark.parametrize("init", [[6, -1], [-1, -2]])
-def test_transient_tune_rejects_a_malformed_state_as_the_simulator_does(init):
-    net = example1()
-    K = int(np.sum(init))
-    with pytest.raises(ValueError) as direct:
-        run_jump_chain(net, SmwPolicy(net, [0.5, 0.5]), K, 300, warmup=0,
-                       init=init)
-    cfg = TuneConfig(budget=20, steps=300, initial_states=[[2, 3], init])
-    with pytest.raises(ValueError) as tuned:
-        tune(net, cfg)
-    assert str(tuned.value) == str(direct.value)
 
 
 @pytest.mark.parametrize("init", [
@@ -280,9 +243,7 @@ def test_malformed_states_fail_alike_in_simulators_and_tuner(init):
     errors = []
     for run in (lambda: run_jump_chain(net, pol, 10, 2000, init=init),
                 lambda: run_timed(net, pol, TimedConfig(1.0, 100.0, 10),
-                                  init=init),
-                lambda: tune(net, TuneConfig(budget=20, steps=2000,
-                                             initial_states=[init]))):
+                                  init=init)):
         with pytest.raises(ValueError, match="2 nonnegative integers") as exc:
             run()
         errors.append(str(exc.value))
@@ -388,24 +349,6 @@ def test_walks_in_disjoint_blocks_never_share_across_splits(monkeypatch):
     # each table, split and event stream needs a measured walk of its own
     assert {w[:3] for w in walks if not w[3]} <= {w[:3] for w in walks if w[3]}
     assert_trace_matches(res, cfg, steady(net, cfg))
-
-
-def test_transient_walks_from_one_table_and_state_run_once(monkeypatch):
-    net = example1()
-    cfg = TuneConfig(budget=40, population=20, steps=300, seed=2,
-                     initial_states=[[5, 0], [1, 4], [5, 0]])
-    calls = spy_walks(monkeypatch, tuner_module.StateSpace.enumerate(2, 5)
-                      .states)
-    res = tune(net, cfg)
-    read = {}
-    for table, row, seed, _, events in calls:
-        read[table, row, seed] = read.get((table, row, seed), 0) + events
-    # the first walk per table, state and stream reads every event; the
-    # rest read none
-    assert all(v == cfg.steps for v in read.values())
-    assert 40 * 3 == sum(res.runs[w] for w in ("walks_full", "walks_shared"))
-    assert res.runs["walks_full"] == len(read) < 40 * 3
-    assert_trace_matches(res, cfg, transient(net, cfg))
 
 
 def test_repeated_walks_skip_their_warmup(monkeypatch):
