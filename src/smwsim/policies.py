@@ -62,11 +62,13 @@ class Policy:
 def _argmax_table(states, nodes, inv, penalty=0.0):
     """One atom: per row, the node of largest q * inv - penalty among the
     nodes with q > 0, ties to the last one listed (as the scalar loops'
-    >= breaks them, on the same float products), DROP where all q are 0."""
+    >= breaks them, on the same float products), DROP where all q are 0.
+    A leading candidate axis on inv and penalty gives a source row for each."""
     nodes = np.array(nodes)
     q = states[:, nodes]
-    score = np.where(q > 0, q * np.array(inv) - np.array(penalty), -np.inf)
-    last = nodes[len(nodes) - 1 - score[:, ::-1].argmax(axis=1)]
+    score = np.where(q > 0, q * np.array(inv, ndmin=1)[..., None, :]
+                     - np.array(penalty, ndmin=1)[..., None, :], -np.inf)
+    last = nodes[len(nodes) - 1 - score[..., ::-1].argmax(axis=-1)]
     return [(np.where((q > 0).any(axis=1), last, DROP), 1.0)]
 
 
@@ -155,9 +157,13 @@ class FluidPolicy(Policy):
         flow = np.array(flow_table, dtype=float)
         if flow.shape != (net.n_supply, net.n_demand):
             raise ValueError("flow table must be n_supply x n_demand")
+        if not np.all(flow >= 0):      # nan fails too
+            raise ValueError("flow table entries must be nonnegative")
         mu = net.row_rates()
         if np.any(flow.sum(axis=0) - mu > 1e-9):
             raise ValueError("flow column sums must not exceed the demand rates")
+        if np.any(flow[~net.adjacency.T] != 0):
+            raise ValueError("flow table has flow on pairs that are not edges")
         self.flow = flow
         # per-origin sampling tables: sources plus an explicit decline atom,
         # and the CDF that Generator.choice(sources, p=probs) searches
@@ -205,8 +211,8 @@ class SmwPickupPolicy(SmwPolicy):
     def __init__(self, net: Network, alpha, beta):
         if net.pickup_time is None:
             raise ValueError("pickup-aware policy requires a pickup time matrix")
-        if beta < 0:
-            raise ValueError("beta must be nonnegative")
+        if not 0 <= beta < np.inf:     # nan fails too
+            raise ValueError("beta must be nonnegative and finite")
         super().__init__(net, alpha)
         self.beta = float(beta)
         pickup = net.pickup_time.tolist()

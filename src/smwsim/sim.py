@@ -58,16 +58,15 @@ class TimedConfig:
 
 
 def proportional_init(weights, K: int) -> np.ndarray:
-    """Integer placement of K units proportional to weights (largest remainders)."""
+    """Integer placement of K units proportional to weights (largest
+    remainders); 2-D weights give one placement per row."""
     w = np.array(weights, dtype=float)
-    w = w / w.sum()
+    w = w / w.sum(axis=-1, keepdims=True)
     exact = w * K
     base = np.floor(exact).astype(np.int64)
-    short = K - int(base.sum())
-    if short > 0:
-        order = np.argsort(-(exact - base))
-        base[order[:short]] += 1
-    return base
+    short = K - base.sum(axis=-1, keepdims=True)
+    order = np.argsort(-(exact - base), axis=-1)
+    return base + (np.argsort(order, axis=-1) < short)   # +1 to the top short
 
 
 def _initial_queues(policy: Policy, K: int, init) -> list:

@@ -13,9 +13,12 @@ follows from one input:
   Otherwise a jump-chain run at fleet size ``cfg.K`` walks the chain's
   table if comb(K + n - 1, n - 1) * phi.size <= ``cfg.steps``, else runs
   ``run_jump_chain``, the per-step reference the walk is tested against.
-  Each distinct table (dispatch sources) is built once an iteration and
-  composed to k events a lookup.  Walks on it and one seed's events from
-  one start, or from one state after warmup, share measured drops.
+  The walk takes each population in one pass, with no policy object: one
+  ``_argmax_table`` call per origin gives all dispatch sources (a table's
+  key), one row-wise ``proportional_init`` all start rows.  Each distinct
+  table is built once an iteration and composed to k events a lookup.
+  Walks on it and one seed's events from one start, or from one state
+  after warmup, share measured drops.
 
 The objective is the steady-state drop fraction, one run per seed.
 """
@@ -32,9 +35,9 @@ import numpy as np
 
 from .chain import StateSpace, transitions
 from .network import Network
-from .policies import DROP, SmwPolicy, SmwPickupPolicy
+from .policies import DROP, SmwPolicy, SmwPickupPolicy, _argmax_table
 from .sim import (_SAMPLE_BLOCK, DEFAULT_JUMP_WARMUP_FRAC, TimedConfig,
-                  _initial_queues, draw_events, run_jump_chain, run_timed)
+                  draw_events, proportional_init, run_jump_chain, run_timed)
 
 DEFAULT_CONCENTRATION = 8.0
 CONCENTRATION_GROWTH = 1.25
@@ -74,9 +77,15 @@ class TuneResult:
 def _clip_simplex(alpha, eps_floor):
     a = np.clip(alpha, eps_floor, None)
     a = a / a.sum()
-    # renormalizing can dip an entry below the floor; one repair pass is enough
+    # renormalizing can dip an entry below the floor, and so can the repair
     a = np.clip(a, eps_floor, None)
-    return a / a.sum()
+    a = a / a.sum()
+    pinned = np.zeros(a.size, bool)
+    while np.any(a[~pinned] < eps_floor):  # pin to the floor, rescale the rest
+        pinned |= a < eps_floor    # one more a round; eps_floor < 1/n
+        a[pinned] = eps_floor
+        a[~pinned] *= (1.0 - pinned.sum() * eps_floor) / a[~pinned].sum()
+    return a
 
 
 def tune(net: Network, cfg: TuneConfig, tune_beta: bool = False) -> TuneResult:
@@ -90,6 +99,8 @@ def tune(net: Network, cfg: TuneConfig, tune_beta: bool = False) -> TuneResult:
     n = net.n_supply
     if not 0.0 < cfg.eps_floor < 1.0 / n:     # as optimal_alpha checks it
         raise ValueError("eps_floor must lie in (0, 1/n)")
+    if tune_beta and net.pickup_time is None:   # as SmwPickupPolicy checks it
+        raise ValueError("pickup-aware policy requires a pickup time matrix")
     rng = np.random.default_rng(cfg.seed)
     seed_seq = np.random.SeedSequence(cfg.seed)
     conc = np.full(n, DEFAULT_CONCENTRATION / n)
@@ -112,13 +123,10 @@ def tune(net: Network, cfg: TuneConfig, tune_beta: bool = False) -> TuneResult:
                   float(np.exp(rng.normal(log_beta_mu, log_beta_sigma)))
                   if tune_beta else None) for _ in range(cfg.population)]
 
-        scored, codes, tables, walked = [], functools.cache(
-            functools.partial(_stream, net)), {}, {}    # for one iteration
-        for c, (alpha, beta) in enumerate(cands):
-            vals = np.array(_evaluate(net, cfg, alpha, beta, rep_seeds, codes,
-                                      space, tables, walked, made), float)
-            mean = float(np.nanmean(vals))
-            finite = vals[np.isfinite(vals)]
+        vals = _evaluate(net, cfg, cands, rep_seeds, space, made)
+        scored, means = [], np.nanmean(vals, axis=1).tolist()
+        for c, ((alpha, beta), mean) in enumerate(zip(cands, means)):
+            finite = vals[c][np.isfinite(vals[c])]
             stderr = float(np.std(finite, ddof=1) / np.sqrt(len(finite))) \
                 if len(finite) > 1 else 0.0
             scored.append((mean, c))
@@ -146,42 +154,48 @@ def tune(net: Network, cfg: TuneConfig, tune_beta: bool = False) -> TuneResult:
     return TuneResult(best[1], best[2], best[0], trace, made)
 
 
-def _evaluate(net, cfg: TuneConfig, alpha, beta, seeds, codes, space,
-              tables, walked, made) -> list:
-    """Objective of one candidate at each replication seed."""
-    policy = SmwPolicy(net, alpha) if beta is None \
-        else SmwPickupPolicy(net, alpha, beta)
-    if cfg.timed is not None:
+def _evaluate(net, cfg: TuneConfig, cands, seeds, space, made) -> np.ndarray:
+    """Objective of each candidate (rows) at each replication seed."""
+    if space is None:       # a policy per candidate, a run per seed
+        made["simulated"] += len(cands) * len(seeds)
         pickup = net.pickup_time is not None
-        made["simulated"] += len(seeds)
-        return [run_timed(net, policy, cfg.timed, pickup, s).drop_fraction
-                for s in seeds]
-    steps = cfg.steps
-    if space is None:
-        made["simulated"] += len(seeds)
-        return [run_jump_chain(net, policy, cfg.K, steps, seed=s).drop_fraction
-                for s in seeds]
-    # deterministic SMW: one source per (row, origin)
-    atoms = [policy.dispatch_table(space.states, j)
-             for j in range(net.n_demand)]
-    key = b"".join(src.tobytes() for [(src, _)] in atoms)
-    if key not in tables:
-        made["tables"] += 1
-        tables[key] = _tables(net, atoms, space, steps)
-    k, width, *walk = tables[key]      # walk: next-row and drop lists
-    q = _initial_queues(policy, cfg.K, None)
-    start = int(np.abs(space.states - q).sum(axis=1).argmin()) * width
+        run = (lambda p, s: run_timed(net, p, cfg.timed, pickup, s)) \
+            if cfg.timed is not None else \
+            (lambda p, s: run_jump_chain(net, p, cfg.K, cfg.steps, seed=s))
+        return np.array([[run(p, s).drop_fraction for s in seeds] for p in (
+            SmwPolicy(net, a) if b is None else SmwPickupPolicy(net, a, b)
+            for a, b in cands)])
+    # deterministic SMW, the whole population at once: per origin, one
+    # source row per candidate; a key is its rows' bytes, origins in order
+    alpha = np.array([a for a, _ in cands])
+    beta = None if cands[0][1] is None else np.array([[b] for _, b in cands])
+    srcs = []
+    for j in range(net.n_demand):
+        nbrs = list(net.supply_neighbors(j))
+        penalty = 0.0 if beta is None else beta * net.pickup_time[nbrs, j]
+        srcs.append(_argmax_table(space.states, nbrs, 1.0 / alpha[:, nbrs],
+                                  penalty)[0][0])
+    starts = np.abs(space.states - proportional_init(alpha, cfg.K)[:, None])\
+        .sum(axis=2).argmin(axis=1).tolist()
+    steps, codes = cfg.steps, functools.cache(functools.partial(_stream, net))
     warmup = int(steps * DEFAULT_JUMP_WARMUP_FRAC)
-    vals = []
-    for s in seeds:     # start -> state after warmup -> measured drops
-        ends, drops = walked.setdefault((key, s), ({}, {}))
-        if start not in ends:
-            ends[start] = _follow(*walk, start, codes(s, warmup, 0, k))[0]
-        end = ends[start]
-        made["walks_shared" if end in drops else "walks_full"] += 1
-        if end not in drops:
-            drops[end] = _follow(*walk, end, codes(s, steps, warmup, k))[1]
-        vals.append(drops[end] / (steps - warmup))
+    tables, walked, vals = {}, {}, np.empty((len(cands), len(seeds)))
+    for c, key in enumerate(row.tobytes() for row in np.hstack(srcs)):
+        if key not in tables:
+            made["tables"] += 1
+            tables[key] = _tables(net, [[(src[c], 1.0)] for src in srcs],
+                                  space, steps)
+        k, width, *walk = tables[key]      # walk: next-row and drop lists
+        start = starts[c] * width
+        for r, s in enumerate(seeds):   # start -> after warmup -> drops
+            ends, drops = walked.setdefault((key, s), ({}, {}))
+            if start not in ends:
+                ends[start] = _follow(*walk, start, codes(s, warmup, 0, k))[0]
+            end = ends[start]
+            made["walks_shared" if end in drops else "walks_full"] += 1
+            if end not in drops:
+                drops[end] = _follow(*walk, end, codes(s, steps, warmup, k))[1]
+            vals[c, r] = drops[end] / (steps - warmup)
     return vals
 
 

@@ -1,7 +1,8 @@
 """The benchmark records a digest of the `simulate` and `tune` results at
-each seed; one set-up and one round at seed 1 must replay it, so a change
-that moves a simulation draw or a tuner decision fails here as well as in
-the benchmark.  Reads the benchmark's files and writes none."""
+each seed; one set-up and one round must replay it (`simulate` at seed 1,
+`tune`, which is cheap, at every recorded seed), so a change that moves a
+simulation draw or a tuner decision fails here as well as in the
+benchmark.  Reads the benchmark's files and writes none."""
 
 import sys
 from pathlib import Path
@@ -21,13 +22,22 @@ def workloads():
     return workloads
 
 
-@pytest.mark.parametrize("name", ["simulate", "tune"])
-def test_recorded_digest_replays_at_seed_1(workloads, name):
+def replays(workloads, name, seed):
     wl = workloads.WORKLOADS[name]()
-    state = wl.setup(1)
+    state = wl.setup(seed)
     tally = workloads.Tally()
     rnd = workloads.run_round(wl, state, tally)
     assert tally.failures == []
-    out = wl.check(state, [rnd], 1)
+    out = wl.check(state, [rnd], seed)
     assert "replay_recorded" in out
     assert {k: v for k, v in out.items() if not v["ok"]} == {}
+
+
+@pytest.mark.parametrize("name", ["simulate", "tune"])
+def test_recorded_digest_replays_at_seed_1(workloads, name):
+    replays(workloads, name, 1)
+
+
+@pytest.mark.parametrize("seed", range(2, 11))
+def test_recorded_tune_digest_replays_at_every_seed(workloads, seed):
+    replays(workloads, "tune", seed)

@@ -321,6 +321,21 @@ def test_tune_beta_needs_pickup_times(net_file, capsys):
     assert "pickup time" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec, match", [
+    ({"kind": "fluid_random", "flow_table": [[-0.2, 0.3], [0.5, 0.1]]},
+     "nonnegative"),
+    ({"kind": "fluid_random", "flow_table": [[0.2, 0.3], [0.1, 0.1]]},
+     "not edges"),
+    ({"kind": "smw_pickup", "alpha": [0.5, 0.5], "beta": math.nan},
+     "beta must be nonnegative")])
+def test_malformed_policy_spec_is_input_error(tmp_path, capsys, spec, match):
+    net, policy = str(tmp_path / "net.json"), tmp_path / "policy.json"
+    save_network(example1(with_times=True), net)
+    policy.write_text(json.dumps(spec))     # NaN as JSON's NaN token
+    assert main(["exact", net, "--policy", str(policy), "--K", "2"]) == 1
+    assert match in capsys.readouterr().err
+
+
 # minimal valid arguments per subcommand, and the shared options it reads
 SUBCOMMANDS = {
     "validate": ([], set()),

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -12,8 +14,9 @@ from smwsim import (
     vanilla_policy,
 )
 from smwsim.chain import StateSpace
-from smwsim.policies import NO_COMPATIBLE_SUPPLY
-from smwsim.instances import example1, random_crp
+from smwsim.policies import NO_COMPATIBLE_SUPPLY, _argmax_table
+from smwsim.instances import example1, random_crp, symmetric_ring
+from smwsim.sim import fluid_flow
 
 
 @pytest.fixture
@@ -113,6 +116,37 @@ def test_fluid_distribution_matches_sampler(net):
 def test_fluid_rejects_bad_flow_table(net):
     with pytest.raises(ValueError, match="column sums"):
         FluidPolicy(net, np.ones((2, 2)))
+
+
+@pytest.mark.parametrize("flow, match", [
+    ([[-0.2, 0.3], [0.5, 0.1]], "nonnegative"),
+    ([[-0.2, 0.3], [0.0, 0.1]], "nonnegative"),
+    ([[math.nan, 0.3], [0.0, 0.1]], "nonnegative"),
+    ([[0.2, 0.3], [0.1, 0.1]], "not edges")])     # (1, 0) is no edge
+def test_fluid_rejects_malformed_flow(net, flow, match):
+    with pytest.raises(ValueError, match=match):
+        FluidPolicy(net, flow)
+    with pytest.raises(ValueError, match=match):
+        policy_from_spec(net, {"kind": "fluid_random", "flow_table": flow})
+
+
+def test_fluid_flow_passes_the_flow_checks():
+    nets = [example1(), symmetric_ring(10), symmetric_ring(30, True)] + [
+        random_crp(n, seed=s) for n in range(3, 13) for s in range(2)]
+    for net in nets:
+        flow = fluid_flow(net)
+        assert np.all(flow >= 0) and np.all(flow[~net.adjacency.T] == 0)
+        FluidPolicy(net, flow)
+
+
+@pytest.mark.parametrize("beta", [-0.1, math.nan, math.inf])
+def test_pickup_rejects_beta_outside_0_to_inf(beta):
+    net = example1(with_times=True)
+    with pytest.raises(ValueError, match="beta must be nonnegative"):
+        SmwPickupPolicy(net, [0.5, 0.5], beta)
+    with pytest.raises(ValueError, match="beta must be nonnegative"):
+        policy_from_spec(net, {"kind": "smw_pickup", "alpha": [0.5, 0.5],
+                               "beta": beta})
 
 
 def test_pickup_beta_zero_matches_smw():
@@ -229,6 +263,32 @@ def test_dispatch_table_equals_scalar_dispatch():
                 longest = sorted(q[i] for i in net.supply_neighbors(j))[-2:]
                 ties += len(longest) == 2 and longest[0] == longest[1] > 0
     assert ties > 0     # vanilla broke ties between nonempty queues
+
+
+def test_population_table_equals_each_policy_table():
+    # inv and penalty with a leading candidate axis: one source row per
+    # candidate, bit for bit its own policy's table
+    rng, drops = np.random.default_rng(8), 0
+    betas = np.array([[0.0], [0.05], [0.3], [1.0], [0.0], [2.5]])
+    for net, _ in _kernel_cases():
+        n = net.n_supply
+        # uniform alpha: ties between equal nonempty queues
+        alphas = np.vstack([np.full(n, 1.0 / n), rng.dirichlet(np.ones(n), 5)])
+        states = StateSpace.enumerate(n, 6).states
+        for j in range(net.n_demand):
+            nbrs = list(net.supply_neighbors(j))
+            for pickup in (False, True):
+                pen = betas * net.pickup_time[nbrs, j] if pickup else 0.0
+                (src, p), = _argmax_table(states, nbrs, 1.0 / alphas[:, nbrs],
+                                          pen)
+                assert p == 1.0 and src.shape == (len(alphas), len(states))
+                for c, alpha in enumerate(alphas):
+                    pol = SmwPickupPolicy(net, alpha, betas[c, 0]) \
+                        if pickup else SmwPolicy(net, alpha)
+                    (ref, _), = pol.dispatch_table(states, j)
+                    assert src[c].tobytes() == ref.tobytes()
+                drops += int((src == DROP).sum())
+    assert drops > 0    # rows whose compatible queues are all empty
 
 
 def test_fluid_table_equals_flow_table():

@@ -30,6 +30,34 @@ def test_proportional_init():
     assert np.array_equal(proportional_init([0.25, 0.75], 4), [1, 3])
 
 
+def largest_remainders(weights, K):
+    """One placement, as the scalar reference of proportional_init."""
+    w = np.array(weights, dtype=float)
+    w = w / w.sum()
+    exact = w * K
+    base = np.floor(exact).astype(np.int64)
+    short = K - int(base.sum())
+    if short > 0:
+        order = np.argsort(-(exact - base))
+        base[order[:short]] += 1
+    return base
+
+
+def test_rowwise_proportional_init_equals_each_row():
+    rng = np.random.default_rng(5)
+    # equal weights tie every remainder; [3, 1, 1, 3] ties them in pairs
+    weights = np.vstack([np.ones((2, 4)), [[3, 1, 1, 3], [1, 2, 2, 0]],
+                         rng.dirichlet(np.ones(4), 40),
+                         rng.dirichlet(np.full(4, 0.1), 40)])
+    for K in (0, 1, 2, 3, 7, 10, 101):
+        got = proportional_init(weights, K)
+        assert got.shape == weights.shape and got.dtype == np.int64
+        for w, row in zip(weights, got):
+            ref = largest_remainders(w, K)
+            assert row.tolist() == ref.tolist() == proportional_init(w, K)\
+                .tolist()
+
+
 def test_jump_chain_k1_stationary_value():
     net = example1()
     rep = run_jump_chain(net, SmwPolicy(net, [0.5, 0.5]), K=1,

@@ -259,13 +259,47 @@ def test_tune_rejects_eps_floor_outside_0_to_1_over_n(eps_floor):
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_tables_reuse_the_atoms_of_their_key(monkeypatch, seed):
-    # the benchmark's config: one dispatch table per origin and candidate,
-    # none again when a table is built from them
+    # the benchmark's config: one dispatch table per origin and iteration
+    # for the whole population, none again when a table is built from its
+    # rows, and no policy object
     calls, real = [], policies_module._argmax_table
-    monkeypatch.setattr(policies_module, "_argmax_table",
-                        lambda *a: calls.append(1) or real(*a))
+    for module in (policies_module, tuner_module):
+        monkeypatch.setattr(module, "_argmax_table",
+                            lambda *a: calls.append(a[2].shape) or real(*a))
+    for name in ("SmwPolicy", "SmwPickupPolicy"):
+        monkeypatch.setattr(tuner_module, name, None)
     res = tune(example1(), TuneConfig(seed=seed, budget=40))
-    assert res.runs["tables"] > 0 and len(calls) == 80
+    assert res.runs["tables"] > 0
+    assert calls == [(20, 1), (20, 2)] * 2  # 2 origins, 2 iterations
+
+
+def clip_twice(alpha, eps_floor):
+    """The two clip-and-renormalize passes, which _clip_simplex keeps."""
+    a = np.clip(alpha, eps_floor, None)
+    a = np.clip(a / a.sum(), eps_floor, None)
+    return a / a.sum()
+
+
+@pytest.mark.parametrize("n, conc", [(2, 0.05), (3, 0.05), (3, 0.5),
+                                     (6, 0.02)])
+def test_clipped_candidates_stay_on_the_floor(n, conc):
+    # sparse Dirichlet draws: the two passes leave some entries just below
+    # the floor; draws they leave on it come out bit for bit as they do
+    rng, eps_floor, below = np.random.default_rng(n), 1e-3, 0
+    for _ in range(3000):
+        alpha = rng.dirichlet(np.full(n, conc))
+        a, ref = tuner_module._clip_simplex(alpha, eps_floor), \
+            clip_twice(alpha, eps_floor)
+        assert a.min() >= eps_floor and abs(a.sum() - 1.0) <= 1e-12
+        below += ref.min() < eps_floor
+        if ref.min() >= eps_floor:
+            assert a.tobytes() == ref.tobytes()
+    assert below > 0
+
+
+def test_tune_candidates_stay_on_the_floor():
+    res = tune(example1(), TuneConfig(seed=7, budget=400))
+    assert min(alpha.min() for _, _, alpha, _, _, _ in res.trace) >= 1e-3
 
 
 @pytest.mark.parametrize("n, steps, itemsize", [
