@@ -111,9 +111,9 @@ def check_alpha(alpha, n: int) -> np.ndarray:
     alpha = np.atleast_1d(np.array(alpha, dtype=float))
     if alpha.size != n:
         raise ValueError(f"alpha must have length {n}")
-    if abs(alpha.sum() - 1.0) > 1e-12:
+    if not abs(alpha.sum() - 1.0) <= 1e-12:     # nan fails too
         raise ValueError("alpha must sum to 1")
-    if np.any(alpha < np.finfo(float).tiny):
+    if not np.all(alpha >= np.finfo(float).tiny):
         raise ValueError("alpha entries must be strictly positive")
     return alpha
 
@@ -238,7 +238,7 @@ def kl_rate(f, phi) -> float:
     """
     f = np.array(f, dtype=float)
     phi = np.array(phi, dtype=float)
-    if np.any(f < 0) or abs(f.sum() - 1.0) > 1e-9:
+    if not (np.all(f >= 0) and abs(f.sum() - 1.0) <= 1e-9):   # nan fails too
         return math.inf
     if np.any((f > 0) & (phi == 0)):
         return math.inf
@@ -259,8 +259,8 @@ def lyapunov(alpha, x) -> float:
     """
     alpha = np.atleast_1d(np.array(alpha, dtype=float))
     x = np.atleast_1d(np.array(x, dtype=float))
-    if x.size != alpha.size or np.any(x < -SIMPLEX_TOL) \
-            or abs(x.sum() - 1.0) > SIMPLEX_TOL:
+    if x.size != alpha.size or not (np.all(x >= -SIMPLEX_TOL)   # nan fails
+                                    and abs(x.sum() - 1.0) <= SIMPLEX_TOL):
         raise ValueError("x must be a point on the simplex")
     return float(1.0 - np.min(x / alpha))
 
@@ -279,7 +279,7 @@ def min_drift_speed(net: Network, alpha, f) -> float:
     """
     alpha = check_alpha(alpha, net.n_supply)
     f = np.array(f, dtype=float)
-    if np.any(f < 0) or abs(f.sum() - 1.0) > 1e-9:
+    if not (np.all(f >= 0) and abs(f.sum() - 1.0) <= 1e-9):   # nan fails too
         raise ValueError("f must be a nonnegative matrix summing to 1")
     slack, _, nbrs = hall_subsets(net, f)   # J = all has speed 0
     return float((-slack / masked_sum(nbrs, alpha)).max(initial=0.0))

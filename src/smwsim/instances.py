@@ -79,6 +79,8 @@ def random_crp(n: int, seed: int = 0, eta: float | None = None,
     destination that does not serve j), which for n >= 2 is exactly when
     some subset is drainable: {j} is.
     """
+    if n < 2:   # one node serves itself: nothing drains
+        raise ValueError("random_crp needs at least 2 nodes")
     rng = np.random.default_rng(seed)
     for _ in range(MAX_TRIES):
         phi = rng.exponential(1.0, size=(n, n))

@@ -1,13 +1,15 @@
 """Dispatch decision rules: scaled MaxWeight and the benchmark policies.
 
 Every policy maps (queue vector, demand origin) to a supply node or a
-drop.  Ties in score-based policies are broken toward the highest node
-index.  Randomized policies draw from an injected generator so replays
-are exact.
+drop.  The deterministic ones serve from the nonempty compatible node of
+largest q * scale - penalty, ties to the last node listed: SMW, its pickup
+penalty, and static priority (scale 0, penalty = position in the list).
+Randomized policies draw from an injected generator so replays are exact.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -37,11 +39,11 @@ _DECLINED = DispatchDecision(DROP, POLICY_DECLINED)
 
 
 class Policy:
-    """Base: subclasses implement dispatch(queues, origin[, rng]), where
-    queues is a list of ints or an integer array (same decisions), and
-    dispatch_table(states, origin): the exact decisions of one origin over
-    a state matrix (rows x n) as [(source per row or DROP, prob)], one
-    atom if deterministic, so the chain oracle can expand mixtures.
+    """Base: dispatch(queues, origin[, rng]) on a list of ints or an int
+    array (same decisions), and dispatch_table(states, origin): one origin's
+    exact decisions over a state matrix as [(source per row or DROP, prob)],
+    one atom if deterministic.  Both score the rows (node, scale, penalty)
+    that subclasses list in ``_nbrs[origin]``; FluidPolicy draws instead.
     ``randomized`` says whether dispatch draws from rng."""
 
     name = "base"
@@ -52,7 +54,17 @@ class Policy:
         self._serve = [DispatchDecision(i, SERVED) for i in range(net.n_supply)]
 
     def dispatch(self, queues, origin, rng=None) -> DispatchDecision:
-        raise NotImplementedError
+        best, src = -math.inf, DROP    # penalties are finite
+        for i, scale, penalty in self._nbrs[origin]:
+            q = queues[i]
+            if q > 0:
+                score = q * scale - penalty
+                if score >= best:   # >= prefers the last node listed on ties
+                    best, src = score, i
+        return _NO_SUPPLY if src == DROP else self._serve[src]
+
+    def dispatch_table(self, states, origin):
+        return _argmax_table(states, *zip(*self._nbrs[origin]))
 
     def rest_weights(self, n: int) -> np.ndarray:
         """Weights used for the default initial supply placement."""
@@ -85,22 +97,9 @@ class SmwPolicy(Policy):
         super().__init__(net)
         self.alpha = check_alpha(alpha, net.n_supply)
         inv = (1.0 / self.alpha).tolist()
-        # per origin: (node, 1 / alpha[node]) over its compatible nodes
-        self._nbrs = [[(i, inv[i]) for i in net.supply_neighbors(j)]
+        # per origin: (node, 1 / alpha[node], 0) over its compatible nodes
+        self._nbrs = [[(i, inv[i], 0.0) for i in net.supply_neighbors(j)]
                       for j in range(net.n_demand)]
-
-    def dispatch(self, queues, origin, rng=None):
-        best, src = 0.0, DROP
-        for i, inv in self._nbrs[origin]:
-            q = queues[i]
-            if q > 0:
-                score = q * inv
-                if score >= best:   # >= prefers the higher index on ties
-                    best, src = score, i
-        return _NO_SUPPLY if src == DROP else self._serve[src]
-
-    def dispatch_table(self, states, origin):   # pickup nbrs add a penalty
-        return _argmax_table(states, *zip(*self._nbrs[origin]))
 
     def rest_weights(self, n):
         return self.alpha
@@ -120,24 +119,17 @@ class PriorityPolicy(Policy):
 
     def __init__(self, net: Network, priority_lists):
         super().__init__(net)
-        self.lists = []
+        if len(priority_lists) != net.n_demand:
+            raise ValueError("need one priority list per demand node")
+        # per origin: (node, 0, rank), so the first nonempty node scores best
+        self._nbrs = []
         for j in range(net.n_demand):
             lst = [int(i) for i in priority_lists[j]]
             if sorted(lst) != sorted(net.supply_neighbors(j)):
                 raise ValueError(
                     f"priority list for demand node {j} is not a permutation "
                     f"of its compatible supply nodes")
-            self.lists.append(lst)
-
-    def dispatch(self, queues, origin, rng=None):
-        for i in self.lists[origin]:
-            if queues[i] > 0:
-                return self._serve[i]
-        return _NO_SUPPLY
-
-    def dispatch_table(self, states, origin):   # score: -position in list
-        lst = self.lists[origin]
-        return _argmax_table(states, lst, 0.0, np.arange(len(lst)))
+            self._nbrs.append([(i, 0.0, float(r)) for r, i in enumerate(lst)])
 
 
 class FluidPolicy(Policy):
@@ -187,20 +179,17 @@ class FluidPolicy(Policy):
         if rng is None:
             raise ValueError("fluid dispatch needs a random generator")
         # the draw and the search of Generator.choice(sources, p=probs)
-        return self._decide(queues, self._sources[origin][
-            bisect_right(self._cdf[origin], rng.random())])
-
-    def dispatch_table(self, states, origin):
-        return [(np.where((src != DROP) & (states[:, src] > 0), src, DROP), p)
-                for src, p in zip(self._sources[origin], self._probs[origin])]
-
-    def _decide(self, queues, src):
-        """Decision once the table has drawn src (a node or DROP)."""
+        src = self._sources[origin][
+            bisect_right(self._cdf[origin], rng.random())]
         if src == DROP:
             return _DECLINED
         if queues[src] <= 0:
             return _NO_SUPPLY
         return self._serve[src]
+
+    def dispatch_table(self, states, origin):
+        return [(np.where((src != DROP) & (states[:, src] > 0), src, DROP), p)
+                for src, p in zip(self._sources[origin], self._probs[origin])]
 
 
 class SmwPickupPolicy(SmwPolicy):
@@ -217,32 +206,43 @@ class SmwPickupPolicy(SmwPolicy):
         self.beta = float(beta)
         pickup = net.pickup_time.tolist()
         # per origin: (node, 1 / alpha[node], beta * D[node, origin])
-        self._nbrs = [[(i, inv, self.beta * pickup[i][j]) for i, inv in nbrs]
+        self._nbrs = [[(i, inv, self.beta * pickup[i][j])
+                       for i, inv, _ in nbrs]
                       for j, nbrs in enumerate(self._nbrs)]
 
-    def dispatch(self, queues, origin, rng=None):
-        best, src = None, DROP
-        for i, inv, penalty in self._nbrs[origin]:
-            q = queues[i]
-            if q > 0:
-                score = q * inv - penalty
-                if best is None or score >= best:
-                    best, src = score, i
-        return _NO_SUPPLY if src == DROP else self._serve[src]
+
+def _nested(value, depth, types) -> bool:
+    """Whether value is a JSON number of one of types inside depth lists."""
+    if depth == 0:
+        return type(value) in types     # bool and str are not numbers
+    return isinstance(value, list) and all(_nested(v, depth - 1, types)
+                                           for v in value)
 
 
 def policy_from_spec(net: Network, spec: dict) -> Policy:
-    """Build a policy from its JSON payload: {"kind": ..., ...}."""
+    """Build a policy from its JSON payload: {"kind": ..., ...}.  A field
+    of the wrong JSON type raises ValueError: float() would read "0.5" and
+    true, and int() each character of "10"."""
+    if not isinstance(spec, dict):
+        raise ValueError("policy spec must be a JSON object")
+
+    def field(key, depth, what, types=(int, float)):
+        value = spec.get(key, 0.0)      # beta defaults to 0
+        if not _nested(value, depth, types):
+            raise ValueError(f"policy spec field {key!r} must be {what}")
+        return value
+
     kind = spec["kind"]
     if kind == "smw":
-        return SmwPolicy(net, np.array(spec["alpha"], dtype=float))
+        return SmwPolicy(net, field("alpha", 1, "a list of numbers"))
     if kind == "vanilla_mw":
         return vanilla_policy(net)
     if kind == "static_priority":
-        return PriorityPolicy(net, spec["priority_lists"])
+        return PriorityPolicy(net, field("priority_lists", 2,
+                                         "lists of integers", (int,)))
     if kind == "fluid_random":
-        return FluidPolicy(net, np.array(spec["flow_table"], dtype=float))
+        return FluidPolicy(net, field("flow_table", 2, "lists of numbers"))
     if kind == "smw_pickup":
-        return SmwPickupPolicy(net, np.array(spec["alpha"], dtype=float),
-                               spec.get("beta", 0.0))
+        return SmwPickupPolicy(net, field("alpha", 1, "a list of numbers"),
+                               field("beta", 0, "a number"))
     raise ValueError(f"unknown policy kind: {kind!r}")

@@ -327,13 +327,50 @@ def test_tune_beta_needs_pickup_times(net_file, capsys):
     ({"kind": "fluid_random", "flow_table": [[0.2, 0.3], [0.1, 0.1]]},
      "not edges"),
     ({"kind": "smw_pickup", "alpha": [0.5, 0.5], "beta": math.nan},
-     "beta must be nonnegative")])
+     "beta must be nonnegative"),
+    ([{"kind": "smw", "alpha": [0.5, 0.5]}], "must be a JSON object"),
+    ({"kind": "smw", "alpha": ["0.5", "0.5"]}, "'alpha' must be a list of"),
+    ({"kind": "smw_pickup", "alpha": [0.5, 0.5], "beta": "0.1"},
+     "'beta' must be a number"),
+    ({"kind": "smw_pickup", "alpha": [0.5, 0.5], "beta": None},
+     "'beta' must be a number"),
+    ({"kind": "smw_pickup", "alpha": [0.5, 0.5], "beta": True},
+     "'beta' must be a number"),
+    ({"kind": "static_priority", "priority_lists": ["0", "10"]},
+     "'priority_lists' must be lists of integers"),
+    ({"kind": "static_priority", "priority_lists": [[0.0], [1.5, 0]]},
+     "'priority_lists' must be lists of integers"),
+    ({"kind": "static_priority", "priority_lists": [[0], [1.0, 0]]},
+     "'priority_lists' must be lists of integers"),
+    ({"kind": "static_priority", "priority_lists": [[0], [True, 0]]},
+     "'priority_lists' must be lists of integers"),
+    ({"kind": "static_priority", "priority_lists": [[0], ["1", 0]]},
+     "'priority_lists' must be lists of integers"),
+    ({"kind": "static_priority", "priority_lists": [[0]]},
+     "one priority list per demand node")])
 def test_malformed_policy_spec_is_input_error(tmp_path, capsys, spec, match):
     net, policy = str(tmp_path / "net.json"), tmp_path / "policy.json"
     save_network(example1(with_times=True), net)
     policy.write_text(json.dumps(spec))     # NaN as JSON's NaN token
     assert main(["exact", net, "--policy", str(policy), "--K", "2"]) == 1
     assert match in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["gamma", "--alpha", "nan,1"],
+    ["exact", "--policy", "smw:nan,1", "--K", "4"],
+    ["sweep", "--policies", "smw:nan,1", "--K", "4", "--steps", "100"]])
+def test_nan_alpha_is_input_error(net_file, capsys, args):
+    assert main(args[:1] + [net_file] + args[1:]) == 1
+    assert "alpha must sum to 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", ["0", "1"])
+def test_generate_random_crp_below_two_nodes_is_input_error(tmp_path, capsys,
+                                                            n):
+    assert main(["generate", "random_crp", "--n", n, "--out",
+                 str(tmp_path / "net.json")]) == 1
+    assert "at least 2 nodes" in capsys.readouterr().err
 
 
 # minimal valid arguments per subcommand, and the shared options it reads

@@ -26,7 +26,7 @@ from smwsim.instances import (
     random_crp,
     symmetric_ring,
 )
-from smwsim.exponent import _drainable
+from smwsim.exponent import _drainable, check_alpha
 from smwsim.lp import LinearProgram, solve_lp
 from smwsim.network import (SUM_BLOCK, Network, SubsetCapError,
                             closed_subsets, hall_subsets, mask_indices,
@@ -727,6 +727,31 @@ def test_kl_rate():
                               [[0.0, 0.5], [0.25, 0.25]]))
     path = most_likely_path(net, [0.5, 0.5])
     assert path.kl_rate == pytest.approx(LOG2 / 8, abs=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [[math.nan, 1.0], [1.0, math.nan],
+                                   [math.nan, math.nan]])
+def test_check_alpha_rejects_nan(alpha):
+    with pytest.raises(ValueError, match="alpha must sum to 1"):
+        check_alpha(alpha, 2)
+
+
+NAN_F = [[math.nan, 0.5], [0.25, 0.25]]
+
+
+def test_kl_rate_of_a_nan_matrix_is_inf():
+    # kl_rate's contract: +inf unless f is a distribution
+    assert kl_rate(NAN_F, example1().phi) == math.inf
+
+
+def test_min_drift_speed_rejects_a_nan_matrix():
+    with pytest.raises(ValueError, match="f must be"):
+        min_drift_speed(example1(), [0.5, 0.5], NAN_F)
+
+
+def test_lyapunov_rejects_a_nan_point():
+    with pytest.raises(ValueError, match="point on the simplex"):
+        lyapunov([0.5, 0.5], [math.nan, 1.0])
 
 
 def test_most_likely_path_example1():

@@ -149,15 +149,38 @@ def test_pickup_rejects_beta_outside_0_to_inf(beta):
                                "beta": beta})
 
 
+def _smw_loop(alpha, nbrs, queues, origin):
+    """SMW as a plain zero-penalty loop: the nonempty node of largest
+    q / alpha, ties to the higher index."""
+    best, src = 0.0, DROP
+    for i in nbrs[origin]:
+        if queues[i] > 0 and queues[i] * (1.0 / alpha[i]) >= best:
+            best, src = queues[i] * (1.0 / alpha[i]), i
+    return src
+
+
 def test_pickup_beta_zero_matches_smw():
-    net = example1(with_times=True)
-    a = np.array([0.6, 0.4])
-    base, pick = SmwPolicy(net, a), SmwPickupPolicy(net, a, 0.0)
-    rng = np.random.default_rng(4)
-    for _ in range(10_000):
-        q = rng.integers(0, 8, 2)
-        j = int(rng.integers(0, 2))
-        assert base.dispatch(q, j) == pick.dispatch(q, j)
+    # SMW and pickup-aware SMW at beta = 0 against a plain zero-penalty
+    # loop, on every state of 0 to 6 vehicles (the all-empty one included)
+    ties = drops = 0
+    nets = [example1(with_times=True)] + [net for net, _ in _kernel_cases()]
+    for net in nets:
+        n = net.n_supply
+        states = [q for K in range(7)
+                  for q in StateSpace.enumerate(n, K).states.tolist()]
+        nbrs = [net.supply_neighbors(j) for j in range(net.n_demand)]
+        for a in (np.full(n, 1.0 / n), np.arange(1.0, n + 1) * 2 / (n * n + n)):
+            base, pick = SmwPolicy(net, a), SmwPickupPolicy(net, a, 0.0)
+            for q in states:
+                for j in range(net.n_demand):
+                    want = _smw_loop(base.alpha, nbrs, q, j)
+                    assert base.dispatch(q, j).source == want
+                    assert pick.dispatch(q, j).source == want
+                    drops += want == DROP
+                    scores = sorted(q[i] / a[i] for i in
+                                    net.supply_neighbors(j) if q[i] > 0)
+                    ties += len(scores) > 1 and scores[-1] == scores[-2]
+    assert ties > 0 and drops > 0
 
 
 def make_pickup_net(pickup):
@@ -263,6 +286,30 @@ def test_dispatch_table_equals_scalar_dispatch():
                 longest = sorted(q[i] for i in net.supply_neighbors(j))[-2:]
                 ties += len(longest) == 2 and longest[0] == longest[1] > 0
     assert ties > 0     # vanilla broke ties between nonempty queues
+
+
+def _first_nonempty(lists, queues, origin):
+    """Static priority as a plain loop: the first listed node with supply."""
+    for i in lists[origin]:
+        if queues[i] > 0:
+            return i
+    return DROP
+
+
+def test_priority_serves_the_first_nonempty_node_listed():
+    rng = np.random.default_rng(9)
+    for net, _ in _kernel_cases():
+        states = StateSpace.enumerate(net.n_supply, 6).states
+        nbrs = [list(net.supply_neighbors(j)) for j in range(net.n_demand)]
+        for lists in (nbrs, [lst[::-1] for lst in nbrs],
+                      [rng.permutation(lst).tolist() for lst in nbrs]):
+            pol = PriorityPolicy(net, lists)
+            for j in range(net.n_demand):
+                want = [_first_nonempty(lists, q, j) for q in states.tolist()]
+                assert [pol.dispatch(q, j).source
+                        for q in states.tolist()] == want
+                (src, _), = pol.dispatch_table(states, j)
+                assert src.tolist() == want
 
 
 def test_population_table_equals_each_policy_table():
