@@ -68,7 +68,7 @@ class ExponentResult:
         # the padding rows unpack as False, so no index tuple shows them
         cols = [np.unpackbits(a, axis=0).view(bool) for a in masks] + [lam, mu]
         stats = _stats(*cols)
-        _, mass, contrib = _exponent(alpha, cols, np.array(
+        _, mass, contrib = _exponent(alpha, *cols, np.array(
             [st.log_ratio for st in stats]))
         return tuple(zip(stats, mass.tolist(), contrib.tolist()))
 
@@ -86,7 +86,7 @@ class ExponentResult:
             raise ValueError("no drainable subset: most likely path undefined")
         (members, boundary, lam, mu), alpha = self._columns
         jstar = self.critical_subsets[0]
-        inside = np.isin(np.arange(net.n_demand), jstar)
+        inside = np.bincount(jstar, minlength=net.n_demand) > 0
         k = np.flatnonzero((members.T == np.packbits(inside)).all(axis=1))[0]
         bnd = np.unpackbits(boundary[:, k], count=net.n_supply).view(bool)
         lam, mu = float(lam[k]), float(mu[k])
@@ -107,10 +107,10 @@ class RatePath:
 
 
 def check_alpha(alpha, n: int) -> np.ndarray:
-    """Validate a scaling vector: positive, length n, sums to 1."""
+    """Validate a scaling vector: 1-D of length n, positive, sums to 1."""
     alpha = np.atleast_1d(np.array(alpha, dtype=float))
-    if alpha.size != n:
-        raise ValueError(f"alpha must have length {n}")
+    if alpha.shape != (n,):
+        raise ValueError(f"alpha must be a vector of length {n}")
     if not abs(alpha.sum() - 1.0) <= 1e-12:     # nan fails too
         raise ValueError("alpha must sum to 1")
     if not np.all(alpha >= np.finfo(float).tiny):
@@ -126,7 +126,7 @@ def drainable_subsets(net: Network):
     """Closed demand subsets that drain (mu_rate > 0: some member demand
     goes outside the neighborhood), in hall_subsets order, pooled or not:
     the alpha LP's subset rows, the only ones that can be critical."""
-    return _stats(*_drainable(net, *hall_subsets(net, net.phi)[1:]))
+    return _stats(*net.drainable[:4])
 
 
 def _stats(members, boundary, lam, mu) -> list:
@@ -158,19 +158,16 @@ def _pair_sums(phi, pairs, rows, cols):
 
 
 def _pooled_subsets(net: Network):
-    """Closed drainable subsets, in hall_subsets order, and their log
-    ratios (``math.log``, as SubsetStats).  J's closure drains too, with
-    J's boundary, less lambda and more mu: its row implies J's.  A failed
-    Hall check raises PoolingViolationError on the least slack subset, the
-    first in hall_subsets order on ties."""
-    slack, members, nbrs = hall_subsets(net, net.phi)
+    """Closed drainable columns and log ratios (Network.drainable).  J's
+    closure drains too, with J's boundary, less lambda and more mu: its
+    row implies J's.  A failed Hall check raises PoolingViolationError on
+    the least slack subset, the first in hall_subsets order on ties."""
+    slack, members, _ = net.hall
     if slack.min(initial=math.inf) <= 0:
         worst = int(slack.argmin())
         raise PoolingViolationError(mask_indices(members[:, [worst]])[0],
                                     float(slack[worst]))
-    cols = _drainable(net, members, nbrs)
-    return cols, np.array([math.log(a / b) for a, b in
-                           zip(cols[2].tolist(), cols[3].tolist())])
+    return net.drainable
 
 
 def gamma(net: Network, alpha) -> ExponentResult:
@@ -180,10 +177,9 @@ def gamma(net: Network, alpha) -> ExponentResult:
     return _exponent(alpha, *_pooled_subsets(net))[0]
 
 
-def _exponent(alpha, cols, log_ratio):
-    """gamma on a pooled network's drainable subsets, alpha already
+def _exponent(alpha, members, boundary, lam, mu, log_ratio):
+    """gamma on a pooled network's drainable columns, alpha already
     checked: the ExponentResult, boundary masses and contributions."""
-    members, boundary = cols[:2]
     # each mass adds alpha a node at a time in ascending order: sum()'s bits
     mass = masked_sum(boundary, alpha)
     contrib = mass * log_ratio
@@ -191,7 +187,7 @@ def _exponent(alpha, cols, log_ratio):
     crit = np.flatnonzero(contrib <= best * (1 + TIE_RTOL) + 1e-300)
     packed = (np.packbits(members, axis=0), np.packbits(boundary, axis=0))
     return ExponentResult(best, tuple(sorted(mask_indices(members[:, crit]))),
-                          ((*packed, *cols[2:]), alpha)), mass, contrib
+                          ((*packed, lam, mu), alpha)), mass, contrib
 
 
 def optimal_alpha(net: Network, eps_floor: float = DEFAULT_EPS_FLOOR):
@@ -205,10 +201,10 @@ def optimal_alpha(net: Network, eps_floor: float = DEFAULT_EPS_FLOOR):
     n = net.n_supply
     if not 0.0 < eps_floor < 1.0 / n:
         raise ValueError("eps_floor must lie in (0, 1/n)")
-    cols, log_ratio = _pooled_subsets(net)
+    *cols, log_ratio = _pooled_subsets(net)
     if not log_ratio.size:
         a = uniform_alpha(n)
-        return a, _exponent(a, cols, log_ratio)[0]
+        return a, _exponent(a, *cols, log_ratio)[0]
 
     # variables: alpha_0..alpha_{n-1}, t; one row t - log_ratio * B(alpha) <= 0
     nv = n + 1
@@ -226,7 +222,7 @@ def optimal_alpha(net: Network, eps_floor: float = DEFAULT_EPS_FLOOR):
     if sol.status != "optimal":
         raise RuntimeError(f"optimal-alpha LP returned {sol.status}")
     alpha = sol.x[:n] / sol.x[:n].sum()
-    return alpha, _exponent(check_alpha(alpha, n), cols, log_ratio)[0]
+    return alpha, _exponent(check_alpha(alpha, n), *cols, log_ratio)[0]
 
 
 def kl_rate(f, phi) -> float:
@@ -255,13 +251,12 @@ def lyapunov(alpha, x) -> float:
     """Distance-to-boundary potential: 1 - min_i x_i / alpha_i.
 
     Zero exactly at the resting point x = alpha, one when some queue is
-    empty.  x must lie on the simplex within 1e-9.
+    empty.  x must lie on the simplex within 1e-9; check_alpha checks alpha.
     """
-    alpha = np.atleast_1d(np.array(alpha, dtype=float))
     x = np.atleast_1d(np.array(x, dtype=float))
-    if x.size != alpha.size or not (np.all(x >= -SIMPLEX_TOL)   # nan fails
-                                    and abs(x.sum() - 1.0) <= SIMPLEX_TOL):
-        raise ValueError("x must be a point on the simplex")
+    if not (np.all(x >= -SIMPLEX_TOL) and abs(x.sum() - 1.0) <= SIMPLEX_TOL):
+        raise ValueError("x must be a point on the simplex")   # nan too
+    alpha = check_alpha(alpha, x.size)
     return float(1.0 - np.min(x / alpha))
 
 

@@ -9,6 +9,7 @@ and pickup time matrices (minutes) enable the timed simulator.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, asdict
 from functools import cached_property
@@ -38,10 +39,8 @@ class Network:
     pickup_time: np.ndarray | None = None  # n x n minutes
 
     def __post_init__(self):
-        self.phi.setflags(write=False)
-        for t in (self.travel_time, self.pickup_time):
-            if t is not None:
-                t.setflags(write=False)
+        _read_only(*(a for a in (self.phi, self.travel_time, self.pickup_time)
+                     if a is not None))
 
     # --- structural helpers -------------------------------------------------
 
@@ -51,8 +50,32 @@ class Network:
         adj = np.zeros((self.n_demand, self.n_supply), dtype=bool)
         for (i, j) in self.edges:
             adj[j, i] = True
-        adj.setflags(write=False)
-        return adj
+        return _read_only(adj)[0]
+
+    @cached_property
+    def hall(self) -> tuple:
+        """Read-only Hall slack of phi, member and neighborhood masks of the
+        subsets where the least slack of all strict ones lies, kept from first
+        use: the strict closed ones in closed_subsets order, then each {j}^c
+        with N({j}^c) = N(all), by j.  A closure keeps J's inflow bits and
+        sums no less demand; a strict J with N(J) = N(all) lies in a {j}^c."""
+        members, nbrs = closed_subsets(self)
+        adj = self.adjacency
+        outer = adj.sum(axis=0)[:, None] > adj.T   # N({j}^c), n x m
+        full = np.flatnonzero((outer == nbrs[:, -1:]).all(axis=0))
+        members = np.hstack([members[:, :-1], np.arange(len(adj))[:, None] != full])
+        nbrs = np.hstack([nbrs[:, :-1], outer[:, full]])
+        return _read_only(masked_sum(nbrs, self.col_rates())
+                          - masked_sum(members, self.row_rates()), members, nbrs)
+
+    @cached_property
+    def drainable(self) -> tuple:
+        """Read-only columns of exponent.drainable_subsets and their log
+        ratios (-inf at lambda 0, unpooled nets only), kept from first use."""
+        from .exponent import _drainable   # exponent imports this module
+        cols = _drainable(self, *self.hall[1:])
+        logs = [math.log(r) if r else -math.inf for r in np.divide(*cols[2:])]
+        return _read_only(*cols, np.array(logs))
 
     def supply_neighbors(self, demand_node: int) -> tuple:
         """Compatible supply nodes of one demand node, ascending."""
@@ -212,20 +235,17 @@ def closed_subsets(net: Network):
 
 
 def hall_subsets(net: Network, f):
-    """Hall slack of rates f (sums in node order), member and neighborhood
-    masks of the subsets where the least slack of all strict ones lies: the
-    strict closed ones in closed_subsets order, then each {j}^c with
-    neighborhood N(all), by j.  A closure keeps J's inflow bits and sums
-    no less f (float addition is monotone); a strict J with N(J) = N(all)
-    lies in a {j}^c."""
-    members, nbrs = closed_subsets(net)
-    adj = net.adjacency
-    outer = adj.sum(axis=0)[:, None] > adj.T   # N({j}^c), n x m
-    full = np.flatnonzero((outer == nbrs[:, -1:]).all(axis=0))
-    members = np.hstack([members[:, :-1], np.arange(len(adj))[:, None] != full])
-    nbrs = np.hstack([nbrs[:, :-1], outer[:, full]])
+    """Hall slack of rates f (sums in node order) on the columns of
+    Network.hall, and their member and neighborhood masks."""
+    _, members, nbrs = net.hall
     return (masked_sum(nbrs, f.sum(axis=0))
             - masked_sum(members, f.sum(axis=1)), members, nbrs)
+
+
+def _read_only(*arrays) -> tuple:
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
 
 def mask_indices(masks) -> list:
@@ -266,7 +286,7 @@ def validate_network(net: Network,
     fraction, reported as ``epsilon_floor_drop``.  The violating
     hall_subsets columns are listed, closed subsets first, in their order.
     """
-    slack, members, _ = hall_subsets(net, net.phi)
+    slack, members, _ = net.hall
     # with one demand node no strict subset exists: vacuously pooled
     hall_gap = float(slack.min(initial=np.inf))
     bad = slack <= 0

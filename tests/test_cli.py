@@ -124,11 +124,16 @@ def test_gamma_optimal_builds_one_subset_table(tmp_path, capsys,
     assert main(["gamma", path, "--optimal", "--out", out]) == 0
     summary = json.loads(capsys.readouterr().out)
     assert len(builds) == 1
-    # the path from the result's columns is most_likely_path's, bit for bit
-    ref = smwsim.most_likely_path(smwsim.load_network(path), summary["alpha"])
+    # the path from the result's columns is most_likely_path's, bit for bit;
+    # the net the reference loads gets one pass of its own for all its calls
+    net = smwsim.load_network(path)
+    smwsim.validate_network(net)
+    ref = smwsim.most_likely_path(net, summary["alpha"])
     assert summary["f_star"] == ref.f_star.tolist()
     assert (summary["drain_time"], summary["kl_rate"]) == \
         (ref.drain_time, ref.kl_rate)
+    assert smwsim.optimal_alpha(net)[0].tolist() == summary["alpha"]
+    assert builds[1:] == [net]
 
 
 def test_gamma_optimal_past_twenty_zones(tmp_path, capsys):

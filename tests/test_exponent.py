@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -296,25 +297,127 @@ def exponent_calls(net):
             lambda: most_likely_path(net, alpha))
 
 
-def test_one_subset_table_per_call(monkeypatch):
-    # one closed-subset enumeration per call, pooled or raising
+def net_queries(net):
+    """Every subset-reading query on net, the drift at f* last."""
+    alpha = uniform_alpha(net.n_supply)
+    f_star = lambda: most_likely_path(net, alpha).f_star   # noqa: E731
+    return exponent_calls(net) + (
+        lambda: validate_network(net),
+        lambda: drainable_subsets(net),
+        lambda: min_drift_speed(net, alpha, net.phi),
+        lambda: min_drift_speed(net, alpha, f_star()))
+
+
+def test_one_subset_table_per_net(monkeypatch):
+    # one closed-subset enumeration per net, whichever query comes first
     import smwsim.network as network
     builds = []
     closed = network.closed_subsets
     monkeypatch.setattr(network, "closed_subsets",
                         lambda net: builds.append(net) or closed(net))
-    for net in (example1(), symmetric_ring(10)):
-        drift = partial(min_drift_speed, net, uniform_alpha(net.n_supply),
-                        net.phi)
-        for call in exponent_calls(net) + (drift,):
+    for make in (example1, partial(symmetric_ring, 10)):
+        for first in range(len(net_queries(make()))):
+            net = make()
             builds.clear()
+            calls = net_queries(net)
+            for call in calls[first:] + calls[:first]:
+                call()
+            assert builds == [net]
+    net = example1_crp_violated()
+    builds.clear()
+    raised = set()
+    for call in exponent_calls(net)[:2] * 2:    # gamma, alpha*, twice
+        with pytest.raises(PoolingViolationError) as exc:
             call()
-            assert len(builds) == 1
-    for call in exponent_calls(example1_crp_violated())[:2]:    # gamma, alpha*
-        builds.clear()
-        with pytest.raises(PoolingViolationError):
+        raised.add((exc.value.subset, exc.value.slack.hex()))
+    assert builds == [net] and raised == {((0,), (-0.125).hex())}
+
+
+def answer_calls(net, alpha, f):
+    """Each exponent-layer answer on net, at alpha* and at alpha, with the
+    drift also at rates f, as a call that returns it, floats as hex."""
+    def optimal():
+        alpha_star, res = optimal_alpha(net)
+        return (alpha_star.tobytes(), res.gamma.hex(), res.critical_subsets,
+                hexed(res.per_subset), res.rate_path(net).f_star.tobytes())
+
+    def at_alpha():
+        res = gamma(net, alpha)
+        return res.gamma.hex(), res.critical_subsets, hexed(res.per_subset)
+
+    def path():
+        p = most_likely_path(net, alpha)
+        return (p.f_star.tobytes(), p.critical_subset, p.drain_time.hex(),
+                p.kl_rate.hex())
+
+    def hall():
+        rep = validate_network(net)
+        return (rep.hall_gap.hex(),
+                [(j, s.hex()) for j, s in rep.violating_subsets])
+
+    def rows():
+        return [(st.members, st.boundary, st.lambda_rate.hex(),
+                 st.mu_rate.hex()) for st in drainable_subsets(net)]
+
+    return (hall, rows, optimal, at_alpha, path,
+            lambda: min_drift_speed(net, alpha, net.phi).hex(),
+            lambda: min_drift_speed(net, alpha, f).hex())
+
+
+def test_kept_columns_answer_cold_and_warm_bit_for_bit():
+    from test_network import unpooled_random
+    rng = np.random.default_rng(29)
+    unpooled = [unpooled_random(n, s) for n in (4, 6, 8) for s in range(5)]
+    for base in panel_nets() + [example1_crp_violated()] + unpooled:
+        alpha = rng.dirichlet(np.ones(base.n_supply))
+        pooled = validate_network(base).crp_holds
+        f = most_likely_path(replace(base), alpha).f_star if pooled \
+            else base.phi
+        asked = range(7 if pooled else 2)    # unpooled: the Hall answers
+        # each answer on a net of its own, that has answered nothing yet
+        cold = [answer_calls(replace(base), alpha, f)[k]() for k in asked]
+        warm = replace(base)   # then one that has answered all it can
+        for call in net_queries(warm) + answer_calls(warm, alpha, f):
+            try:
+                call()
+            except PoolingViolationError:
+                assert not pooled
+        calls = answer_calls(warm, alpha, f)
+        assert [calls[k]() for k in asked] == cold
+
+
+def test_kept_columns_are_read_only():
+    for net in (example1(), random_crp(8, seed=1)):
+        gamma(net, uniform_alpha(net.n_supply))
+        _, members, nbrs = hall_subsets(net, net.phi)
+        for a in (*net.hall, *net.drainable, members, nbrs):
+            assert a.size
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = a[...]
+
+
+def test_a_replaced_net_gets_its_own_subset_pass():
+    net = example1()
+    assert validate_network(net).crp_holds
+    flipped = replace(net, phi=example1_crp_violated().phi)
+    assert "hall" not in vars(flipped)
+    assert not validate_network(flipped).crp_holds
+    with pytest.raises(PoolingViolationError):
+        gamma(flipped, [0.5, 0.5])
+    assert gamma(net, [0.5, 0.5]).gamma == 0.5 * LOG2
+    assert net.hall[0].tobytes() != flipped.hall[0].tobytes()
+
+
+def test_subset_cap_raises_on_every_call_and_keeps_nothing():
+    city = symmetric_ring(30)
+    alpha = uniform_alpha(30)
+    calls = (lambda: validate_network(city), lambda: gamma(city, alpha),
+             lambda: optimal_alpha(city), lambda: drainable_subsets(city),
+             lambda: min_drift_speed(city, alpha, city.phi))
+    for call in calls * 2:
+        with pytest.raises(SubsetCapError, match="closed demand subsets"):
             call()
-        assert len(builds) == 1
+        assert not {"hall", "drainable"} & set(vars(city))
 
 
 def test_pooling_check_raises_most_violated_subset():
@@ -752,6 +855,28 @@ def test_min_drift_speed_rejects_a_nan_matrix():
 def test_lyapunov_rejects_a_nan_point():
     with pytest.raises(ValueError, match="point on the simplex"):
         lyapunov([0.5, 0.5], [math.nan, 1.0])
+
+
+def test_lyapunov_checks_alpha():
+    with pytest.raises(ValueError, match="alpha must sum to 1"):
+        lyapunov([math.nan, 1.0], [0.5, 0.5])
+    with pytest.raises(ValueError, match="alpha must sum to 1"):
+        lyapunov([0.7, 0.7], [0.5, 0.5])
+    with pytest.raises(ValueError, match="alpha must be a vector of length 2"):
+        lyapunov([[0.5], [0.5]], [0.5, 0.5])
+
+
+def test_a_two_dimensional_alpha_is_rejected():
+    from smwsim import SmwPolicy
+    net = example1()
+    for call in (lambda a: check_alpha(a, 2), lambda a: gamma(net, a),
+                 lambda a: most_likely_path(net, a),
+                 lambda a: min_drift_speed(net, a, net.phi),
+                 lambda a: SmwPolicy(net, a)):
+        for alpha in ([[0.5], [0.5]], [[0.5, 0.5]], np.full((2, 1), 0.5)):
+            with pytest.raises(ValueError, match="vector of length 2"):
+                call(alpha)
+    assert check_alpha(1.0, 1).shape == (1,)   # a scalar for one node
 
 
 def test_most_likely_path_example1():
