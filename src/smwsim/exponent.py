@@ -14,15 +14,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lp import LinearProgram, solve_lp
-from .network import (Network, _nontrivial_pairs, hall_subsets, mask_indices,
-                      masked_sum)
+from .network import Network, hall_subsets, mask_indices, masked_sum
 # not called here, but the benchmark tracer patches validate_network here
 from .network import validate_network  # noqa: F401
 
 TIE_RTOL = 1e-9
 SIMPLEX_TOL = 1e-9
 DEFAULT_EPS_FLOOR = 1e-3
-PAIR_BLOCK = 1024  # columns per (pairs x columns) block of _pair_sums
 
 
 class PoolingViolationError(ValueError):
@@ -58,19 +56,16 @@ class SubsetStats:
 class ExponentResult:
     gamma: float                  # math.inf when no subset is drainable
     critical_subsets: tuple       # argmin subsets (members tuples)
-    _columns: tuple = field(repr=False)  # (packed masks, rates), alpha
+    # the net's Network.drainable, and from the one _exponent pass the
+    # boundary masses, contributions and critical_subsets[0]'s column
+    _columns: tuple = field(repr=False)
 
     @property
     def per_subset(self) -> tuple:
         """(SubsetStats, boundary mass, contribution) per closed drainable
-        subset; ``_exponent`` computes the last two again, bit for bit."""
-        (*masks, lam, mu), alpha = self._columns
-        # the padding rows unpack as False, so no index tuple shows them
-        cols = [np.unpackbits(a, axis=0).view(bool) for a in masks] + [lam, mu]
-        stats = _stats(*cols)
-        _, mass, contrib = _exponent(alpha, *cols, np.array(
-            [st.log_ratio for st in stats]))
-        return tuple(zip(stats, mass.tolist(), contrib.tolist()))
+        subset."""
+        cols, mass, contrib, _ = self._columns
+        return tuple(zip(_stats(*cols[:4]), mass.tolist(), contrib.tolist()))
 
     @property
     def is_infinite(self) -> bool:
@@ -82,19 +77,20 @@ class ExponentResult:
         demand from inside the subset to outside its neighborhood is inflated
         by the inflow/outflow ratio, the reverse flows are deflated, the rest
         keeps its typical rate."""
+        (members, boundary, lam, mu, _), mass, _, k = self._columns
+        # identity, read without starting a subset pass on the given net
+        if vars(net).get("drainable") is not self._columns[0]:
+            raise ValueError("rate_path needs the net this result was "
+                             "computed on")
         if self.is_infinite:
             raise ValueError("no drainable subset: most likely path undefined")
-        (members, boundary, lam, mu), alpha = self._columns
-        jstar = self.critical_subsets[0]
-        inside = np.bincount(jstar, minlength=net.n_demand) > 0
-        k = np.flatnonzero((members.T == np.packbits(inside)).all(axis=1))[0]
-        bnd = np.unpackbits(boundary[:, k], count=net.n_supply).view(bool)
-        lam, mu = float(lam[k]), float(mu[k])
+        inside, bnd = members[:, k], boundary[:, k]
+        lam, mu, mass = float(lam[k]), float(mu[k]), float(mass[k])
         f = net.phi.copy()
         f[np.ix_(inside, ~bnd)] *= lam / mu
         f[np.ix_(~inside, bnd)] /= lam / mu
-        mass = float(masked_sum(bnd[:, None], alpha)[0])   # as _exponent adds it
-        return RatePath(f, jstar, mass / (lam - mu), kl_rate(f, net.phi))
+        return RatePath(f, self.critical_subsets[0], mass / (lam - mu),
+                        kl_rate(f, net.phi))
 
 
 @dataclass(frozen=True)
@@ -134,29 +130,6 @@ def _stats(members, boundary, lam, mu) -> list:
                     lam.tolist(), mu.tolist()))
 
 
-def _drainable(net: Network, members, nbrs):
-    """Columns (members, boundary, lambda, mu) of the drainable subsets
-    (mu > 0) among those given by their member and neighborhood masks."""
-    # a node k outside the neighborhood never serves a member j, so only
-    # the nontrivial pairs add to mu; pairs without rate add only zeros
-    lam = _pair_sums(net.phi, np.nonzero(net.phi), ~members, nbrs)
-    mu = _pair_sums(net.phi, _nontrivial_pairs(net), members, ~nbrs)
-    return [a.compress(mu > 0, axis=-1) for a in (members, nbrs, lam, mu)]
-
-
-def _pair_sums(phi, pairs, rows, cols):
-    """Per column, the sum of phi[j, k] over the (j, k) pairs, in order,
-    where rows[j] and cols[k] are both set: ``masked_sum`` on the pair
-    masks, formed PAIR_BLOCK columns at a time to bound the memory."""
-    j, k = pairs
-    out = np.empty(rows.shape[1])
-    for at in range(0, out.size, PAIR_BLOCK):
-        out[at:at + PAIR_BLOCK] = masked_sum(
-            rows[j, at:at + PAIR_BLOCK] & cols[k, at:at + PAIR_BLOCK],
-            phi[j, k])
-    return out
-
-
 def _pooled_subsets(net: Network):
     """Closed drainable columns and log ratios (Network.drainable).  J's
     closure drains too, with J's boundary, less lambda and more mu: its
@@ -174,20 +147,21 @@ def gamma(net: Network, alpha) -> ExponentResult:
     """Decay exponent of SMW(alpha): min over drainable subsets of
     (resting supply mass on the boundary) * log(inflow/outflow)."""
     alpha = check_alpha(alpha, net.n_supply)
-    return _exponent(alpha, *_pooled_subsets(net))[0]
+    return _exponent(alpha, _pooled_subsets(net))
 
 
-def _exponent(alpha, members, boundary, lam, mu, log_ratio):
-    """gamma on a pooled network's drainable columns, alpha already
-    checked: the ExponentResult, boundary masses and contributions."""
+def _exponent(alpha, cols) -> ExponentResult:
+    """gamma on a pooled net's Network.drainable columns, alpha checked."""
+    members, boundary, _, _, log_ratio = cols
     # each mass adds alpha a node at a time in ascending order: sum()'s bits
     mass = masked_sum(boundary, alpha)
     contrib = mass * log_ratio
     best = float(contrib.min(initial=math.inf))
     crit = np.flatnonzero(contrib <= best * (1 + TIE_RTOL) + 1e-300)
-    packed = (np.packbits(members, axis=0), np.packbits(boundary, axis=0))
-    return ExponentResult(best, tuple(sorted(mask_indices(members[:, crit]))),
-                          ((*packed, lam, mu), alpha)), mass, contrib
+    ranked = sorted(zip(mask_indices(members[:, crit]), crit.tolist()))
+    first = ranked[0][1] if ranked else None    # rate_path's column
+    return ExponentResult(best, tuple(s for s, _ in ranked),
+                          (cols, mass, contrib, first))
 
 
 def optimal_alpha(net: Network, eps_floor: float = DEFAULT_EPS_FLOOR):
@@ -201,17 +175,17 @@ def optimal_alpha(net: Network, eps_floor: float = DEFAULT_EPS_FLOOR):
     n = net.n_supply
     if not 0.0 < eps_floor < 1.0 / n:
         raise ValueError("eps_floor must lie in (0, 1/n)")
-    *cols, log_ratio = _pooled_subsets(net)
+    _, boundary, _, _, log_ratio = cols = _pooled_subsets(net)
     if not log_ratio.size:
         a = uniform_alpha(n)
-        return a, _exponent(a, *cols, log_ratio)[0]
+        return a, _exponent(a, cols)
 
     # variables: alpha_0..alpha_{n-1}, t; one row t - log_ratio * B(alpha) <= 0
     nv = n + 1
     c = np.zeros(nv)
     c[-1] = 1.0
     a_ub = np.zeros((log_ratio.size, nv))
-    a_ub[:, :n] = np.where(cols[1].T, -log_ratio[:, None], 0.0)
+    a_ub[:, :n] = np.where(boundary.T, -log_ratio[:, None], 0.0)
     a_ub[:, -1] = 1.0
     a_eq = np.zeros((1, nv))
     a_eq[0, :n] = 1.0
@@ -222,7 +196,7 @@ def optimal_alpha(net: Network, eps_floor: float = DEFAULT_EPS_FLOOR):
     if sol.status != "optimal":
         raise RuntimeError(f"optimal-alpha LP returned {sol.status}")
     alpha = sol.x[:n] / sol.x[:n].sum()
-    return alpha, _exponent(check_alpha(alpha, n), *cols, log_ratio)[0]
+    return alpha, _exponent(check_alpha(alpha, n), cols)
 
 
 def kl_rate(f, phi) -> float:

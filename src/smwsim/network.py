@@ -19,6 +19,7 @@ import numpy as np
 NORMALIZATION_TOL = 1e-12
 CLOSED_CAP = 16384  # most closed subsets: LP pivots about one per row
 SUM_BLOCK = 1 << 15  # most entries per float block of masked_sum
+PAIR_BLOCK = 1024  # columns per (pairs x columns) block of _pair_sums
 
 
 class NetworkError(ValueError):
@@ -72,7 +73,6 @@ class Network:
     def drainable(self) -> tuple:
         """Read-only columns of exponent.drainable_subsets and their log
         ratios (-inf at lambda 0, unpooled nets only), kept from first use."""
-        from .exponent import _drainable   # exponent imports this module
         cols = _drainable(self, *self.hall[1:])
         logs = [math.log(r) if r else -math.inf for r in np.divide(*cols[2:])]
         return _read_only(*cols, np.array(logs))
@@ -128,8 +128,8 @@ def build_network(n_supply, n_demand, edges, phi, travel_time=None,
 
     Demand nodes whose row of ``phi`` is all zero are dropped (with a
     warning) and indices are compacted.  ``phi`` is normalized to total
-    mass one; an isolated demand node or out-of-range edge raises
-    NetworkError.
+    mass one; an isolated demand node, an out-of-range edge or time
+    matrices on more demand than supply nodes raise NetworkError.
     """
     n, m = int(n_supply), int(n_demand)
     if n <= 0 or m <= 0:
@@ -170,6 +170,9 @@ def build_network(n_supply, n_demand, edges, phi, travel_time=None,
 
     mass = phi.sum()
     phi = phi / mass
+    if m > n and (travel_time is not None or pickup_time is not None):
+        raise NetworkError("timed mode maps demand nodes onto supply zones; "
+                           "needs n_demand <= n_supply")
 
     def _times(t, name):
         if t is None:
@@ -209,6 +212,29 @@ def _nontrivial_pairs(net: Network):
     exists: {j} drains through it, and a draining J drains through some j
     in J and k outside N(J), which contains N(j)."""
     return np.nonzero((net.phi > 0) & ~net.adjacency)
+
+
+def _drainable(net: Network, members, nbrs):
+    """Columns (members, boundary, lambda, mu) of the drainable subsets
+    (mu > 0) among those given by their member and neighborhood masks."""
+    # a node k outside the neighborhood never serves a member j, so only
+    # the nontrivial pairs add to mu; pairs without rate add only zeros
+    lam = _pair_sums(net.phi, np.nonzero(net.phi), ~members, nbrs)
+    mu = _pair_sums(net.phi, _nontrivial_pairs(net), members, ~nbrs)
+    return [a.compress(mu > 0, axis=-1) for a in (members, nbrs, lam, mu)]
+
+
+def _pair_sums(phi, pairs, rows, cols):
+    """Per column, the sum of phi[j, k] over the (j, k) pairs, in order,
+    where rows[j] and cols[k] are both set: ``masked_sum`` on the pair
+    masks, formed PAIR_BLOCK columns at a time to bound the memory."""
+    j, k = pairs
+    out = np.empty(rows.shape[1])
+    for at in range(0, out.size, PAIR_BLOCK):
+        out[at:at + PAIR_BLOCK] = masked_sum(
+            rows[j, at:at + PAIR_BLOCK] & cols[k, at:at + PAIR_BLOCK],
+            phi[j, k])
+    return out
 
 
 def closed_subsets(net: Network):
@@ -260,15 +286,15 @@ def mask_indices(masks) -> list:
 
 
 def masked_sum(masks, values) -> np.ndarray:
-    """Per column of ``masks`` (terms x columns, extra rows ignored), the
-    sum of values[t] over its set rows t: the values go into a zeroed
-    C-ordered block whose ``sum(axis=0)`` adds the rows one at a time, so
-    each nonnegative sum (x + 0.0 == x) is sequential, bit for bit.  A spare
-    zero column keeps numpy from summing a lone column pairwise."""
+    """Per column of ``masks`` (one row per value), the sum of values[t]
+    over its set rows t: the values go into a zeroed C-ordered block whose
+    ``sum(axis=0)`` adds the rows one at a time, so each nonnegative sum
+    (x + 0.0 == x) is sequential, bit for bit.  A spare zero column keeps
+    numpy from summing a lone column pairwise."""
     out = np.empty(masks.shape[1])
     step = SUM_BLOCK // (len(values) + 1) + 1
     for at in range(0, out.size, step):
-        block = masks[:len(values), at:at + step]
+        block = masks[:, at:at + step]
         terms = np.zeros((len(values), block.shape[1] + 1))
         np.copyto(terms[:, :-1], values[:, None], where=block)
         out[at:at + step] = terms.sum(axis=0)[:-1]

@@ -87,12 +87,9 @@ def _initial_queues(policy: Policy, K: int, init) -> list:
 
 
 def _check_zones(net: Network, mode: str) -> None:
-    """Travel times exist, and demand node j is supply zone j."""
+    """Travel times exist (build_network gave each demand node a zone)."""
     if net.travel_time is None:
         raise ValueError(f"{mode} requires a travel time matrix")
-    if net.n_demand > net.n_supply:
-        raise ValueError("timed mode maps demand nodes onto supply zones; "
-                         "needs n_demand <= n_supply")
 
 
 def draw_events(net: Network, rng, size: int) -> np.ndarray:

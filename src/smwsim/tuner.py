@@ -124,8 +124,10 @@ def tune(net: Network, cfg: TuneConfig, tune_beta: bool = False) -> TuneResult:
                   if tune_beta else None) for _ in range(cfg.population)]
 
         vals = _evaluate(net, cfg, cands, rep_seeds, space, made)
-        scored, means = [], np.nanmean(vals, axis=1).tolist()
-        for c, ((alpha, beta), mean) in enumerate(zip(cands, means)):
+        with np.errstate(invalid="ignore"):   # 0 / 0 where every run is nan
+            means = np.nansum(vals, axis=1) / (~np.isnan(vals)).sum(axis=1)
+        scored = []
+        for c, ((alpha, beta), mean) in enumerate(zip(cands, means.tolist())):
             finite = vals[c][np.isfinite(vals[c])]
             stderr = float(np.std(finite, ddof=1) / np.sqrt(len(finite))) \
                 if len(finite) > 1 else 0.0

@@ -8,8 +8,8 @@ as a plain set.  It holds 2^m columns: use it for small nets only.
 
 import numpy as np
 
-from smwsim.exponent import _drainable, _stats
-from smwsim.network import masked_sum
+from smwsim.exponent import _stats
+from smwsim.network import _drainable, masked_sum
 
 LATTICE_CAP = 20  # most demand nodes, at 2^m columns
 

@@ -256,14 +256,39 @@ def test_fleet(tmp_path, capsys):
     assert rep["k_fl"] >= rep["k_in_transit"]
 
 
-def test_fleet_needs_a_zone_per_demand_node(tmp_path, capsys):
+@pytest.fixture
+def wide_net_file(tmp_path):
+    """Two supply zones, three demand nodes and 2x2 times, as a file: the
+    third demand node has no zone, so build_network refuses it."""
     path = tmp_path / "wide.json"
-    save_network(build_network(
-        2, 3, [(i, j) for i in range(2) for j in range(3)], np.ones((3, 2)),
-        travel_time=[[0.0, 5.0], [5.0, 0.0]]), path)
-    assert main(["fleet", str(path), "--total-rate", "2.0"]) == 1
+    path.write_text(json.dumps({
+        "n_supply": 2, "n_demand": 3,
+        "edges": [[i, j] for i in range(2) for j in range(3)],
+        "phi": np.ones((3, 2)).tolist(),
+        "travel_time": [[0.0, 5.0], [5.0, 0.0]],
+        "pickup_time": [[0.0, 2.0], [2.0, 0.0]]}))
+    return str(path)
+
+
+def test_fleet_needs_a_zone_per_demand_node(wide_net_file, capsys):
+    assert main(["fleet", wide_net_file, "--total-rate", "2.0"]) == 1
     assert "timed mode maps demand nodes onto supply zones; needs " \
         "n_demand <= n_supply" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["exact", "--policy", "{pickup}", "--K", "2"],
+    ["exact", "--policy", "fluid", "--K", "2"],
+    ["tune", "--budget", "20", "--steps", "100", "--tune-beta"]])
+def test_more_demand_than_supply_zones_is_input_error(
+        wide_net_file, tmp_path, capsys, args):
+    pickup = tmp_path / "pickup.json"
+    pickup.write_text(json.dumps({"kind": "smw_pickup", "alpha": [0.5, 0.5],
+                                  "beta": 0.1}))
+    argv = [args[0], wide_net_file] + [a.format(pickup=pickup)
+                                       for a in args[1:]]
+    assert main(argv) == 1
+    assert "needs n_demand <= n_supply" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("args", [

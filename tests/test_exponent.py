@@ -27,9 +27,11 @@ from smwsim.instances import (
     random_crp,
     symmetric_ring,
 )
-from smwsim.exponent import _drainable, check_alpha
+import smwsim.exponent as exponent_module
+import smwsim.network as network_module
+from smwsim.exponent import check_alpha
 from smwsim.lp import LinearProgram, solve_lp
-from smwsim.network import (SUM_BLOCK, Network, SubsetCapError,
+from smwsim.network import (SUM_BLOCK, Network, SubsetCapError, _drainable,
                             closed_subsets, hall_subsets, mask_indices,
                             masked_sum)
 from subset_lattice import (every_drainable_subset, neighborhood, subset_table,
@@ -274,21 +276,50 @@ def test_optimal_alpha_random_crp_bit_for_bit(n, monkeypatch):
     assert peak < 8 * 2**20   # 4.1 MiB at n = 16
 
 
-def test_results_keep_subset_masks_bit_packed():
+def test_results_share_the_net_subset_columns():
     net = random_crp(15, seed=0)
     alpha, res = optimal_alpha(net)
-    (members, boundary, lam, _), kept_alpha = res._columns
-    assert kept_alpha.tobytes() == alpha.tobytes()
-    for mask, nodes in ((members, net.n_demand), (boundary, net.n_supply)):
-        assert mask.dtype == np.uint8
-        assert mask.shape == (math.ceil(nodes / 8), lam.size) == (2, 141)
+    assert res._columns[0] is net.drainable     # no copy of the masks
+    assert len(res.per_subset) == 141
     assert hexed(res.per_subset) == hexed(gamma_loop(net, alpha)[2])
     complete = build_network(3, 3, [(i, j) for i in range(3)
                                      for j in range(3)], np.ones((3, 3)) / 9)
     alpha, res = optimal_alpha(complete)
+    assert res._columns[0] is complete.drainable
     assert res.is_infinite and res.per_subset == ()
-    assert [(a.dtype, a.shape) for a in res._columns[0][:2]] == \
-        [(np.uint8, (1, 0))] * 2
+
+
+def test_reading_a_result_sums_nothing_again(monkeypatch):
+    calls = []
+
+    def spy(name, module):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a: calls.append(name)
+                            or real(*a))
+
+    for net in (example1(), symmetric_ring(10), random_crp(15, seed=0)):
+        alpha, res = optimal_alpha(net)
+        for name, module in (("masked_sum", exponent_module),
+                             ("masked_sum", network_module),
+                             ("_exponent", exponent_module)):
+            spy(name, module)
+        per, path = res.per_subset, res.rate_path(net)
+        assert calls == [] and per and path.kl_rate > 0
+        monkeypatch.undo()
+
+
+def test_rate_path_on_another_net_is_refused():
+    for net, other in ((random_crp(4, seed=0), random_crp(4, seed=1)),
+                       (symmetric_ring(5), random_crp(4, seed=1)),
+                       (example1(), replace(example1()))):
+        res = gamma(net, uniform_alpha(net.n_supply))
+        with pytest.raises(ValueError, match="net this result was computed"):
+            res.rate_path(other)
+        assert "drainable" not in vars(other)   # started no subset pass
+        gamma(other, uniform_alpha(other.n_supply))
+        with pytest.raises(ValueError, match="net this result was computed"):
+            res.rate_path(other)                # the other's own pass
+    assert res.rate_path(net).critical_subset == (0,)
 
 
 def exponent_calls(net):
@@ -1097,11 +1128,10 @@ def test_masked_sum_equals_the_sequential_adds():
             same(masks, values)
             same(masks[:, :1], values)   # a lone column
         if not res.is_infinite:
-            # the zero-padded unpacked rows per_subset passes, and the
-            # one column rate_path passes
-            padded = np.unpackbits(res._columns[0][1], axis=0).view(bool)
-            same(padded, alpha)
-            same(padded[:net.n_supply, -1:], alpha)
+            # the boundary columns _exponent sums, and a lone one
+            boundary = net.drainable[1]
+            same(boundary, alpha)
+            same(boundary[:, -1:], alpha)
     for n in (12, 13):   # the lattice spans more than one block
         net = random_crp(n, seed=0)
         masks = subset_table(net)[1]

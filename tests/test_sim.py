@@ -17,7 +17,7 @@ from smwsim import (
     solve_transportation,
     vanilla_policy,
 )
-from smwsim.network import build_network
+from smwsim.network import NetworkError, build_network
 from smwsim.policies import NO_COMPATIBLE_SUPPLY, POLICY_DECLINED
 from smwsim.sim import (_SAMPLE_BLOCK, _arrival_blocks, draw_events,
                         fluid_flow, proportional_init)
@@ -213,17 +213,23 @@ def test_fleet_requirement_values():
 
 
 def test_more_demand_than_supply_nodes_fail_alike_in_timed_and_fleet():
-    # demand node j is supply zone j; a third demand node has no zone
-    net = build_network(2, 3, [(i, j) for i in range(2) for j in range(3)],
-                        np.ones((3, 2)), travel_time=[[0.0, 5.0], [5.0, 0.0]])
+    # demand node j is supply zone j; a third demand node has no zone, so
+    # the build refuses any time matrix that a timed run or fleet sizing reads
+    args = (2, 3, [(i, j) for i in range(2) for j in range(3)], np.ones((3, 2)))
+    times = [[0.0, 5.0], [5.0, 0.0]]
     errors = []
+    for kw in ({"travel_time": times}, {"pickup_time": times},
+               {"travel_time": times, "pickup_time": times}):
+        with pytest.raises(NetworkError, match="n_demand <= n_supply") as exc:
+            build_network(*args, **kw)
+        errors.append(str(exc.value))
+    assert len(set(errors)) == 1
+    net = build_network(*args)     # without times: no zones to map
     for run in (lambda: fleet_requirement(net, 1.0),
                 lambda: run_timed(net, vanilla_policy(net),
                                   TimedConfig(1.0, 100.0, 4))):
-        with pytest.raises(ValueError, match="n_demand <= n_supply") as exc:
+        with pytest.raises(ValueError, match="requires a travel time matrix"):
             run()
-        errors.append(str(exc.value))
-    assert len(set(errors)) == 1
 
 
 def test_fleet_requirement_matches_bruteforce():

@@ -125,6 +125,13 @@ def test_tune_beta_needs_pickup_times():
         tune(example1(), TuneConfig(budget=20, steps=100), tune_beta=True)
 
 
+def test_tune_without_a_finite_objective_raises_and_warns_nothing():
+    # 0.01 expected arrivals per run: every run's drop fraction is nan
+    cfg = TuneConfig(budget=20, timed=TimedConfig(0.001, 10.0, 4))
+    with pytest.raises(RuntimeError, match="no candidate produced a finite"):
+        tune(example1(with_times=True), cfg)
+
+
 @pytest.mark.parametrize("frac", [-0.5, math.nan])
 def test_timed_tune_rejects_warmup_outside_the_horizon(frac):
     cfg = TuneConfig(budget=20, timed=TimedConfig(1.0, 100.0, 4,
