@@ -14,6 +14,7 @@ import hashlib
 import json
 import re
 import sys
+from types import MappingProxyType
 
 import numpy as np
 
@@ -261,14 +262,13 @@ _POLICY = re.compile(r"smw:[^,]*(?:,[-+]?[\d.]+(?:[eE][-+]?\d+)?(?=,|$))*"
                      r"|[^,]+")
 # options a (command, mode) does not read; None marks one not given, and
 # _parse_args fills in these defaults after its check
-_UNREAD = {("gamma", "optimal"): ["alpha"],
-           ("sweep", "exact"): ["seeds", "timed", "steps", "total_rate",
-                                "horizon"],
-           ("sweep", "timed"): ["steps"],
-           ("sweep", None): ["total_rate", "horizon"],
-           ("transient", None): ["total_rate"]}
-_MODE_DEFAULTS = {"seeds": [0], "timed": False, "steps": 100000,
-                  "total_rate": 1.0, "horizon": 10000.0}
+_UNREAD = MappingProxyType({
+    ("gamma", "optimal"): ("alpha",), ("sweep", "timed"): ("steps",),
+    ("sweep", "exact"): ("seeds", "timed", "steps", "total_rate", "horizon"),
+    ("sweep", None): ("total_rate", "horizon"),
+    ("transient", None): ("total_rate",)})
+_MODE_DEFAULTS = MappingProxyType(dict(seeds=(0,), timed=False, steps=100000,
+                                       total_rate=1.0, horizon=10000.0))
 
 
 def build_parser():

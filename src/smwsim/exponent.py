@@ -59,6 +59,7 @@ class ExponentResult:
     # the net's Network.drainable, and from the one _exponent pass the
     # boundary masses, contributions and critical_subsets[0]'s column
     _columns: tuple = field(repr=False)
+    _net: Network = field(repr=False)     # the net those columns belong to
 
     @property
     def per_subset(self) -> tuple:
@@ -78,8 +79,7 @@ class ExponentResult:
         by the inflow/outflow ratio, the reverse flows are deflated, the rest
         keeps its typical rate."""
         (members, boundary, lam, mu, _), mass, _, k = self._columns
-        # identity, read without starting a subset pass on the given net
-        if vars(net).get("drainable") is not self._columns[0]:
+        if net is not self._net:
             raise ValueError("rate_path needs the net this result was "
                              "computed on")
         if self.is_infinite:
@@ -147,10 +147,10 @@ def gamma(net: Network, alpha) -> ExponentResult:
     """Decay exponent of SMW(alpha): min over drainable subsets of
     (resting supply mass on the boundary) * log(inflow/outflow)."""
     alpha = check_alpha(alpha, net.n_supply)
-    return _exponent(alpha, _pooled_subsets(net))
+    return _exponent(alpha, net, _pooled_subsets(net))
 
 
-def _exponent(alpha, cols) -> ExponentResult:
+def _exponent(alpha, net, cols) -> ExponentResult:
     """gamma on a pooled net's Network.drainable columns, alpha checked."""
     members, boundary, _, _, log_ratio = cols
     # each mass adds alpha a node at a time in ascending order: sum()'s bits
@@ -161,7 +161,7 @@ def _exponent(alpha, cols) -> ExponentResult:
     ranked = sorted(zip(mask_indices(members[:, crit]), crit.tolist()))
     first = ranked[0][1] if ranked else None    # rate_path's column
     return ExponentResult(best, tuple(s for s, _ in ranked),
-                          (cols, mass, contrib, first))
+                          (cols, mass, contrib, first), net)
 
 
 def optimal_alpha(net: Network, eps_floor: float = DEFAULT_EPS_FLOOR):
@@ -178,7 +178,7 @@ def optimal_alpha(net: Network, eps_floor: float = DEFAULT_EPS_FLOOR):
     _, boundary, _, _, log_ratio = cols = _pooled_subsets(net)
     if not log_ratio.size:
         a = uniform_alpha(n)
-        return a, _exponent(a, cols)
+        return a, _exponent(a, net, cols)
 
     # variables: alpha_0..alpha_{n-1}, t; one row t - log_ratio * B(alpha) <= 0
     nv = n + 1
@@ -196,7 +196,7 @@ def optimal_alpha(net: Network, eps_floor: float = DEFAULT_EPS_FLOOR):
     if sol.status != "optimal":
         raise RuntimeError(f"optimal-alpha LP returned {sol.status}")
     alpha = sol.x[:n] / sol.x[:n].sum()
-    return alpha, _exponent(check_alpha(alpha, n), cols)
+    return alpha, _exponent(check_alpha(alpha, n), net, cols)
 
 
 def kl_rate(f, phi) -> float:

@@ -127,9 +127,10 @@ def build_network(n_supply, n_demand, edges, phi, travel_time=None,
     """Construct a validated, normalized Network.
 
     Demand nodes whose row of ``phi`` is all zero are dropped (with a
-    warning) and indices are compacted.  ``phi`` is normalized to total
-    mass one; an isolated demand node, an out-of-range edge or time
-    matrices on more demand than supply nodes raise NetworkError.
+    warning) and indices are compacted; with time matrices they raise
+    NetworkError instead.  ``phi`` is normalized to total mass one; an
+    isolated demand node, an out-of-range edge or time matrices on more
+    demand than supply nodes raise NetworkError.
     """
     n, m = int(n_supply), int(n_demand)
     if n <= 0 or m <= 0:
@@ -148,6 +149,10 @@ def build_network(n_supply, n_demand, edges, phi, travel_time=None,
     # drop zero-rate demand nodes, compact indices
     keep = [j for j in range(m) if phi[j].sum() > 0.0]
     if len(keep) < m:
+        if travel_time is not None or pickup_time is not None:
+            raise NetworkError(   # compacting would shift the zone map
+                f"demand node(s) {sorted(set(range(m)) - set(keep))} have "
+                "zero arrival rate, but timed mode maps demand j to zone j")
         warnings.warn(
             f"dropping {m - len(keep)} demand node(s) with zero arrival rate",
             stacklevel=2,

@@ -84,6 +84,20 @@ def _argmax_table(states, nodes, inv, penalty=0.0):
     return [(np.where((q > 0).any(axis=1), last, DROP), 1.0)]
 
 
+def smw_rows(net: Network, alpha, beta=None) -> list:
+    """SMW's rows per origin j: (nodes, 1 / alpha[nodes], beta * D[nodes, j])
+    over j's compatible nodes, D = 0 without beta.  A leading candidate axis
+    on alpha and beta gives one set per candidate, as _argmax_table reads."""
+    if beta is None:
+        beta, times = 0.0, np.zeros((net.n_supply, net.n_demand))
+    elif (times := net.pickup_time) is None:
+        raise ValueError("pickup-aware policy requires a pickup time matrix")
+    nbrs = [np.array(net.supply_neighbors(j)) for j in range(net.n_demand)]
+    return [(nodes, 1.0 / alpha[..., nodes],
+             np.multiply.outer(beta, times[nodes, j]))
+            for j, nodes in enumerate(nbrs)]
+
+
 class SmwPolicy(Policy):
     """Dispatch from the compatible node with the largest scaled queue.
 
@@ -92,14 +106,13 @@ class SmwPolicy(Policy):
     """
 
     name = "smw"
+    beta = None     # pickup penalty weight, set by SmwPickupPolicy
 
     def __init__(self, net: Network, alpha):
         super().__init__(net)
         self.alpha = check_alpha(alpha, net.n_supply)
-        inv = (1.0 / self.alpha).tolist()
-        # per origin: (node, 1 / alpha[node], 0) over its compatible nodes
-        self._nbrs = [[(i, inv[i], 0.0) for i in net.supply_neighbors(j)]
-                      for j in range(net.n_demand)]
+        self._nbrs = [list(zip(*(a.tolist() for a in rows)))
+                      for rows in smw_rows(net, self.alpha, self.beta)]
 
     def rest_weights(self, n):
         return self.alpha
@@ -198,17 +211,10 @@ class SmwPickupPolicy(SmwPolicy):
     name = "smw-pickup"
 
     def __init__(self, net: Network, alpha, beta):
-        if net.pickup_time is None:
-            raise ValueError("pickup-aware policy requires a pickup time matrix")
         if not 0 <= beta < np.inf:     # nan fails too
             raise ValueError("beta must be nonnegative and finite")
-        super().__init__(net, alpha)
         self.beta = float(beta)
-        pickup = net.pickup_time.tolist()
-        # per origin: (node, 1 / alpha[node], beta * D[node, origin])
-        self._nbrs = [[(i, inv, self.beta * pickup[i][j])
-                       for i, inv, _ in nbrs]
-                      for j, nbrs in enumerate(self._nbrs)]
+        super().__init__(net, alpha)
 
 
 def _nested(value, depth, types) -> bool:

@@ -35,7 +35,8 @@ import numpy as np
 
 from .chain import StateSpace, transitions
 from .network import Network
-from .policies import DROP, SmwPolicy, SmwPickupPolicy, _argmax_table
+from .policies import (DROP, SmwPolicy, SmwPickupPolicy, _argmax_table,
+                       smw_rows)
 from .sim import (_SAMPLE_BLOCK, DEFAULT_JUMP_WARMUP_FRAC, TimedConfig,
                   draw_events, proportional_init, run_jump_chain, run_timed)
 
@@ -99,8 +100,6 @@ def tune(net: Network, cfg: TuneConfig, tune_beta: bool = False) -> TuneResult:
     n = net.n_supply
     if not 0.0 < cfg.eps_floor < 1.0 / n:     # as optimal_alpha checks it
         raise ValueError("eps_floor must lie in (0, 1/n)")
-    if tune_beta and net.pickup_time is None:   # as SmwPickupPolicy checks it
-        raise ValueError("pickup-aware policy requires a pickup time matrix")
     rng = np.random.default_rng(cfg.seed)
     seed_seq = np.random.SeedSequence(cfg.seed)
     conc = np.full(n, DEFAULT_CONCENTRATION / n)
@@ -170,13 +169,9 @@ def _evaluate(net, cfg: TuneConfig, cands, seeds, space, made) -> np.ndarray:
     # deterministic SMW, the whole population at once: per origin, one
     # source row per candidate; a key is its rows' bytes, origins in order
     alpha = np.array([a for a, _ in cands])
-    beta = None if cands[0][1] is None else np.array([[b] for _, b in cands])
-    srcs = []
-    for j in range(net.n_demand):
-        nbrs = list(net.supply_neighbors(j))
-        penalty = 0.0 if beta is None else beta * net.pickup_time[nbrs, j]
-        srcs.append(_argmax_table(space.states, nbrs, 1.0 / alpha[:, nbrs],
-                                  penalty)[0][0])
+    beta = None if cands[0][1] is None else np.array([b for _, b in cands])
+    srcs = [_argmax_table(space.states, *rows)[0][0]
+            for rows in smw_rows(net, alpha, beta)]
     starts = np.abs(space.states - proportional_init(alpha, cfg.K)[:, None])\
         .sum(axis=2).argmin(axis=1).tolist()
     steps, codes = cfg.steps, functools.cache(functools.partial(_stream, net))

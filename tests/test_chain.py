@@ -26,6 +26,9 @@ from smwsim.instances import (example1, example1_crp_violated, random_crp,
                               symmetric_ring)
 from smwsim.lp import solve_transportation
 from smwsim.policies import DROP
+from smwsim.tuner import _clip_simplex
+
+from best_smw import best_smw, table_keys
 
 
 def fluid_policy(net):
@@ -187,6 +190,41 @@ def test_alpha_ordering_at_finite_k():
     p_uniform = stationary_drop_probability(
         net, SmwPolicy(net, [0.5, 0.5]), 40).drop_probability
     assert p_heavy < p_uniform
+
+
+def dirichlet_alphas(n, count, seed=0, floor=1e-3):
+    rng = np.random.default_rng(seed)
+    return np.array([_clip_simplex(a, floor)
+                     for a in rng.dirichlet(np.ones(n), count)])
+
+
+def test_best_smw_reference_beats_vanilla_and_the_lp_vertex():
+    # the finite-K best SMW over an alpha sample, one solve per table key
+    net, K = random_crp(3, seed=0), 10
+    alphas = dirichlet_alphas(3, 400)
+    best, alpha, keys = best_smw(net, alphas, K)
+    assert keys == 340 and best <= 1e-10     # 7.72e-11
+    assert best == stationary_drop_probability(
+        net, SmwPolicy(net, alpha), K).drop_probability
+    for policy in (vanilla_policy(net), SmwPolicy(net, optimal_alpha(net)[0])):
+        # 1.29e-7 and 1.81e-7
+        assert stationary_drop_probability(net, policy, K).drop_probability \
+            >= 100 * best
+
+
+def test_alphas_with_one_table_key_have_one_drop_probability():
+    net, K = random_crp(3, seed=0), 10
+    alphas = dirichlet_alphas(3, 60, seed=1)
+    keys = table_keys(net, alphas, K)
+    assert len(keys) < len(alphas)
+    first = {c: stationary_drop_probability(net, SmwPolicy(net, alphas[c]), K)
+             for c in keys.values()}
+    for key, c in table_keys(net, alphas[::-1], K).items():   # last first
+        got = stationary_drop_probability(
+            net, SmwPolicy(net, alphas[::-1][c]), K)
+        want = first[keys[key]]
+        assert got.stationary.tobytes() == want.stationary.tobytes()
+        assert got.drop_probability == want.drop_probability
 
 
 def test_crp_violating_floor():

@@ -256,6 +256,19 @@ def test_fleet(tmp_path, capsys):
     assert rep["k_fl"] >= rep["k_in_transit"]
 
 
+def test_fleet_refuses_a_zero_rate_demand_node(tmp_path, capsys):
+    # compacted, origin 1 would read zone 1's times: 1.0 in transit, not 9.0
+    t = [[1.0, 1.0, 1.0], [1.0, 1.0, 9.0], [1.0, 9.0, 1.0]]
+    path = tmp_path / "zero_row.json"
+    path.write_text(json.dumps({
+        "n_supply": 3, "n_demand": 3,
+        "edges": [[i, j] for i in range(3) for j in range(3)],
+        "phi": [[0, 0, 0], [0, 0, 1], [0, 1, 0]], "travel_time": t}))
+    assert main(["fleet", str(path), "--total-rate", "1.0"]) == 1
+    assert "demand node(s) [0] have zero arrival rate" in \
+        capsys.readouterr().err
+
+
 @pytest.fixture
 def wide_net_file(tmp_path):
     """Two supply zones, three demand nodes and 2x2 times, as a file: the

@@ -395,6 +395,21 @@ def answer_calls(net, alpha, f):
             lambda: min_drift_speed(net, alpha, f).hex())
 
 
+def test_rate_path_answers_after_the_net_rebuilds_its_columns():
+    # two threads' first queries can each build Network.drainable (no lock
+    # in cached_property since Python 3.12); the result keeps its own net
+    net = random_crp(4, seed=0)
+    res = gamma(net, uniform_alpha(4))
+    want = res.rate_path(net)
+    del vars(net)["drainable"]
+    assert net.drainable is not res._columns[0]
+    got = res.rate_path(net)
+    assert (got.f_star.tobytes(), got.drain_time, got.kl_rate) == \
+        (want.f_star.tobytes(), want.drain_time, want.kl_rate)
+    with pytest.raises(ValueError, match="net this result was computed"):
+        res.rate_path(replace(net))
+
+
 def test_kept_columns_answer_cold_and_warm_bit_for_bit():
     from test_network import unpooled_random
     rng = np.random.default_rng(29)

@@ -138,6 +138,30 @@ def test_zero_rate_demand_node_dropped():
     assert net.supply_neighbors(1) == (0, 1)
 
 
+def zero_row_timed(times):
+    """3 zones, demand row 0 all zero, 9-minute trips 1 <-> 2, and the
+    given time matrices: compacting would give origin 0 zone 0's times."""
+    t = np.ones((3, 3))
+    t[1, 2] = t[2, 1] = 9.0
+    phi = [[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]]
+    edges = [(i, j) for i in range(3) for j in range(3)]
+    return build_network(3, 3, edges, phi, **{k: t for k in times})
+
+
+@pytest.mark.parametrize("times", [("travel_time",), ("pickup_time",),
+                                   ("travel_time", "pickup_time")])
+def test_zero_rate_demand_node_on_a_timed_net_is_refused(times):
+    with pytest.raises(NetworkError, match=r"demand node\(s\) \[0\] have "
+                       "zero arrival rate, but timed mode"):
+        zero_row_timed(times)
+
+
+def test_zero_rate_demand_node_on_an_untimed_net_is_compacted():
+    with pytest.warns(UserWarning, match="dropping 1 demand node"):
+        net = zero_row_timed(())
+    assert (net.n_demand, net.n_supply) == (2, 3)
+
+
 def test_rejects_isolated_demand_node():
     with pytest.raises(NetworkError, match="no compatible supply"):
         build_network(2, 2, [(0, 0)], [[0.5, 0.0], [0.25, 0.25]])

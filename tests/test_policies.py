@@ -13,8 +13,9 @@ from smwsim import (
     solve_transportation,
     vanilla_policy,
 )
+import smwsim.policies as policies_module
 from smwsim.chain import StateSpace
-from smwsim.policies import NO_COMPATIBLE_SUPPLY, _argmax_table
+from smwsim.policies import NO_COMPATIBLE_SUPPLY, _argmax_table, smw_rows
 from smwsim.instances import example1, random_crp, symmetric_ring
 from smwsim.sim import fluid_flow
 
@@ -336,6 +337,40 @@ def test_population_table_equals_each_policy_table():
                     assert src[c].tobytes() == ref.tobytes()
                 drops += int((src == DROP).sum())
     assert drops > 0    # rows whose compatible queues are all empty
+
+
+def test_smw_rows_are_the_policies_own():
+    # the builder's rows with a candidate axis, through _argmax_table, give
+    # each policy's dispatch_table row for row, and dispatch agrees
+    rng = np.random.default_rng(31)
+    for net, pickup in ((example1(), False),
+                        (example1(with_times=True), True)):
+        n = net.n_supply
+        alphas = rng.dirichlet(np.ones(n), 20)
+        betas = rng.exponential(0.5, 20) if pickup else None
+        states = StateSpace.enumerate(n, 12).states
+        pols = [SmwPickupPolicy(net, a, betas[c]) if pickup
+                else SmwPolicy(net, a) for c, a in enumerate(alphas)]
+        for j, rows in enumerate(smw_rows(net, alphas, betas)):
+            (src, p), = _argmax_table(states, *rows)
+            assert p == 1.0 and src.shape == (20, len(states))
+            for c, pol in enumerate(pols):
+                (ref, _), = pol.dispatch_table(states, j)
+                assert src[c].tobytes() == ref.tobytes()
+                for k in rng.choice(len(states), 10).tolist():
+                    assert pol.dispatch(states[k].tolist(), j).source == \
+                        src[c, k]
+
+
+def test_smw_policies_build_their_rows_once(monkeypatch):
+    calls = []
+    real = policies_module.smw_rows
+    monkeypatch.setattr(policies_module, "smw_rows",
+                        lambda *a: calls.append(a[2]) or real(*a))
+    net = example1(with_times=True)
+    assert SmwPolicy(net, [0.5, 0.5]).beta is None
+    assert SmwPickupPolicy(net, [0.5, 0.5], 0.25).beta == 0.25
+    assert calls == [None, 0.25]
 
 
 def test_fluid_table_equals_flow_table():
