@@ -102,6 +102,8 @@ def build_chain(net: Network, policy: Policy, K: int,
     randomized policies expand into their exact decision distributions.
     Drop events are self-loops whose probability is recorded separately.
     """
+    if policy.net is not net:
+        raise ValueError("the policy was built on another net")
     space = StateSpace.enumerate(net.n_supply, K, cap)
     nstates = len(space.states)
     row, source, pw, tgt = transitions(net, [policy.dispatch_table(
@@ -190,7 +192,7 @@ def stationary_drop_probability(net: Network, policy: Policy, K: int,
     number of recurrent classes is reported rather than averaged over.
     """
     P, drop_mass, space = build_chain(net, policy, K, cap)
-    init = proportional_init(policy.rest_weights(net.n_supply), K)
+    init = proportional_init(policy.rest_weights(), K)
     gap = np.abs(space.states - init).sum(axis=1)   # L1; 0 only at init
     nclosed, members = _recurrent_class(P, int(gap.argmin()))
     # pin the class state nearest the resting point, near the bulk of pi;

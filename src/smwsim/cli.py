@@ -112,7 +112,7 @@ def cmd_gamma(args):
                "drainable_subsets": len(rows),   # subset rows of the LP
                "config_hash": _config_hash(args)}
     if not res.is_infinite:
-        path = res.rate_path(net)
+        path = res.rate_path()
         summary["f_star"] = path.f_star.tolist()
         summary["drain_time"] = path.drain_time
         summary["kl_rate"] = path.kl_rate

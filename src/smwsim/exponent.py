@@ -56,41 +56,39 @@ class SubsetStats:
 class ExponentResult:
     gamma: float                  # math.inf when no subset is drainable
     critical_subsets: tuple       # argmin subsets (members tuples)
-    # the net's Network.drainable, and from the one _exponent pass the
-    # boundary masses, contributions and critical_subsets[0]'s column
-    _columns: tuple = field(repr=False)
-    _net: Network = field(repr=False)     # the net those columns belong to
+    # from the one _exponent pass over _net.drainable: the boundary
+    # masses, contributions and critical_subsets[0]'s column
+    _pass: tuple = field(repr=False)
+    _net: Network = field(repr=False)
 
     @property
     def per_subset(self) -> tuple:
         """(SubsetStats, boundary mass, contribution) per closed drainable
         subset."""
-        cols, mass, contrib, _ = self._columns
-        return tuple(zip(_stats(*cols[:4]), mass.tolist(), contrib.tolist()))
+        mass, contrib, _ = self._pass
+        return tuple(zip(_stats(*self._net.drainable[:4]), mass.tolist(),
+                         contrib.tolist()))
 
     @property
     def is_infinite(self) -> bool:
         return math.isinf(self.gamma)
 
-    def rate_path(self, net: Network) -> RatePath:
+    def rate_path(self) -> RatePath:
         """Exponentially twisted rate matrix draining the lexicographically
-        smallest critical subset, from this result's columns and its net:
+        smallest critical subset, from this result's pass on its net:
         demand from inside the subset to outside its neighborhood is inflated
         by the inflow/outflow ratio, the reverse flows are deflated, the rest
         keeps its typical rate."""
-        (members, boundary, lam, mu, _), mass, _, k = self._columns
-        if net is not self._net:
-            raise ValueError("rate_path needs the net this result was "
-                             "computed on")
         if self.is_infinite:
             raise ValueError("no drainable subset: most likely path undefined")
-        inside, bnd = members[:, k], boundary[:, k]
-        lam, mu, mass = float(lam[k]), float(mu[k]), float(mass[k])
-        f = net.phi.copy()
+        mass, _, k = self._pass
+        inside, bnd, lam, mu, _ = (c[..., k] for c in self._net.drainable)
+        lam, mu, mass = float(lam), float(mu), float(mass[k])
+        f = self._net.phi.copy()
         f[np.ix_(inside, ~bnd)] *= lam / mu
         f[np.ix_(~inside, bnd)] /= lam / mu
         return RatePath(f, self.critical_subsets[0], mass / (lam - mu),
-                        kl_rate(f, net.phi))
+                        kl_rate(f, self._net.phi))
 
 
 @dataclass(frozen=True)
@@ -161,7 +159,7 @@ def _exponent(alpha, net, cols) -> ExponentResult:
     ranked = sorted(zip(mask_indices(members[:, crit]), crit.tolist()))
     first = ranked[0][1] if ranked else None    # rate_path's column
     return ExponentResult(best, tuple(s for s, _ in ranked),
-                          (cols, mass, contrib, first), net)
+                          (mass, contrib, first), net)
 
 
 def optimal_alpha(net: Network, eps_floor: float = DEFAULT_EPS_FLOOR):
@@ -217,8 +215,8 @@ def kl_rate(f, phi) -> float:
 
 
 def most_likely_path(net: Network, alpha) -> RatePath:
-    """``gamma(net, alpha).rate_path(net)``: see ExponentResult.rate_path."""
-    return gamma(net, alpha).rate_path(net)
+    """``gamma(net, alpha).rate_path()``: see ExponentResult.rate_path."""
+    return gamma(net, alpha).rate_path()
 
 
 def lyapunov(alpha, x) -> float:

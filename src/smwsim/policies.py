@@ -66,9 +66,9 @@ class Policy:
     def dispatch_table(self, states, origin):
         return _argmax_table(states, *zip(*self._nbrs[origin]))
 
-    def rest_weights(self, n: int) -> np.ndarray:
+    def rest_weights(self) -> np.ndarray:
         """Weights used for the default initial supply placement."""
-        return uniform_alpha(n)
+        return uniform_alpha(self.net.n_supply)
 
 
 def _argmax_table(states, nodes, inv, penalty=0.0):
@@ -114,7 +114,7 @@ class SmwPolicy(Policy):
         self._nbrs = [list(zip(*(a.tolist() for a in rows)))
                       for rows in smw_rows(net, self.alpha, self.beta)]
 
-    def rest_weights(self, n):
+    def rest_weights(self):
         return self.alpha
 
 

@@ -69,14 +69,16 @@ def proportional_init(weights, K: int) -> np.ndarray:
     return base + (np.argsort(order, axis=-1) < short)   # +1 to the top short
 
 
-def _initial_queues(policy: Policy, K: int, init) -> list:
+def _initial_queues(net: Network, policy: Policy, K: int, init) -> list:
     """Checked ``init``, n nonnegative integers summing to K, as a list of
-    ints; default: K split by rest weights."""
-    n = policy.net.n_supply
+    ints; default: K split by rest weights.  The policy must be net's own."""
+    if policy.net is not net:
+        raise ValueError("the policy was built on another net")
+    n = net.n_supply
     if init is None:
         if K < 0:
             raise ValueError(f"fleet size K={K} must be nonnegative")
-        return proportional_init(policy.rest_weights(n), K).tolist()
+        return proportional_init(policy.rest_weights(), K).tolist()
     q = np.asarray(init)
     if q.shape != (n,) or q.dtype.kind not in "iuf" \
             or not np.all((np.floor(q) == q) & (q >= 0)):   # nan fails too
@@ -147,7 +149,7 @@ def run_jump_chain(net: Network, policy: Policy, K: int, steps: int,
     if not 0 <= warmup < steps:
         raise ValueError("need steps > warmup >= 0")
     n = net.n_supply
-    q = _initial_queues(policy, K, init)
+    q = _initial_queues(net, policy, K, init)
 
     rng = np.random.default_rng(seed)
     pairs = [divmod(d, net.phi.shape[1]) for d in range(net.phi.size)]
@@ -202,7 +204,7 @@ def run_timed(net: Network, policy: Policy, cfg: TimedConfig,
         raise ValueError("with_pickup requires a pickup time matrix")
 
     n = net.n_supply
-    q = _initial_queues(policy, cfg.k_tot, init)
+    q = _initial_queues(net, policy, cfg.k_tot, init)
     horizon = cfg.horizon_minutes
     warmup_t = cfg.warmup_frac * horizon
     if not 0 <= warmup_t < horizon:   # also rejects a NaN warmup_frac

@@ -60,8 +60,8 @@ class TuneConfig:
     def __post_init__(self):
         if self.population < 1:
             raise ValueError("population must be at least 1")
-        if self.budget < self.population:
-            raise ValueError("budget must cover at least one population")
+        if self.budget < 1 or self.budget % self.population:
+            raise ValueError("budget must be a positive multiple of population")
         if self.replications < 1:
             raise ValueError("need at least one replication per candidate")
 

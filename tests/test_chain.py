@@ -1,5 +1,7 @@
 import gc
 import math
+from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -15,8 +17,12 @@ from smwsim import (
     exact_exponent_curve,
     gamma,
     optimal_alpha,
+    TimedConfig,
+    estimate_exponent,
     run_jump_chain,
+    run_timed,
     stationary_drop_probability,
+    uniform_alpha,
     vanilla_policy,
 )
 from smwsim import chain
@@ -360,6 +366,45 @@ def test_tail_slope_matches_gamma(alpha):
     for (k0, p0), (k1, p1) in zip(curve, curve[1:]):
         slope = -(math.log(p1) - math.log(p0)) / (k1 - k0)
         assert slope == pytest.approx(g, abs=1e-3)
+
+
+@pytest.mark.parametrize("n, seed, Ks", [
+    *((3, s, (100, 200, 300, 400)) for s in range(5)),
+    *((4, s, (30, 45, 60)) for s in (0, 3))])
+def test_fitted_tail_slope_matches_gamma_on_random_nets(n, seed, Ks):
+    # the least-squares slope over every K, off by at most 0.34% here;
+    # a two-point slope misses by 2% (random_crp(3, 1), K=300 to 400)
+    net = random_crp(n, seed=seed)
+    alpha = uniform_alpha(n)
+    slope, _ = estimate_exponent(
+        exact_exponent_curve(net, SmwPolicy(net, alpha), Ks))
+    assert slope == pytest.approx(gamma(net, alpha).gamma, rel=0.01)
+
+
+ENTRY_POINTS = {
+    "run_jump_chain": lambda net, pol: run_jump_chain(net, pol, 10, 100),
+    "run_timed": lambda net, pol: run_timed(net, pol,
+                                            TimedConfig(1.0, 50.0, 10)),
+    "build_chain": lambda net, pol: build_chain(net, pol, 10),
+    "stationary_drop_probability":
+        lambda net, pol: stationary_drop_probability(net, pol, 10),
+    "exact_exponent_curve":
+        lambda net, pol: exact_exponent_curve(net, pol, [10, 12]),
+}
+
+
+@pytest.mark.parametrize("run", ENTRY_POINTS.values(), ids=ENTRY_POINTS)
+def test_a_policy_runs_only_on_the_net_it_was_built_on(run):
+    # random_crp(4, 0) under vanilla_policy(random_crp(4, 1)) served demand
+    # through non-edges: exact p = 0.0841 at K=10, against 0.0421 for the
+    # net's own policy.  A dataclasses.replace copy is another net too.
+    timed = run is ENTRY_POINTS["run_timed"]
+    make = partial(random_crp, 4, with_times=timed)
+    net = make(seed=0)
+    for other in (make(seed=1), replace(net)):
+        with pytest.raises(ValueError, match="built on another net"):
+            run(net, vanilla_policy(other))
+    run(net, vanilla_policy(net))
 
 
 @pytest.mark.parametrize("n, K", [(4, 20), (5, 10)])

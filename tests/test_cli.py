@@ -347,6 +347,12 @@ def test_tune_population_zero_is_input_error(net_file, capsys):
     assert "population" in capsys.readouterr().err
 
 
+def test_tune_budget_off_a_population_multiple_is_input_error(net_file,
+                                                              capsys):
+    assert main(["tune", net_file, "--budget", "30"]) == 1
+    assert "multiple of population" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", [
     ["tune", "--budget", "20", "--steps", "100", "--K", "-1"],
     ["exact", "--K", "-1"],

@@ -277,15 +277,16 @@ def test_optimal_alpha_random_crp_bit_for_bit(n, monkeypatch):
 
 
 def test_results_share_the_net_subset_columns():
+    # a result keeps no column of its own: it reads its net's
     net = random_crp(15, seed=0)
     alpha, res = optimal_alpha(net)
-    assert res._columns[0] is net.drainable     # no copy of the masks
+    assert res._net is net and max(np.ndim(a) for a in res._pass) == 1
     assert len(res.per_subset) == 141
     assert hexed(res.per_subset) == hexed(gamma_loop(net, alpha)[2])
     complete = build_network(3, 3, [(i, j) for i in range(3)
                                      for j in range(3)], np.ones((3, 3)) / 9)
     alpha, res = optimal_alpha(complete)
-    assert res._columns[0] is complete.drainable
+    assert res._net is complete
     assert res.is_infinite and res.per_subset == ()
 
 
@@ -303,23 +304,9 @@ def test_reading_a_result_sums_nothing_again(monkeypatch):
                              ("masked_sum", network_module),
                              ("_exponent", exponent_module)):
             spy(name, module)
-        per, path = res.per_subset, res.rate_path(net)
+        per, path = res.per_subset, res.rate_path()
         assert calls == [] and per and path.kl_rate > 0
         monkeypatch.undo()
-
-
-def test_rate_path_on_another_net_is_refused():
-    for net, other in ((random_crp(4, seed=0), random_crp(4, seed=1)),
-                       (symmetric_ring(5), random_crp(4, seed=1)),
-                       (example1(), replace(example1()))):
-        res = gamma(net, uniform_alpha(net.n_supply))
-        with pytest.raises(ValueError, match="net this result was computed"):
-            res.rate_path(other)
-        assert "drainable" not in vars(other)   # started no subset pass
-        gamma(other, uniform_alpha(other.n_supply))
-        with pytest.raises(ValueError, match="net this result was computed"):
-            res.rate_path(other)                # the other's own pass
-    assert res.rate_path(net).critical_subset == (0,)
 
 
 def exponent_calls(net):
@@ -370,7 +357,7 @@ def answer_calls(net, alpha, f):
     def optimal():
         alpha_star, res = optimal_alpha(net)
         return (alpha_star.tobytes(), res.gamma.hex(), res.critical_subsets,
-                hexed(res.per_subset), res.rate_path(net).f_star.tobytes())
+                hexed(res.per_subset), res.rate_path().f_star.tobytes())
 
     def at_alpha():
         res = gamma(net, alpha)
@@ -397,17 +384,17 @@ def answer_calls(net, alpha, f):
 
 def test_rate_path_answers_after_the_net_rebuilds_its_columns():
     # two threads' first queries can each build Network.drainable (no lock
-    # in cached_property since Python 3.12); the result keeps its own net
-    net = random_crp(4, seed=0)
-    res = gamma(net, uniform_alpha(4))
-    want = res.rate_path(net)
-    del vars(net)["drainable"]
-    assert net.drainable is not res._columns[0]
-    got = res.rate_path(net)
-    assert (got.f_star.tobytes(), got.drain_time, got.kl_rate) == \
-        (want.f_star.tobytes(), want.drain_time, want.kl_rate)
-    with pytest.raises(ValueError, match="net this result was computed"):
-        res.rate_path(replace(net))
+    # in cached_property since Python 3.12); the result reads its net's
+    def bits(res):
+        p = res.rate_path()
+        return (p.f_star.tobytes(), p.critical_subset, p.drain_time.hex(),
+                p.kl_rate.hex(), hexed(res.per_subset))
+
+    for net in (random_crp(4, seed=0), example1(), symmetric_ring(10)):
+        res = optimal_alpha(net)[1]
+        want, old = bits(res), net.drainable
+        del vars(net)["drainable"]
+        assert net.drainable is not old and bits(res) == want
 
 
 def test_kept_columns_answer_cold_and_warm_bit_for_bit():
@@ -1011,7 +998,7 @@ def test_rate_path_reads_the_result_columns():
     for net in [random_crp(n, seed=s) for n in (3, 6, 9) for s in range(3)] \
             + [example1(), symmetric_ring(10)]:
         alpha, res = optimal_alpha(net)
-        path, ref = res.rate_path(net), most_likely_path(net, alpha)
+        path, ref = res.rate_path(), most_likely_path(net, alpha)
         assert path.critical_subset == ref.critical_subset
         assert path.f_star.tobytes() == ref.f_star.tobytes()
         assert (path.drain_time.hex(), path.kl_rate.hex()) == \
@@ -1019,7 +1006,7 @@ def test_rate_path_reads_the_result_columns():
     complete = build_network(3, 3, [(i, j) for i in range(3)
                                     for j in range(3)], np.ones((3, 3)))
     with pytest.raises(ValueError, match="most likely path undefined"):
-        gamma(complete, uniform_alpha(3)).rate_path(complete)
+        gamma(complete, uniform_alpha(3)).rate_path()
     with pytest.raises(ValueError, match="most likely path undefined"):
         most_likely_path(complete, uniform_alpha(3))
 

@@ -68,6 +68,10 @@ def test_tune_prefers_heavy_first_node(result):
 def test_tune_budget_validation():
     with pytest.raises(ValueError, match="population"):
         TuneConfig(budget=5, population=20)
+    # a remainder was dropped: budget 39 ran 20 evaluations
+    for budget in (39, 0, -20):
+        with pytest.raises(ValueError, match="multiple of population"):
+            TuneConfig(budget=budget, population=20)
     with pytest.raises(ValueError, match="replication"):
         TuneConfig(replications=0)
     with pytest.raises(ValueError, match="population"):
