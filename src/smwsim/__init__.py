@@ -34,7 +34,6 @@ from .policies import (
     DispatchDecision,
     FluidPolicy,
     PriorityPolicy,
-    SmwPickupPolicy,
     SmwPolicy,
     policy_from_spec,
     vanilla_policy,

@@ -78,9 +78,7 @@ def _make_policy(net, name, eps_floor):
     if name == "smw-optimal" or name.startswith("smw:"):
         alpha = (optimal_alpha(net, eps_floor)[0] if name == "smw-optimal"
                  else _float_list(name[4:]))
-        p = SmwPolicy(net, alpha)
-        p.name = name
-        return p
+        return SmwPolicy(net, alpha)
     with open(name) as fh:
         return policy_from_spec(net, json.load(fh))
 

@@ -102,9 +102,10 @@ class RatePath:
 
 def check_alpha(alpha, n: int) -> np.ndarray:
     """Validate a scaling vector: 1-D of length n, positive, sums to 1."""
-    alpha = np.atleast_1d(np.array(alpha, dtype=float))
-    if alpha.shape != (n,):
-        raise ValueError(f"alpha must be a vector of length {n}")
+    alpha = np.atleast_1d(np.asarray(alpha))
+    if alpha.shape != (n,) or alpha.dtype.kind not in "iuf":   # no bool, str
+        raise ValueError(f"alpha must be a vector of length {n} of numbers")
+    alpha = alpha.astype(float)
     if not abs(alpha.sum() - 1.0) <= 1e-12:     # nan fails too
         raise ValueError("alpha must sum to 1")
     if not np.all(alpha >= np.finfo(float).tiny):

@@ -46,7 +46,6 @@ class Policy:
     that subclasses list in ``_nbrs[origin]``; FluidPolicy draws instead.
     ``randomized`` says whether dispatch draws from rng."""
 
-    name = "base"
     randomized = False
 
     def __init__(self, net: Network):
@@ -101,16 +100,17 @@ def smw_rows(net: Network, alpha, beta=None) -> list:
 class SmwPolicy(Policy):
     """Dispatch from the compatible node with the largest scaled queue.
 
-    Score is queues[i] / alpha[i]; drop only when every compatible queue
-    is empty; ties go to the highest index.
+    Score is queues[i] / alpha[i], less beta * D[i, origin] when a pickup
+    penalty beta is given; drop only when every compatible queue is empty;
+    ties go to the highest index.
     """
 
-    name = "smw"
-    beta = None     # pickup penalty weight, set by SmwPickupPolicy
-
-    def __init__(self, net: Network, alpha):
+    def __init__(self, net: Network, alpha, beta=None):
         super().__init__(net)
         self.alpha = check_alpha(alpha, net.n_supply)
+        if beta is not None and not 0 <= beta < np.inf:     # nan fails too
+            raise ValueError("beta must be nonnegative and finite")
+        self.beta = None if beta is None else float(beta)
         self._nbrs = [list(zip(*(a.tolist() for a in rows)))
                       for rows in smw_rows(net, self.alpha, self.beta)]
 
@@ -120,15 +120,11 @@ class SmwPolicy(Policy):
 
 def vanilla_policy(net: Network) -> SmwPolicy:
     """Unscaled MaxWeight: SMW with uniform scaling."""
-    p = SmwPolicy(net, uniform_alpha(net.n_supply))
-    p.name = "vanilla"
-    return p
+    return SmwPolicy(net, uniform_alpha(net.n_supply))
 
 
 class PriorityPolicy(Policy):
     """Serve each demand node from a fixed ordered list of supply nodes."""
-
-    name = "priority"
 
     def __init__(self, net: Network, priority_lists):
         super().__init__(net)
@@ -137,12 +133,14 @@ class PriorityPolicy(Policy):
         # per origin: (node, 0, rank), so the first nonempty node scores best
         self._nbrs = []
         for j in range(net.n_demand):
-            lst = [int(i) for i in priority_lists[j]]
-            if sorted(lst) != sorted(net.supply_neighbors(j)):
+            lst = list(priority_lists[j])     # int() would truncate 1.7
+            ints = all(isinstance(i, (int, np.integer)) and type(i) is not bool
+                       for i in lst)
+            if not ints or sorted(lst) != sorted(net.supply_neighbors(j)):
                 raise ValueError(
                     f"priority list for demand node {j} is not a permutation "
                     f"of its compatible supply nodes")
-            self._nbrs.append([(i, 0.0, float(r)) for r, i in enumerate(lst)])
+            self._nbrs.append([(int(i), 0.0, float(r)) for r, i in enumerate(lst)])
 
 
 class FluidPolicy(Policy):
@@ -154,7 +152,6 @@ class FluidPolicy(Policy):
     -- no fallback, by definition of state-independent policies.
     """
 
-    name = "fluid"
     randomized = True
 
     def __init__(self, net: Network, flow_table):
@@ -205,18 +202,6 @@ class FluidPolicy(Policy):
                 for src, p in zip(self._sources[origin], self._probs[origin])]
 
 
-class SmwPickupPolicy(SmwPolicy):
-    """SMW score penalized by pickup time: queues[i]/alpha[i] - beta * D[i, origin]."""
-
-    name = "smw-pickup"
-
-    def __init__(self, net: Network, alpha, beta):
-        if not 0 <= beta < np.inf:     # nan fails too
-            raise ValueError("beta must be nonnegative and finite")
-        self.beta = float(beta)
-        super().__init__(net, alpha)
-
-
 def _nested(value, depth, types) -> bool:
     """Whether value is a JSON number of one of types inside depth lists."""
     if depth == 0:
@@ -249,6 +234,6 @@ def policy_from_spec(net: Network, spec: dict) -> Policy:
     if kind == "fluid_random":
         return FluidPolicy(net, field("flow_table", 2, "lists of numbers"))
     if kind == "smw_pickup":
-        return SmwPickupPolicy(net, field("alpha", 1, "a list of numbers"),
-                               field("beta", 0, "a number"))
+        return SmwPolicy(net, field("alpha", 1, "a list of numbers"),
+                         field("beta", 0, "a number"))
     raise ValueError(f"unknown policy kind: {kind!r}")

@@ -5,9 +5,9 @@ numbers across candidates within an iteration so comparisons are
 low-variance and runs replay bit-exactly from the seed.  Each choice
 follows from one input:
 
-- policy: ``tune_beta`` also draws a log-normal pickup penalty beta and
-  scores pickup-aware SMW, ``SmwPickupPolicy(alpha, beta)``, which needs
-  a net with pickup times; otherwise ``SmwPolicy(alpha)``.
+- policy: ``SmwPolicy(net, alpha, beta)``.  ``tune_beta`` also draws a
+  log-normal pickup penalty beta, which needs a net with pickup times;
+  otherwise beta is None.
 - simulator, chosen once per call: ``cfg.timed`` set runs ``run_timed``
   under it, adding pickup delay exactly when the net has pickup times.
   Otherwise a jump-chain run at fleet size ``cfg.K`` walks the chain's
@@ -35,8 +35,7 @@ import numpy as np
 
 from .chain import StateSpace, transitions
 from .network import Network
-from .policies import (DROP, SmwPolicy, SmwPickupPolicy, _argmax_table,
-                       smw_rows)
+from .policies import DROP, SmwPolicy, _argmax_table, smw_rows
 from .sim import (_SAMPLE_BLOCK, DEFAULT_JUMP_WARMUP_FRAC, TimedConfig,
                   draw_events, proportional_init, run_jump_chain, run_timed)
 
@@ -163,9 +162,8 @@ def _evaluate(net, cfg: TuneConfig, cands, seeds, space, made) -> np.ndarray:
         run = (lambda p, s: run_timed(net, p, cfg.timed, pickup, s)) \
             if cfg.timed is not None else \
             (lambda p, s: run_jump_chain(net, p, cfg.K, cfg.steps, seed=s))
-        return np.array([[run(p, s).drop_fraction for s in seeds] for p in (
-            SmwPolicy(net, a) if b is None else SmwPickupPolicy(net, a, b)
-            for a, b in cands)])
+        return np.array([[run(p, s).drop_fraction for s in seeds]
+                         for p in (SmwPolicy(net, a, b) for a, b in cands)])
     # deterministic SMW, the whole population at once: per origin, one
     # source row per candidate; a key is its rows' bytes, origins in order
     alpha = np.array([a for a, _ in cands])

@@ -59,3 +59,20 @@ def test_traced_run_gives_every_layer_metric(bench, name):
              json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]}
     # the traced-minus-plain round time, which run.traced_run adds itself
     assert names - metrics.keys() == {"trace.overhead_s"}
+
+
+def test_tracer_sees_pickup_aware_tuning(bench):
+    # the per-candidate path builds one SmwPolicy per candidate, beta or
+    # not, so the patched tuner.SmwPolicy traces each of them
+    spans, _ = bench
+    from smwsim import TimedConfig, TuneConfig, tune
+    from smwsim.instances import example1
+    cfg = TuneConfig(budget=4, population=2, seed=1,
+                     timed=TimedConfig(1.0, 200.0, 12))
+    tracer = spans.Tracer()
+    with tracer.installed():
+        tune(example1(with_times=True), cfg, tune_beta=True)
+    inits = [s for s in tracer.spans if s.name == "tuner.policy_init"]
+    metrics = spans.layer_metrics(tracer.spans)
+    assert len(inits) == 4
+    assert metrics["sim.steps"] == metrics["policies.dispatch_calls"] > 0

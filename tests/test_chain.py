@@ -32,6 +32,7 @@ from smwsim.instances import (example1, example1_crp_violated, random_crp,
                               symmetric_ring)
 from smwsim.lp import solve_transportation
 from smwsim.policies import DROP
+from smwsim.sim import fluid_flow
 from smwsim.tuner import _clip_simplex
 
 from best_smw import best_smw, table_keys
@@ -456,6 +457,30 @@ def test_example1_matches_birth_death_product(make, K):
     ref = (ref / ref.sum())[xs - lo]
     assert ref.min() < 1e-25                    # the tail is resolved
     assert np.all(np.abs(sol.stationary / ref - 1.0) <= 1e-12)
+
+
+def _jackson_nets():
+    yield "example1", example1()
+    yield "ring5-timed", symmetric_ring(5, with_times=True)
+    yield "crp3-0-timed", random_crp(3, seed=0, with_times=True)
+    for n in (3, 4, 5):
+        for seed in range(3):
+            yield f"crp{n}-{seed}", random_crp(n, seed=seed)
+
+
+@pytest.mark.parametrize("net", [net for _, net in _jackson_nets()],
+                         ids=[name for name, _ in _jackson_nets()])
+def test_fluid_drop_is_the_closed_jackson_form(net):
+    """Under the fluid flow, node i serves at the rate its inflow brings
+    (flow columns sum to the demand rates, rows to the inflows), so the
+    jump chain is a closed Jackson network with equal visit ratios: every
+    state of the simplex is equally likely, and a demand drops when it
+    draws an empty node, with probability (n - 1) / (K + n - 1)."""
+    pol = FluidPolicy(net, fluid_flow(net))
+    n = net.n_supply
+    for K in (5, 10, 20):
+        p = stationary_drop_probability(net, pol, K).drop_probability
+        assert abs(p / ((n - 1) / (K + n - 1)) - 1.0) <= 1e-12
 
 
 def test_stationary_solve_leaves_no_garbage():

@@ -912,6 +912,18 @@ def test_a_two_dimensional_alpha_is_rejected():
     assert check_alpha(1.0, 1).shape == (1,)   # a scalar for one node
 
 
+@pytest.mark.parametrize("alpha", [["0.2", "0.3", "0.5"], [True, False, False],
+                                   [0.2, None, 0.8]])
+def test_a_non_numeric_alpha_is_rejected(alpha):
+    # a float cast would read "0.2" as 0.2, True as 1.0 and None as nan
+    from smwsim import SmwPolicy
+    net = random_crp(3, seed=0)
+    for call in (lambda a: check_alpha(a, 3), lambda a: gamma(net, a),
+                 lambda a: SmwPolicy(net, a)):
+        with pytest.raises(ValueError, match="vector of length 3 of numbers"):
+            call(alpha)
+
+
 def test_most_likely_path_example1():
     net = example1()
     path = most_likely_path(net, [0.5, 0.5])

@@ -7,7 +7,6 @@ from smwsim import (
     DROP,
     FluidPolicy,
     PriorityPolicy,
-    SmwPickupPolicy,
     SmwPolicy,
     policy_from_spec,
     solve_transportation,
@@ -72,6 +71,19 @@ def test_priority(net):
 def test_priority_rejects_bad_list(net):
     with pytest.raises(ValueError, match="permutation"):
         PriorityPolicy(net, [[0], [1]])
+
+
+def test_priority_lists_hold_integer_node_indices():
+    # int() would read 1.7 as node 1 and True as node 1
+    net = random_crp(3, seed=0)
+    lists = [net.supply_neighbors(j) for j in range(3)]
+    assert PriorityPolicy(net, [np.array(lst) for lst in lists])._nbrs == \
+        PriorityPolicy(net, lists)._nbrs
+    for bad in ([[1.7, 2.7], [0.2, 2.9], [0.1, 1.5, 2.5]],
+                [[i + 0.0 for i in lst] for lst in lists],
+                [[True if i == 1 else i for i in lst] for lst in lists]):
+        with pytest.raises(ValueError, match="not a permutation"):
+            PriorityPolicy(net, bad)
 
 
 def fluid_for(net):
@@ -144,7 +156,7 @@ def test_fluid_flow_passes_the_flow_checks():
 def test_pickup_rejects_beta_outside_0_to_inf(beta):
     net = example1(with_times=True)
     with pytest.raises(ValueError, match="beta must be nonnegative"):
-        SmwPickupPolicy(net, [0.5, 0.5], beta)
+        SmwPolicy(net, [0.5, 0.5], beta)
     with pytest.raises(ValueError, match="beta must be nonnegative"):
         policy_from_spec(net, {"kind": "smw_pickup", "alpha": [0.5, 0.5],
                                "beta": beta})
@@ -171,7 +183,7 @@ def test_pickup_beta_zero_matches_smw():
                   for q in StateSpace.enumerate(n, K).states.tolist()]
         nbrs = [net.supply_neighbors(j) for j in range(net.n_demand)]
         for a in (np.full(n, 1.0 / n), np.arange(1.0, n + 1) * 2 / (n * n + n)):
-            base, pick = SmwPolicy(net, a), SmwPickupPolicy(net, a, 0.0)
+            base, pick = SmwPolicy(net, a), SmwPolicy(net, a, 0.0)
             for q in states:
                 for j in range(net.n_demand):
                     want = _smw_loop(base.alpha, nbrs, q, j)
@@ -194,17 +206,17 @@ def make_pickup_net(pickup):
 def test_pickup_prefers_near_node():
     # equal scaled queues; pickup times to origin 1 are (10, 2)
     net = make_pickup_net([[3.0, 10.0], [3.0, 2.0]])
-    pol = SmwPickupPolicy(net, [0.5, 0.5], beta=0.1)
+    pol = SmwPolicy(net, [0.5, 0.5], beta=0.1)
     assert pol.dispatch([4, 4], 1).source == 1
     far = make_pickup_net([[3.0, 2.0], [3.0, 10.0]])
-    pol2 = SmwPickupPolicy(far, [0.5, 0.5], beta=0.1)
+    pol2 = SmwPolicy(far, [0.5, 0.5], beta=0.1)
     assert pol2.dispatch([4, 4], 1).source == 0
     assert pol.dispatch([0, 0], 1).source == DROP
 
 
 def test_pickup_requires_matrix(net):
     with pytest.raises(ValueError, match="pickup time"):
-        SmwPickupPolicy(net, [0.5, 0.5], 0.1)
+        SmwPolicy(net, [0.5, 0.5], 0.1)
 
 
 def test_policy_from_spec(net):
@@ -251,7 +263,7 @@ def test_decisions_same_on_list_and_int_array():
     net = example1(with_times=True)
     pols = [vanilla_policy(net), SmwPolicy(net, [0.7, 0.3]),
             PriorityPolicy(net, [[0], [0, 1]]),
-            SmwPickupPolicy(net, [0.4, 0.6], 0.3), fluid_for(net)]
+            SmwPolicy(net, [0.4, 0.6], 0.3), fluid_for(net)]
     rng = np.random.default_rng(5)
     for pol in pols:
         a, b = np.random.default_rng(6), np.random.default_rng(6)
@@ -269,7 +281,7 @@ def _kernel_cases():
             yield net, [vanilla_policy(net), SmwPolicy(net, alpha),
                         PriorityPolicy(net, [net.supply_neighbors(j)[::-1]
                                              for j in range(n)]),
-                        SmwPickupPolicy(net, alpha[::-1], 0.05)]
+                        SmwPolicy(net, alpha[::-1], 0.05)]
 
 
 def test_dispatch_table_equals_scalar_dispatch():
@@ -331,7 +343,7 @@ def test_population_table_equals_each_policy_table():
                                           pen)
                 assert p == 1.0 and src.shape == (len(alphas), len(states))
                 for c, alpha in enumerate(alphas):
-                    pol = SmwPickupPolicy(net, alpha, betas[c, 0]) \
+                    pol = SmwPolicy(net, alpha, betas[c, 0]) \
                         if pickup else SmwPolicy(net, alpha)
                     (ref, _), = pol.dispatch_table(states, j)
                     assert src[c].tobytes() == ref.tobytes()
@@ -349,7 +361,7 @@ def test_smw_rows_are_the_policies_own():
         alphas = rng.dirichlet(np.ones(n), 20)
         betas = rng.exponential(0.5, 20) if pickup else None
         states = StateSpace.enumerate(n, 12).states
-        pols = [SmwPickupPolicy(net, a, betas[c]) if pickup
+        pols = [SmwPolicy(net, a, betas[c]) if pickup
                 else SmwPolicy(net, a) for c, a in enumerate(alphas)]
         for j, rows in enumerate(smw_rows(net, alphas, betas)):
             (src, p), = _argmax_table(states, *rows)
@@ -369,7 +381,7 @@ def test_smw_policies_build_their_rows_once(monkeypatch):
                         lambda *a: calls.append(a[2]) or real(*a))
     net = example1(with_times=True)
     assert SmwPolicy(net, [0.5, 0.5]).beta is None
-    assert SmwPickupPolicy(net, [0.5, 0.5], 0.25).beta == 0.25
+    assert SmwPolicy(net, [0.5, 0.5], 0.25).beta == 0.25
     assert calls == [None, 0.25]
 
 

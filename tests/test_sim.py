@@ -7,7 +7,6 @@ import pytest
 from smwsim import (
     FluidPolicy,
     PriorityPolicy,
-    SmwPickupPolicy,
     SmwPolicy,
     TimedConfig,
     estimate_exponent,
@@ -303,7 +302,7 @@ def _pin_policy(net, kind, decline=0.0):
             else net.pickup_time
         return FluidPolicy(net, (1.0 - decline) * solve_transportation(
             net.col_rates(), net.row_rates(), cost, support=list(net.edges)))
-    return SmwPickupPolicy(net, alpha, 0.2)
+    return SmwPolicy(net, alpha, 0.2)
 
 
 def _pin_run(cell):

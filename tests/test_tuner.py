@@ -7,7 +7,6 @@ import pytest
 import smwsim.policies as policies_module
 import smwsim.tuner as tuner_module
 from smwsim import (
-    SmwPickupPolicy,
     SmwPolicy,
     TimedConfig,
     TuneConfig,
@@ -120,7 +119,7 @@ def test_tune_beta_scores_the_pickup_policy():
     res = tune(net, cfg, tune_beta=True)
     assert res.beta is not None and res.beta > 0
     assert_trace_matches(res, cfg, lambda a, b, s: run_jump_chain(
-        net, SmwPickupPolicy(net, a, b), cfg.K, cfg.steps,
+        net, SmwPolicy(net, a, b), cfg.K, cfg.steps,
         seed=s).drop_fraction)
 
 
@@ -175,7 +174,7 @@ def _table_cases():
     yield pytest.param(net, cfg2, False, steady(net, cfg2), id="replications")
     net = example1(with_times=True)
     yield pytest.param(net, cfg2, True, steady(
-        net, cfg2, lambda net, a, b: SmwPickupPolicy(net, a, b)), id="beta")
+        net, cfg2, lambda net, a, b: SmwPolicy(net, a, b)), id="beta")
     net = example1()
     # blocks of k events with some left over: k = 2 at K=5 and 2000 steps,
     # 3 at K=8 and 6017, 1 at K=5 and 300
@@ -277,8 +276,7 @@ def test_tables_reuse_the_atoms_of_their_key(monkeypatch, seed):
     for module in (policies_module, tuner_module):
         monkeypatch.setattr(module, "_argmax_table",
                             lambda *a: calls.append(a[2].shape) or real(*a))
-    for name in ("SmwPolicy", "SmwPickupPolicy"):
-        monkeypatch.setattr(tuner_module, name, None)
+    monkeypatch.setattr(tuner_module, "SmwPolicy", None)
     res = tune(example1(), TuneConfig(seed=seed, budget=40))
     assert res.runs["tables"] > 0
     assert calls == [(20, 1), (20, 2)] * 2  # 2 origins, 2 iterations
