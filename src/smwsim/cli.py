@@ -52,8 +52,8 @@ EXIT_RUNTIME = 3
 
 
 def _config_hash(args) -> str:
-    """Hash of the parsed options; a non-JSON option value raises."""
-    d = {k: v for k, v in vars(args).items() if k != "fn"}
+    """Hash of the parsed options but --out; a non-JSON value raises."""
+    d = {k: v for k, v in vars(args).items() if k not in ("fn", "out")}
     return hashlib.sha1(json.dumps(d, sort_keys=True).encode()).hexdigest()[:12]
 
 

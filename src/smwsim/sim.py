@@ -88,15 +88,22 @@ def _initial_queues(net: Network, policy: Policy, K: int, init) -> list:
     return [int(x) for x in q.tolist()]      # exact, however large
 
 
-def _check_zones(net: Network, mode: str) -> None:
-    """Travel times exist (build_network gave each demand node a zone)."""
-    if net.travel_time is None:
-        raise ValueError(f"{mode} requires a travel time matrix")
-
-
 def draw_events(net: Network, rng, size: int) -> np.ndarray:
-    """``size`` draws of origin * n + dest from phi; calls extend a stream."""
-    return rng.choice(net.phi.size, size=size, p=net.phi.ravel())
+    """``size`` draws of origin * n + dest from phi; calls extend a stream.
+    Bit for bit ``rng.choice``'s: per uniform u, the count of cdf entries
+    <= u, from a guide table over 2^k buckets of [0, 1) (u * 2^k is exact);
+    only u in a bucket with a cdf entry strictly inside are searched."""
+    cdf = np.cumsum(net.phi.ravel())
+    cdf /= cdf[-1]
+    buckets = max(64, 1 << (16 * cdf.size - 1).bit_length())
+    edges = np.arange(buckets + 1) / buckets
+    lo = cdf.searchsorted(edges[:-1], "right")
+    guide = np.where(lo == cdf.searchsorted(edges[1:], "left"), lo, -1)
+    u = rng.random(size)
+    out = guide[(u * buckets).astype(np.intp)]
+    hit = np.flatnonzero(out < 0)
+    out[hit] = cdf.searchsorted(u[hit], "right")
+    return out
 
 
 def _arrival_blocks(net: Network, rng, scale: float, batched: bool):
@@ -199,7 +206,8 @@ def run_timed(net: Network, policy: Policy, cfg: TimedConfig,
     is discarded.
     """
     t0 = time.perf_counter()
-    _check_zones(net, "timed mode")
+    if net.travel_time is None:     # build_network gives each demand a zone
+        raise ValueError("timed mode requires a travel time matrix")
     if with_pickup and net.pickup_time is None:
         raise ValueError("with_pickup requires a pickup time matrix")
 
@@ -294,7 +302,8 @@ class FleetRequirement:
 def fleet_requirement(net: Network, total_rate: float) -> FleetRequirement:
     """Little's-law fleet sizing: mean cars in transit plus (when pickup
     times are present) the minimum mean cars en route to pickups."""
-    _check_zones(net, "fleet sizing")
+    if net.travel_time is None:
+        raise ValueError("fleet sizing requires a travel time matrix")
     if not 0 <= total_rate < math.inf:         # nan fails too
         raise ValueError("total_rate must be nonnegative and finite")
     k_transit = total_rate * float(np.sum(net.phi * net.travel_time[

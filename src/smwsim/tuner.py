@@ -7,7 +7,7 @@ follows from one input:
 
 - policy: ``SmwPolicy(net, alpha, beta)``.  ``tune_beta`` also draws a
   log-normal pickup penalty beta, which needs a net with pickup times;
-  otherwise beta is None.
+  otherwise beta is None.  One clip takes the whole population.
 - simulator, chosen once per call: ``cfg.timed`` set runs ``run_timed``
   under it, adding pickup delay exactly when the net has pickup times.
   Otherwise a jump-chain run at fleet size ``cfg.K`` walks the chain's
@@ -15,8 +15,9 @@ follows from one input:
   ``run_jump_chain``, the per-step reference the walk is tested against.
   The walk takes each population in one pass, with no policy object: one
   ``_argmax_table`` call per origin gives all dispatch sources (a table's
-  key), one row-wise ``proportional_init`` all start rows.  Each distinct
-  table is built once an iteration and composed to k events a lookup.
+  key), one row-wise ``proportional_init`` all start rows, and one
+  ``transitions`` call the iteration's distinct tables, each composed to
+  k events a lookup.
   Walks on it and one seed's events from one start, or from one state
   after warmup, share measured drops.
 
@@ -75,16 +76,18 @@ class TuneResult:
 
 
 def _clip_simplex(alpha, eps_floor):
-    a = np.clip(alpha, eps_floor, None)
-    a = a / a.sum()
+    a = np.clip(alpha, eps_floor, None)     # each row, on the last axis
+    a = a / a.sum(axis=-1, keepdims=True)
     # renormalizing can dip an entry below the floor, and so can the repair
     a = np.clip(a, eps_floor, None)
-    a = a / a.sum()
-    pinned = np.zeros(a.size, bool)
-    while np.any(a[~pinned] < eps_floor):  # pin to the floor, rescale the rest
-        pinned |= a < eps_floor    # one more a round; eps_floor < 1/n
-        a[pinned] = eps_floor
-        a[~pinned] *= (1.0 - pinned.sum() * eps_floor) / a[~pinned].sum()
+    a = a / a.sum(axis=-1, keepdims=True)
+    rows = a.reshape(-1, a.shape[-1])       # a view: repairs land in a
+    for i in np.flatnonzero((rows < eps_floor).any(axis=1)):
+        row, pin = rows[i], np.zeros(a.shape[-1], bool)
+        while np.any(row[~pin] < eps_floor):  # pin, rescale the rest
+            pin |= row < eps_floor    # one more a round; eps_floor < 1/n
+            row[pin] = eps_floor
+            row[~pin] *= (1.0 - pin.sum() * eps_floor) / row[~pin].sum()
     return a
 
 
@@ -117,33 +120,33 @@ def tune(net: Network, cfg: TuneConfig, tune_beta: bool = False) -> TuneResult:
     for it in range(n_iter):
         rep_seeds = [int(s.generate_state(1)[0]) for s in
                      seed_seq.spawn(cfg.replications)]
-        cands = [(_clip_simplex(rng.dirichlet(conc), cfg.eps_floor),
-                  float(np.exp(rng.normal(log_beta_mu, log_beta_sigma)))
-                  if tune_beta else None) for _ in range(cfg.population)]
+        alpha, betas = zip(*[(rng.dirichlet(conc), float(np.exp(rng.normal(
+            log_beta_mu, log_beta_sigma))) if tune_beta else None)
+            for _ in range(cfg.population)])   # then one clip for them all
+        alpha = _clip_simplex(np.array(alpha), cfg.eps_floor)
 
-        vals = _evaluate(net, cfg, cands, rep_seeds, space, made)
+        vals = _evaluate(net, cfg, alpha, betas, rep_seeds, space, made)
         with np.errstate(invalid="ignore"):   # 0 / 0 where every run is nan
             means = np.nansum(vals, axis=1) / (~np.isnan(vals)).sum(axis=1)
         scored = []
-        for c, ((alpha, beta), mean) in enumerate(zip(cands, means.tolist())):
+        for c, mean in enumerate(means.tolist()):
             finite = vals[c][np.isfinite(vals[c])]
             stderr = float(np.std(finite, ddof=1) / np.sqrt(len(finite))) \
                 if len(finite) > 1 else 0.0
             scored.append((mean, c))
-            trace.append((it, c, alpha.copy(), beta, mean, stderr))
+            trace.append((it, c, alpha[c].copy(), betas[c], mean, stderr))
             if mean < best[0]:
-                best = (mean, alpha.copy(), beta)
+                best = (mean, alpha[c].copy(), betas[c])
 
         scored.sort(key=lambda t: (t[0], t[1]))
         logging.getLogger(__name__).info("iteration %d: best mean %.6g; %s",
                                          it, scored[0][0], dict(made))
-        elites = [cands[c][0] for (_, c) in scored[:n_elite]]
-        elite_mean = np.mean(elites, axis=0)
+        elite_mean = np.mean(alpha[[c for _, c in scored[:n_elite]]], axis=0)
         target = elite_mean * DEFAULT_CONCENTRATION * \
             CONCENTRATION_GROWTH ** (it + 1)
         conc = SMOOTHING * target + (1.0 - SMOOTHING) * conc
         if tune_beta:
-            elite_betas = [cands[c][1] for (_, c) in scored[:n_elite]]
+            elite_betas = [betas[c] for (_, c) in scored[:n_elite]]
             log_beta_mu = SMOOTHING * float(np.mean(np.log(elite_betas))) \
                 + (1.0 - SMOOTHING) * log_beta_mu
             log_beta_sigma = max(0.1, SMOOTHING * float(
@@ -154,32 +157,33 @@ def tune(net: Network, cfg: TuneConfig, tune_beta: bool = False) -> TuneResult:
     return TuneResult(best[1], best[2], best[0], trace, made)
 
 
-def _evaluate(net, cfg: TuneConfig, cands, seeds, space, made) -> np.ndarray:
-    """Objective of each candidate (rows) at each replication seed."""
+def _evaluate(net, cfg, alpha, betas, seeds, space, made) -> np.ndarray:
+    """Objective of each candidate, a row of alpha and its beta (or None),
+    at each replication seed."""
     if space is None:       # a policy per candidate, a run per seed
-        made["simulated"] += len(cands) * len(seeds)
+        made["simulated"] += len(alpha) * len(seeds)
         pickup = net.pickup_time is not None
         run = (lambda p, s: run_timed(net, p, cfg.timed, pickup, s)) \
             if cfg.timed is not None else \
             (lambda p, s: run_jump_chain(net, p, cfg.K, cfg.steps, seed=s))
         return np.array([[run(p, s).drop_fraction for s in seeds]
-                         for p in (SmwPolicy(net, a, b) for a, b in cands)])
+                         for p in (SmwPolicy(net, a, b) for a, b in
+                                   zip(alpha, betas))])
     # deterministic SMW, the whole population at once: per origin, one
     # source row per candidate; a key is its rows' bytes, origins in order
-    alpha = np.array([a for a, _ in cands])
-    beta = None if cands[0][1] is None else np.array([b for _, b in cands])
-    srcs = [_argmax_table(space.states, *rows)[0][0]
-            for rows in smw_rows(net, alpha, beta)]
+    beta = None if betas[0] is None else betas
+    srcs = np.stack([_argmax_table(space.states, *rows)[0][0]
+                     for rows in smw_rows(net, alpha, beta)], axis=1)
     starts = np.abs(space.states - proportional_init(alpha, cfg.K)[:, None])\
         .sum(axis=2).argmin(axis=1).tolist()
     steps, codes = cfg.steps, functools.cache(functools.partial(_stream, net))
     warmup = int(steps * DEFAULT_JUMP_WARMUP_FRAC)
-    tables, walked, vals = {}, {}, np.empty((len(cands), len(seeds)))
-    for c, key in enumerate(row.tobytes() for row in np.hstack(srcs)):
-        if key not in tables:
-            made["tables"] += 1
-            tables[key] = _tables(net, [[(src[c], 1.0)] for src in srcs],
-                                  space, steps)
+    keys = [src.tobytes() for src in srcs]
+    at = dict(zip(keys, range(len(keys))))      # a candidate per key
+    made["tables"] += len(at)
+    tables = dict(zip(at, _tables(net, srcs[list(at.values())], space, steps)))
+    walked, vals = {}, np.empty((len(alpha), len(seeds)))
+    for c, key in enumerate(keys):
         k, width, *walk = tables[key]      # walk: next-row and drop lists
         start = starts[c] * width
         for r, s in enumerate(seeds):   # start -> after warmup -> drops
@@ -194,26 +198,33 @@ def _evaluate(net, cfg: TuneConfig, cands, seeds, space, made) -> np.ndarray:
     return vals
 
 
-def _tables(net, atoms, space, steps):
-    """k, row width, next-row and drop lists: per row, the row reached
-    (times the width) and drops on each block of k events, in C order, then
-    (k > 1) on each single event; k is the largest with rows * size^k * k^2
-    <= steps, so the table stays well below the walks that read it."""
-    _, source, _, tgt = transitions(net, atoms, space)
-    rows, size = len(space.states), net.phi.size
+def _tables(net, srcs, space, steps) -> list:
+    """Per key of srcs[key, origin] (a source per row), k, row width, next-row
+    and drop lists: per row, the row reached (times the width) and drops on
+    each block of k events, in C order, then (k > 1) on each single event;
+    k is the largest with rows * size^k * k^2 <= steps, so the table stays
+    well below the walks that read it.  One transitions call for all keys."""
+    keys, rows, size = len(srcs), len(space.states), net.phi.size
+    atoms = [[(src, 1.0) for src in by_key] for by_key in srcs.swapaxes(0, 1)]
+    source, tgt = transitions(net, atoms, space)[1::2]   # rates not kept
     k = 1
     while rows * size ** (k + 1) * (k + 1) ** 2 <= steps:
         k += 1
-    nxt = tgt = tgt.reshape(rows, size)
-    drops = hit = (source == DROP).repeat(net.n_supply).reshape(rows, size) * 1
+    # (row, origin, key) order to (key, row, origin * n + dest)
+    nxt = tgt = tgt.reshape(rows, -1, keys, net.n_supply)\
+        .transpose(2, 0, 1, 3).reshape(keys, rows, size)
+    drops = hit = (source == DROP).reshape(rows, -1, keys).transpose(2, 0, 1)\
+        .repeat(net.n_supply, axis=2) * 1
+    at = np.arange(keys)[:, None, None]
     for _ in range(k - 1):      # a block, then one more event
-        drops = (drops[:, :, None] + hit[nxt]).reshape(rows, -1)
-        nxt = tgt[nxt].reshape(rows, -1)
+        drops = (drops[..., None] + hit[at, nxt]).reshape(keys, rows, -1)
+        nxt = tgt[at, nxt].reshape(keys, rows, -1)
     if k > 1:                   # single events, for those left over
-        nxt, drops = np.hstack([nxt, tgt]), np.hstack([drops, hit])
-    width = nxt.shape[1]        # one int object per row offset: less memory
-    return k, width, (np.arange(rows, dtype=object) * width)[nxt].ravel()\
-        .tolist(), drops.ravel().tolist()
+        nxt, drops = np.dstack([nxt, tgt]), np.dstack([drops, hit])
+    width = nxt.shape[2]        # one int object per row offset: less memory
+    offsets = np.arange(rows, dtype=object) * width
+    return [(k, width, offsets[t].ravel().tolist(), d.ravel().tolist())
+            for t, d in zip(nxt, drops)]
 
 
 def _stream(net, seed, steps, lo=0, k=1) -> array:

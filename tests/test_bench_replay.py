@@ -1,8 +1,8 @@
 """The benchmark records a digest of the `simulate` and `tune` results at
-each seed; one set-up and one round must replay it (`simulate` at seed 1,
-`tune`, which is cheap, at every recorded seed), so a change that moves a
-simulation draw or a tuner decision fails here as well as in the
-benchmark.  Reads the benchmark's files and writes none."""
+each seed; one set-up and one round must replay it (`simulate` at seeds 1,
+4, 7 and 10, `tune`, which is cheap, at every recorded seed), so a change
+that moves a simulation draw or a tuner decision fails here as well as in
+the benchmark.  Reads the benchmark's files and writes none."""
 
 import sys
 from pathlib import Path
@@ -41,3 +41,8 @@ def test_recorded_digest_replays_at_seed_1(workloads, name):
 @pytest.mark.parametrize("seed", range(2, 11))
 def test_recorded_tune_digest_replays_at_every_seed(workloads, seed):
     replays(workloads, "tune", seed)
+
+
+@pytest.mark.parametrize("seed", [4, 7, 10])
+def test_recorded_simulate_digest_replays_at_more_seeds(workloads, seed):
+    replays(workloads, "simulate", seed)

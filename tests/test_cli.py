@@ -111,6 +111,21 @@ def test_gamma_counts_lp_rows_and_hashes_options(tmp_path, capsys):
     assert len(set(hashes)) == 3 and all(len(h) == 12 for h in hashes)
 
 
+@pytest.mark.parametrize("argv, changed", [
+    (["tune", "--budget", "20", "--steps", "500", "--K", "4"],
+     ["--steps", "600"]),
+    (["gamma", "--optimal"], ["--eps-floor", "0.01"])])
+def test_config_hash_ignores_where_the_output_goes(net_file, tmp_path, capsys,
+                                                   argv, changed):
+    # one computation prints one hash, whatever --out names
+    hashes = []
+    for out, extra in (("a.csv", []), ("b.csv", []), ("a.csv", changed)):
+        assert main([argv[0], net_file, *argv[1:], *extra,
+                     "--out", str(tmp_path / out)]) == 0
+        hashes.append(json.loads(capsys.readouterr().out)["config_hash"])
+    assert hashes[0] == hashes[1] != hashes[2]
+
+
 def test_gamma_optimal_builds_one_subset_table(tmp_path, capsys,
                                               monkeypatch):
     import smwsim.network as network

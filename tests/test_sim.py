@@ -174,6 +174,30 @@ def test_draw_events_is_the_sampler_stream(steps):
     assert list(islice(stream, steps)) == scalar
 
 
+def zero_rate_types():
+    """Demand types of zero rate between positive ones, and a last zero."""
+    phi = np.array([[0, 2, 1, 0], [1, 0, 0, 0], [0, 3, 1, 0], [0, 0, 5, 0]])
+    return build_network(4, 4, [(i, i) for i in range(4)], phi)
+
+
+@pytest.mark.parametrize("make", [
+    example1, lambda: symmetric_ring(10), lambda: random_crp(30, 0),
+    zero_rate_types, lambda: symmetric_ring(4)],   # 16 cdf steps of 1/16
+    ids=["example1", "ring10", "crp30", "zero-rates", "ring4"])
+def test_draw_events_is_generator_choice(make):
+    # the guide table gives choice's values and dtype, and leaves the
+    # generator where choice leaves it; this fails if choice changes
+    net = make()
+    p = net.phi.ravel()
+    for seed in range(3):
+        for size in (1, 7, 4096, 65_536):
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = draw_events(net, a, size)
+            want = b.choice(p.size, size=size, p=p)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert a.random() == b.random()
+
+
 def test_timed_requires_travel_matrix():
     net = example1()
     with pytest.raises(ValueError, match="travel time"):

@@ -198,9 +198,9 @@ def test_composed_tables_hold_no_more_entries_than_steps(monkeypatch, net, cfg,
                                                          tune_beta, run):
     built, real = [], tuner_module._tables
 
-    def spy(*args):
-        built.append(real(*args))
-        return built[-1]
+    def spy(*args):     # counts tables, one per key, not calls
+        built.extend(real(*args))
+        return built[-len(args[1]):]
     monkeypatch.setattr(tuner_module, "_tables", spy)
     res = tune(net, cfg, tune_beta=tune_beta)
     assert len(built) == res.runs["tables"] > 0
@@ -215,11 +215,15 @@ def test_blocks_are_the_longest_whose_table_fits(K, steps, k):
     # the largest k with states * phi.size^k * k^2 <= steps
     net = example1()
     space = tuner_module.StateSpace.enumerate(2, K)
-    pol = SmwPolicy(net, [0.7, 0.3])
-    atoms = [pol.dispatch_table(space.states, j) for j in range(net.n_demand)]
-    got, width, table, drop = tuner_module._tables(net, atoms, space, steps)
-    assert got == k and width == 4 ** k + 4 * (k > 1)
-    assert len(table) == len(drop) == (K + 1) * width <= steps
+    srcs = np.array([[SmwPolicy(net, alpha).dispatch_table(space.states, j)
+                      [0][0] for j in range(net.n_demand)]
+                     for alpha in ([0.7, 0.3], [0.2, 0.8])])
+    built = tuner_module._tables(net, srcs, space, steps)
+    assert built == [tuner_module._tables(net, srcs[i:i + 1], space, steps)[0]
+                     for i in range(2)]     # each key's own table
+    for got, width, table, drop in built:
+        assert got == k and width == 4 ** k + 4 * (k > 1)
+        assert len(table) == len(drop) == (K + 1) * width <= steps
 
 
 @pytest.mark.parametrize("steps, calls", [(44, 0), (43, 40)])
@@ -304,6 +308,19 @@ def test_clipped_candidates_stay_on_the_floor(n, conc):
         if ref.min() >= eps_floor:
             assert a.tobytes() == ref.tobytes()
     assert below > 0
+
+
+@pytest.mark.parametrize("n, conc", [(2, 0.02), (3, 0.05), (3, 0.5),
+                                     (6, 0.02), (10, 0.05)])
+def test_population_clip_is_the_per_row_clip(n, conc):
+    # one pass over the population gives each row's own clip bit for bit,
+    # rows that take the repair loop included
+    rng, eps_floor = np.random.default_rng(n), 1e-3
+    alpha = rng.dirichlet(np.full(n, conc), 2000)
+    got = tuner_module._clip_simplex(alpha, eps_floor)
+    rows = [tuner_module._clip_simplex(a, eps_floor) for a in alpha]
+    assert got.tobytes() == np.array(rows).tobytes()
+    assert any(clip_twice(a, eps_floor).min() < eps_floor for a in alpha)
 
 
 def test_tune_candidates_stay_on_the_floor():
