@@ -1,13 +1,13 @@
 """Linear-program solver (two-phase simplex, Bland's rule).
 
-Problems here have few columns but up to a few hundred rows (the
-optimal-alpha LP has n + 1 columns and one row per closed drainable
-subset plus the sum-to-one row: 142 rows at n = 15, 127 at n = 16).  The
-tableau is column-major, and stores a slack or artificial column only once
-it stops being a unit vector.  Most pivots enter such a column and change
-only the objective row; Bland's rule, kept for audit, fixes runs of them
-ahead, and a run is one accumulate.  Maximize c'x s.t. A x <= b,
-A_eq x = b_eq, bounds.
+Problems here have few columns and up to about 16k rows: the optimal-alpha
+LP has n + 1 columns, the sum-to-one row and one row per closed drainable
+subset (59-141 at n = 12-15, 1,227-5,150 at n = 30-40, 15,965 at n = 50),
+and pivots 1.03-1.13 times per row there.  The tableau is column-major,
+and stores a slack or artificial column only once it stops being a unit
+vector.  Most pivots enter such a column and change only the objective
+row; Bland's rule, kept for audit, fixes runs of them ahead, and a run is
+one accumulate.  Maximize c'x s.t. A x <= b, A_eq x = b_eq, bounds.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ import numpy as np
 FEAS_TOL = 1e-9
 PIVOT_TOL = 1e-11
 MAX_ITER = 20000
-RUN = 64        # most home pivots applied in one accumulate
-SCAN_MAX = 8    # ratio tests this short skip the numpy near-tie check
 
 
 @dataclass
@@ -203,28 +201,23 @@ class _Tableau:
         unit columns to 0 and 1 (in phase 2 they stay at 0), so no pivot
         moves a later one's multiplier or turns a unit column negative.
         One accumulate gives the stored reduced costs after each pivot
-        with ``_reduce``'s bits (a zero entry adds +-0); the run stops
+        with a lone pivot's bits (a zero entry adds +-0); the run stops
         where one below the next candidate turns negative.
         """
         obj, w, js = self.obj, self.width, []
-        for j in (self.neg[enter:usable].nonzero()[0][:RUN] + enter).tolist():
+        for j in (self.neg[enter:usable].nonzero()[0] + enter).tolist():
             if self.pos[j] >= 0 or self.sign[j] < 0:
                 break
             js.append(j)
-        rows = [self.row[j] for j in js]
-        if len(js) == 1:
-            self._reduce(self.block[:w, rows[0]], obj[enter])
-        else:
-            cols, at = self.cols[:w], np.array(js)
-            steps = np.vstack([obj[cols],
-                               obj[at, None] * self.block[:w, rows].T])
-            np.subtract.accumulate(steps, axis=0, out=steps)
-            turned = ((steps[1:-1] < -FEAS_TOL)
-                      & (cols < at[1:, None])).any(axis=1)
-            k = int(np.append(turned, True).argmax()) + 1
-            del rows[k:], js[k:]
-            obj[cols] = steps[k]
-            self.neg[cols] = steps[k] < -FEAS_TOL
+        rows, cols, at = [self.row[j] for j in js], self.cols[:w], np.array(js)
+        steps = np.vstack([obj[cols], obj[at, None] * self.block[:w, rows].T])
+        np.subtract.accumulate(steps, axis=0, out=steps)
+        turned = ((steps[1:-1] < -FEAS_TOL)
+                  & (cols < at[1:, None])).any(axis=1)
+        k = int(np.append(turned, True).argmax()) + 1
+        del rows[k:], js[k:]
+        obj[cols] = steps[k]
+        self.neg[cols] = steps[k] < -FEAS_TOL
         for r, j, m in zip(rows, js, obj[js].tolist()):
             for u in self.units[r]:
                 obj[u] -= m * self.sign[u]
@@ -265,20 +258,16 @@ class _Tableau:
 
     def _pivot(self, r, colv, m):
         """Gauss-Jordan pivot on row r; colv and m are the entering column
-        and its reduced cost before it.  The rows from the first to the
-        last nonzero of colv change as one slice; with colv[r] set to 0, an
-        entry with a zero factor stays as it was, up to the sign of a zero.
+        and its reduced cost before it.  The whole stored block changes as
+        one product; with colv[r] set to 0, an entry with a zero factor
+        stays as it was, up to the sign of a zero.  The objective changes
+        only on the stored nonzeros of the pivot row.
         """
         self._store(r)
         prow = self.block[:self.width, r]
         prow /= colv[r]
-        lo, hi = colv.nonzero()[0][[0, -1]]
         colv[r] = 0.0
-        self.block[:self.width, lo:hi + 1] -= np.outer(prow, colv[lo:hi + 1])
-        self._reduce(prow, m)
-
-    def _reduce(self, prow, m):
-        """obj -= m * prow over the stored nonzeros of pivot row prow."""
+        self.block[:self.width] -= np.outer(prow, colv)
         nz = prow.nonzero()[0]
         j = self.cols[nz]
         self.obj[j] = reduced = self.obj[j] - m * prow[nz]
@@ -288,16 +277,14 @@ class _Tableau:
 def _ratio_test(cand, ratios, basis):
     """Leaving row: min ratio, ties by lowest basis index (Bland).
 
-    Up to SCAN_MAX candidates go straight to Bland's scan.  Otherwise, when
-    no other ratio is near the least one by the scan's comparisons, the
-    scan would keep that one, so it is taken directly.
+    When no other ratio is near the least one by Bland's scan's
+    comparisons, the scan would keep that one, so it is taken directly.
     """
-    if cand.size > SCAN_MAX:
-        k = ratios.argmin()
-        best = ratios[k]   # so ratios - best >= 0 is abs(ratio - best)
-        if np.count_nonzero((ratios - PIVOT_TOL <= best)
-                            | (ratios - best <= PIVOT_TOL)) == 1:
-            return int(cand[k])
+    k = ratios.argmin()
+    best = ratios[k]   # so ratios - best >= 0 is abs(ratio - best)
+    if np.count_nonzero((ratios - PIVOT_TOL <= best)
+                        | (ratios - best <= PIVOT_TOL)) == 1:
+        return int(cand[k])
     return _bland_scan(cand.tolist(), ratios.tolist(), basis)
 
 

@@ -16,8 +16,8 @@ follows from one input:
   The walk takes each population in one pass, with no policy object: one
   ``_argmax_table`` call per origin gives all dispatch sources (a table's
   key), one row-wise ``proportional_init`` all start rows, and one
-  ``transitions`` call the iteration's distinct tables, each composed to
-  k events a lookup.
+  ``transitions`` call per chunk of about ``steps`` entries the
+  iteration's distinct tables, each composed to k events a lookup.
   Walks on it and one seed's events from one start, or from one state
   after warmup, share measured drops.
 
@@ -203,28 +203,35 @@ def _tables(net, srcs, space, steps) -> list:
     and drop lists: per row, the row reached (times the width) and drops on
     each block of k events, in C order, then (k > 1) on each single event;
     k is the largest with rows * size^k * k^2 <= steps, so the table stays
-    well below the walks that read it.  One transitions call for all keys."""
-    keys, rows, size = len(srcs), len(space.states), net.phi.size
-    atoms = [[(src, 1.0) for src in by_key] for by_key in srcs.swapaxes(0, 1)]
-    source, tgt = transitions(net, atoms, space)[1::2]   # rates not kept
+    well below the walks that read it.  One transitions call per chunk of
+    keys, of at most about steps (row, origin, key, dest) entries."""
+    rows, size, n = len(space.states), net.phi.size, net.n_supply
     k = 1
     while rows * size ** (k + 1) * (k + 1) ** 2 <= steps:
         k += 1
-    # (row, origin, key) order to (key, row, origin * n + dest)
-    nxt = tgt = tgt.reshape(rows, -1, keys, net.n_supply)\
-        .transpose(2, 0, 1, 3).reshape(keys, rows, size)
-    drops = hit = (source == DROP).reshape(rows, -1, keys).transpose(2, 0, 1)\
-        .repeat(net.n_supply, axis=2) * 1
-    at = np.arange(keys)[:, None, None]
-    for _ in range(k - 1):      # a block, then one more event
-        drops = (drops[..., None] + hit[at, nxt]).reshape(keys, rows, -1)
-        nxt = tgt[at, nxt].reshape(keys, rows, -1)
-    if k > 1:                   # single events, for those left over
-        nxt, drops = np.dstack([nxt, tgt]), np.dstack([drops, hit])
-    width = nxt.shape[2]        # one int object per row offset: less memory
-    offsets = np.arange(rows, dtype=object) * width
-    return [(k, width, offsets[t].ravel().tolist(), d.ravel().tolist())
-            for t, d in zip(nxt, drops)]
+    width = size ** k + size * (k > 1)
+    offsets = np.arange(rows, dtype=object) * width   # an int a row: less RAM
+    chunk, out = max(1, steps // (rows * size)), []
+    for lo in range(0, len(srcs), chunk):
+        part = srcs[lo:lo + chunk]
+        keys = len(part)
+        atoms = [[(src, 1.0) for src in by_key]
+                 for by_key in part.swapaxes(0, 1)]
+        source, tgt = transitions(net, atoms, space)[1::2]   # rates not kept
+        # (row, origin, key) order to (key, row, origin * n + dest)
+        nxt = tgt = tgt.reshape(rows, -1, keys, n).transpose(2, 0, 1, 3)\
+            .reshape(keys, rows, size)
+        drops = hit = (source == DROP).reshape(rows, -1, keys)\
+            .transpose(2, 0, 1).repeat(n, axis=2) * 1
+        at = np.arange(keys)[:, None, None]
+        for _ in range(k - 1):      # a block, then one more event
+            drops = (drops[..., None] + hit[at, nxt]).reshape(keys, rows, -1)
+            nxt = tgt[at, nxt].reshape(keys, rows, -1)
+        if k > 1:                   # single events, for those left over
+            nxt, drops = np.dstack([nxt, tgt]), np.dstack([drops, hit])
+        out += [(k, width, offsets[t].ravel().tolist(), d.ravel().tolist())
+                for t, d in zip(nxt, drops)]
+    return out
 
 
 def _stream(net, seed, steps, lo=0, k=1) -> array:

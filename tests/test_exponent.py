@@ -30,7 +30,7 @@ from smwsim.instances import (
 import smwsim.exponent as exponent_module
 import smwsim.network as network_module
 from smwsim.exponent import check_alpha
-from smwsim.lp import LinearProgram, solve_lp
+from smwsim.lp import MAX_ITER, LinearProgram, solve_lp
 from smwsim.network import (SUM_BLOCK, Network, SubsetCapError, _drainable,
                             closed_subsets, hall_subsets, mask_indices,
                             masked_sum)
@@ -590,13 +590,20 @@ def test_optimal_alpha_matches_highs_over_all_drainable_rows():
 
 
 @pytest.mark.parametrize("n", [30, 40])
-def test_optimal_alpha_past_twenty_nodes_matches_highs(n):
-    # 1,227 to 5,150 closed drainable rows, over 2^30 or 2^40 subsets
+def test_optimal_alpha_past_twenty_nodes_matches_highs(n, monkeypatch):
+    # 1,227 to 5,150 closed drainable rows, over 2^30 or 2^40 subsets; the
+    # simplex pivots 1.07-1.13 times per row, so the iteration cap leaves
+    # room for CLOSED_CAP rows (1.03 at 15,965 rows on random_crp(50, 0))
+    iterations, solve = [], exponent_module.solve_lp
+    monkeypatch.setattr(exponent_module, "solve_lp", lambda lp: (
+        lambda sol: iterations.append(sol.iterations) or sol)(solve(lp)))
+    assert network_module.CLOSED_CAP * 1.15 < MAX_ITER
     for seed in range(3):
         net = random_crp(n, seed=seed)
         res = optimal_alpha(net, eps_floor=1e-3)[1]
         rows = [st for st, _, _ in res.per_subset]
         assert len(rows) > 1000
+        assert iterations[-1] <= 1.15 * len(rows)
         assert res.gamma == pytest.approx(highs_gamma(net, rows),
                                           rel=0, abs=1e-9)
 

@@ -12,7 +12,7 @@ import smwsim
 from smwsim import LinearProgram, solve_lp, solve_transportation
 from smwsim.lp import InfeasibleFlowError
 from smwsim import optimal_alpha
-from smwsim.instances import example1, random_crp
+from smwsim.instances import example1, random_crp, symmetric_ring
 
 
 def test_single_variable():
@@ -280,34 +280,6 @@ def test_fuzzed_lps_take_both_ratio_test_paths(monkeypatch):
     assert 0 < calls["_bland_scan"] < calls["_ratio_test"]
 
 
-def test_short_ratio_tests_go_straight_to_blands_scan(monkeypatch):
-    # up to SCAN_MAX candidates skip the near-tie count; longer lists take
-    # the direct minimum when it has no near tie, and the scan otherwise
-    import smwsim.lp as lp_module
-    seen = {"short": 0, "direct": 0, "long scan": 0}
-    test, scan = lp_module._ratio_test, lp_module._bland_scan
-    scanned = []
-
-    def spy_scan(cand, *args):
-        scanned.append(len(cand))
-        return scan(cand, *args)
-
-    def spy_test(cand, *args):
-        scanned.clear()
-        leave = test(cand, *args)
-        if cand.size <= lp_module.SCAN_MAX:
-            assert scanned == [cand.size]
-            seen["short"] += 1
-        else:
-            seen["long scan" if scanned else "direct"] += 1
-        return leave
-    monkeypatch.setattr(lp_module, "_bland_scan", spy_scan)
-    monkeypatch.setattr(lp_module, "_ratio_test", spy_test)
-    for lp in _fuzzed_lps():
-        solve_lp(lp)
-    assert min(seen.values()) > 0
-
-
 def _home_run_lps():
     """LPs with tens of <= rows on a few columns, most with b >= 0: phase
     1 enters most slacks at home (each still e_r of its own row), in runs
@@ -327,18 +299,38 @@ def _home_run_lps():
                                            np.inf))
 
 
-def test_home_runs_match_one_pivot_at_a_time(monkeypatch):
-    # RUN = 1 applies every home pivot on its own through _reduce
-    import smwsim.lp as lp_module
-    lps = list(_home_run_lps())
-    batched = [solve_lp(lp) for lp in lps]
-    monkeypatch.setattr(lp_module, "RUN", 1)
-    for lp, sol in zip(lps, batched):
-        one = solve_lp(lp)
-        assert (one.status, one.iterations) == (sol.status, sol.iterations)
-        assert (one.x is None and sol.x is None
-                or one.x.tobytes() == sol.x.tobytes())
-    assert {sol.status for sol in batched} == {"optimal", "infeasible"}
+def _alpha_lps():
+    """The alpha LPs of example1, symmetric_ring(10) and random_crp(n) for
+    n in 3, 4, 8, 12, 14, 15, 16 at seeds 0-2, as optimal_alpha builds
+    them."""
+    import smwsim.exponent as exponent
+    lps, solve = [], exponent.solve_lp
+    nets = [example1(), symmetric_ring(10)] + [
+        random_crp(n, seed=s) for n in (3, 4, 8, 12, 14, 15, 16)
+        for s in range(3)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exponent, "solve_lp",
+                   lambda lp: lps.append(lp) or solve(lp))
+        for net in nets:
+            optimal_alpha(net)
+    return lps
+
+
+def test_solve_lp_is_the_dense_bland_tableau_bit_for_bit():
+    # the stored columns, the home runs and the direct ratio minimum are
+    # shortcuts: each LP takes the plain dense tableau's pivots and returns
+    # its bits
+    from simplex_reference import solve_dense
+    lps = [*_fuzzed_lps(), *_home_run_lps(), *_alpha_lps()]
+    assert len(lps) == 243
+    statuses = set()
+    for lp in lps:
+        sol, (status, x, iterations) = solve_lp(lp), solve_dense(lp)
+        assert (sol.status, sol.iterations) == (status, iterations)
+        assert (sol.x is None and x is None
+                or sol.x.tobytes() == x.tobytes())
+        statuses.add(status)
+    assert statuses == {"optimal", "unbounded", "infeasible"}
 
 
 def test_home_runs_take_both_stop_paths(monkeypatch):

@@ -226,6 +226,35 @@ def test_blocks_are_the_longest_whose_table_fits(K, steps, k):
         assert len(table) == len(drop) == (K + 1) * width <= steps
 
 
+def test_tables_build_a_chunk_of_keys_at_a_time():
+    # 5,151 rows x 9 entries a key fill steps, so each key is its own
+    # chunk: eight keys peak at their kept lists plus about one key's
+    # temporaries, where one transitions call for all eight held eight
+    import sys
+    import tracemalloc
+    net = symmetric_ring(3)
+    space = tuner_module.StateSpace.enumerate(3, 100)
+    steps = len(space.states) * net.phi.size
+    alpha = np.random.default_rng(0).dirichlet(np.ones(3), 8)
+    srcs = np.stack([policies_module._argmax_table(space.states, *rows)[0][0]
+                     for rows in policies_module.smw_rows(net, alpha, None)],
+                    axis=1)
+    assert len({src.tobytes() for src in srcs}) == 8
+    peaks = []
+    for keys in (1, 8):
+        tracemalloc.start()
+        try:
+            built = tuner_module._tables(net, srcs[:keys], space, steps)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    kept = sum(sys.getsizeof(table) + sys.getsizeof(drop)
+               for _, _, table, drop in built)
+    assert peaks[1] < 2 * peaks[0] + kept   # 8.5 MiB; 17.7 in one call
+    assert built == [tuner_module._tables(net, srcs[i:i + 1], space, steps)[0]
+                     for i in range(8)]
+
+
 @pytest.mark.parametrize("steps, calls", [(44, 0), (43, 40)])
 def test_table_walk_needs_no_more_entries_than_steps(monkeypatch, steps,
                                                      calls):
